@@ -16,7 +16,8 @@ telescoped, chu-vandermonde, euler, fusy-humbert, decompositions,
 internal-cross.
 
 Exit status: 0 success, 2 usage error, 3 budget exceeded, 4 verification
-failure.  Every command is deterministic; progress goes to stderr only.
+or internal self-check failure.  Every command is deterministic; progress
+goes to stderr only.
 """
 from __future__ import annotations
 
@@ -655,6 +656,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"tamari: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ArithmeticError, RuntimeError) as exc:
+        # a failed internal self-check (checksum, fixed point, exactness)
+        print(f"tamari: self-check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

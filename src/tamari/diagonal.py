@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .lattice import BudgetExceeded, StatTable, interval_histogram, \
-    intervals, resolve_budget
+from .lattice import interval_histogram, intervals
+from .paths import BudgetExceeded, StatTable, _tally, resolve_budget
 from .trees import (
     SchroederTree,
     ascent_spans,
@@ -119,14 +119,9 @@ def diagonal_fvector_direct(n: int, budget=None) -> list:
 
 def diagonal_fvector_by_dims(n: int, budget=None) -> StatTable:
     """Faces counted by the pair (dim f, dim g)."""
-    if n < 1:
-        raise ValueError("diagonal_fvector_by_dims() requires n >= 1")
-    pair_counts: dict = {}
-    for _, _, des_s, asc_t in intervals(n, budget):
-        key = (des_s, asc_t)
-        pair_counts[key] = pair_counts.get(key, 0) + 1
     cells: dict = {}
-    for (d, a), count in pair_counts.items():
+    for (d, a), count in _tally(1, n, budget, lambda word, des, asc: des,
+                                lambda word, des, asc: asc).items():
         for p in range(d + 1):
             c_p = comb(d, p)
             for q in range(a + 1):

@@ -1,62 +1,32 @@
-"""Exhaustive generators for trees, Tamari intervals, and their statistics.
+"""Exhaustive tree generators, and Tamari intervals with their statistics.
 
-The interval engine enumerates, for every binary tree t, the set of trees
-below t in the Tamari order.  It processes trees in a linear extension of
-the order (sorted by the sum of the bracket vector, which strictly
-decreases along covers) and accumulates down-sets as bitmasks:
-
-    down(t)  =  {t}  ∪  union of down(c) over the trees c covered by t.
-
-This touches every interval once through integer bit operations, which is
-what makes the million-interval sizes reachable; the independent
-rotation-BFS route (rotation_down_set) is kept as the ground truth the
-bitmask engine is tested against.
-
-Every exhaustive operation takes an element/interval budget and raises
-BudgetExceeded rather than running unbounded.  The default budget comes
-from the TAMARI_BUDGET environment variable (fallback 2_000_000).
+The Tamari lattice is the slope-1 ballot lattice of tamari.paths, whose
+engine holds the interval down-set masks; this module reads it in terms
+of trees.  A tree's ballot word is its Dyck word, des counts its lower
+covers, asc its upper covers, and ell the interior contacts of the word.
+Only intervals() rebuilds trees, for the length of its walk.  The
+rotation-BFS route (rotation_down_set) is independent of the engine and
+is the ground truth it is tested against.  Budgets: see tamari.paths.
 """
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .formulas import catalan
-from .trees import (
-    BinaryTree,
-    bracket_vector,
-    _des,
-    ell,
-    rotations_down,
-    serialize,
+from .paths import (
+    BudgetExceeded,
+    StatTable,
+    _TO_DYCK,
+    _interval_indices,
+    _m_engine,
+    _slope_one_ell,
+    _tally,
+    dyck_to_tree,
+    m_tamari_interval_count,
+    m_tamari_interval_stats,
+    resolve_budget,
 )
-
-FALLBACK_BUDGET = 2_000_000
-BUDGET_ENV_VAR = "TAMARI_BUDGET"
-
-
-class BudgetExceeded(RuntimeError):
-    """An enumeration would overrun its element/interval budget."""
-
-    def __init__(self, what: str, required, budget: int):
-        super().__init__(
-            f"{what} needs {required} > budget {budget}"
-            f" (raise the budget argument or {BUDGET_ENV_VAR})")
-        self.what = what
-        self.required = required
-        self.budget = budget
-
-
-def resolve_budget(budget=None) -> int:
-    """Explicit argument, else TAMARI_BUDGET, else the built-in fallback."""
-    if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, FALLBACK_BUDGET))
-    budget = int(budget)
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    return budget
+from .trees import BinaryTree, rotations_down
 
 
 # ===================================================================
@@ -132,100 +102,26 @@ def rotation_down_set(t: BinaryTree) -> frozenset:
 
 
 # ===================================================================
-# interval engine (bitmask down-set accumulation)
+# intervals and their statistics (views of the slope-1 engine)
 # ===================================================================
-
-@lru_cache(maxsize=4)
-def _engine(n: int, budget: int):
-    """(trees in linear-extension order, per-tree statistics, down masks)."""
-    trees = all_trees(n, budget)
-    trees.sort(key=lambda t: (sum(bracket_vector(t)), serialize(t)))
-    index = {t: i for i, t in enumerate(trees)}
-    dlist = tuple(_des(t) for t in trees)
-    elist = tuple(ell(t) for t in trees)
-    down: list = []
-    total = 0
-    for i, t in enumerate(trees):
-        mask = 1 << i
-        for c in rotations_down(t):
-            mask |= down[index[c]]
-        down.append(mask)
-        total += mask.bit_count()
-        if total > budget:
-            raise BudgetExceeded(f"intervals({n})", f"more than {total}",
-                                 budget)
-    return tuple(trees), dlist, elist, tuple(down), total
-
 
 def intervals(n: int, budget=None) -> Iterator[tuple]:
     """Every Tamari interval once, as (s, t, des(s), asc(t))."""
-    if n < 1:
-        raise ValueError("intervals() requires n >= 1")
-    trees, dlist, _, down, _ = _engine(n, resolve_budget(budget))
-    for ti, t in enumerate(trees):
-        asc_t = n - 1 - dlist[ti]
-        mask = down[ti]
-        while mask:
-            low = mask & -mask
-            si = low.bit_length() - 1
-            mask ^= low
-            yield (trees[si], t, dlist[si], asc_t)
+    words, up_degree, down_degree, down_masks, _ = _m_engine(
+        1, n, resolve_budget(budget))
+    trees = [dyck_to_tree(word.translate(_TO_DYCK)) for word in words]
+    for si, ti in _interval_indices(down_masks):
+        yield trees[si], trees[ti], down_degree[si], up_degree[ti]
 
 
 def interval_count(n: int, budget=None) -> int:
-    if n < 1:
-        raise ValueError("interval_count() requires n >= 1")
-    return _engine(n, resolve_budget(budget))[4]
+    return m_tamari_interval_count(1, n, budget)
 
 
 def interval_histogram(n: int, budget=None) -> list:
     """Number of intervals with des(s) + asc(t) = k, for k = 0..n-1."""
-    if n < 1:
-        raise ValueError("interval_histogram() requires n >= 1")
-    trees, dlist, _, down, _ = _engine(n, resolve_budget(budget))
-    des_mask = [0] * n
-    for i in range(len(trees)):
-        des_mask[dlist[i]] |= 1 << i
-    hist = [0] * n
-    for ti in range(len(trees)):
-        asc_t = n - 1 - dlist[ti]
-        for d in range(n - asc_t):
-            c = (down[ti] & des_mask[d]).bit_count()
-            if c:
-                hist[d + asc_t] += c
-    return hist
-
-
-# ===================================================================
-# statistics tables
-# ===================================================================
-
-@dataclass(frozen=True)
-class StatTable:
-    """Counts indexed by a tuple of named statistics."""
-
-    n: int
-    axes: tuple
-    cells: Mapping
-
-    @property
-    def total(self) -> int:
-        return sum(self.cells.values())
-
-    def value(self, *key) -> int:
-        return self.cells.get(tuple(key), 0)
-
-    def axis_range(self, axis: int) -> range:
-        """0..max observed value of the given axis, inclusive."""
-        if not self.cells:
-            return range(0)
-        return range(max(key[axis] for key in self.cells) + 1)
-
-    def marginal(self, axis: int) -> dict:
-        out: dict = {}
-        for key, count in self.cells.items():
-            out[key[axis]] = out.get(key[axis], 0) + count
-        return out
+    table = m_tamari_interval_stats(1, n, budget)
+    return [table.value(k) for k in range(n)]
 
 
 def interval_stats_refined(n: int, budget=None) -> tuple:
@@ -234,29 +130,17 @@ def interval_stats_refined(n: int, budget=None) -> tuple:
     Returns (by_ell, by_des_asc):
       * by_ell: StatTable over (ell(s), des(s) + asc(t)),
       * by_des_asc: StatTable over (des(s), asc(t)).
+    Both are sums over one tally by ((ell(s), des(s)), asc(t)).
     """
-    if n < 1:
-        raise ValueError("interval_stats_refined() requires n >= 1")
-    trees, dlist, elist, down, _ = _engine(n, resolve_budget(budget))
-    class_mask: dict = {}
-    des_mask = [0] * n
-    for i in range(len(trees)):
-        key = (elist[i], dlist[i])
-        class_mask[key] = class_mask.get(key, 0) | (1 << i)
-        des_mask[dlist[i]] |= 1 << i
     by_ell: dict = {}
     by_pq: dict = {}
-    for ti in range(len(trees)):
-        asc_t = n - 1 - dlist[ti]
-        for (i, d), mask in class_mask.items():
-            c = (down[ti] & mask).bit_count()
-            if c:
-                key = (i, d + asc_t)
-                by_ell[key] = by_ell.get(key, 0) + c
-        for d in range(n - asc_t):
-            c = (down[ti] & des_mask[d]).bit_count()
-            if c:
-                key = (d, asc_t)
-                by_pq[key] = by_pq.get(key, 0) + c
+    cells = _tally(1, n, budget,
+                   lambda word, des, asc: (_slope_one_ell(word), des),
+                   lambda word, des, asc: asc)
+    for ((ell_s, des_s), asc_t), count in cells.items():
+        key = (ell_s, des_s + asc_t)
+        by_ell[key] = by_ell.get(key, 0) + count
+        key = (des_s, asc_t)
+        by_pq[key] = by_pq.get(key, 0) + count
     return (StatTable(n, ("ell_lower", "cover_statistic"), by_ell),
             StatTable(n, ("des_lower", "asc_upper"), by_pq))

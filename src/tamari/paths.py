@@ -1,4 +1,4 @@
-"""Dyck paths, the tree bijection, and m-ballot lattices.
+"""Dyck paths, the tree bijection, m-ballot lattices, and the interval engine.
 
 Claims implemented here, all cross-checked by the test suite:
 
@@ -11,15 +11,81 @@ Claims implemented here, all cross-checked by the test suite:
 
 Paths are plain strings: 'U'/'D' for Dyck words, 'N'/'E' for m-ballot
 words (an N gains m units of height, an E loses one).
+
+The interval engine of every slope, the Tamari lattice's included,
+accumulates down-sets as bitmasks in a linear extension: down(t) is {t}
+with the union of down(c) over the words c covered by t.
+
+Every exhaustive operation takes an element/interval budget and raises
+BudgetExceeded rather than running unbounded.  The default budget comes
+from the TAMARI_BUDGET environment variable (fallback 2_000_000).
 """
 from __future__ import annotations
 
+import os
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .formulas import fuss_catalan
-from .lattice import BudgetExceeded, StatTable, resolve_budget
 from .trees import BinaryTree
+
+FALLBACK_BUDGET = 2_000_000
+BUDGET_ENV_VAR = "TAMARI_BUDGET"
+
+
+# ===================================================================
+# budgets and statistics tables
+# ===================================================================
+
+class BudgetExceeded(RuntimeError):
+    """An enumeration would overrun its element/interval budget."""
+
+    def __init__(self, what: str, required, budget: int):
+        super().__init__(
+            f"{what} needs {required} > budget {budget}"
+            f" (raise the budget argument or {BUDGET_ENV_VAR})")
+        self.what = what
+        self.required = required
+        self.budget = budget
+
+
+def resolve_budget(budget=None) -> int:
+    """Explicit argument, else TAMARI_BUDGET, else the built-in fallback."""
+    if budget is None:
+        budget = int(os.environ.get(BUDGET_ENV_VAR, FALLBACK_BUDGET))
+    budget = int(budget)
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    return budget
+
+
+@dataclass(frozen=True)
+class StatTable:
+    """Counts indexed by a tuple of named statistics."""
+
+    n: int
+    axes: tuple
+    cells: Mapping
+
+    @property
+    def total(self) -> int:
+        return sum(self.cells.values())
+
+    def value(self, *key) -> int:
+        return self.cells.get(tuple(key), 0)
+
+    def axis_range(self, axis: int) -> range:
+        """0..max observed value of the given axis, inclusive."""
+        if not self.cells:
+            return range(0)
+        return range(max(key[axis] for key in self.cells) + 1)
+
+    def marginal(self, axis: int) -> dict:
+        out: dict = {}
+        for key, count in self.cells.items():
+            out[key[axis]] = out.get(key[axis], 0) + count
+        return out
 
 
 # ===================================================================
@@ -162,8 +228,14 @@ def m_tamari_covers(word: str) -> frozenset:
 # interval engine over ballot words
 # ===================================================================
 
+# a slope-1 ballot word read as the Dyck word of its tree
+_TO_DYCK = str.maketrans("NE", "UD")
+
+
 @lru_cache(maxsize=8)
 def _m_engine(m: int, n: int, budget: int):
+    """(words in a linear extension, upper-cover counts, lower-cover
+    counts, down-set masks, interval total)."""
     words = m_tamari_elements(m, n, budget)
     # sum of E positions strictly increases along covers: a linear extension
     words.sort(key=lambda w: (sum(i for i, c in enumerate(w) if c == "E"), w))
@@ -175,6 +247,7 @@ def _m_engine(m: int, n: int, budget: int):
         up_degree[i] = len(above)
         for y in above:
             down_lists[index[y]].append(i)
+    del index  # freed before the masks, which hold nearly all the memory
     down_masks: list = []
     total = 0
     for i in range(len(words)):
@@ -190,6 +263,46 @@ def _m_engine(m: int, n: int, budget: int):
     return tuple(words), tuple(up_degree), down_degree, tuple(down_masks), total
 
 
+def _interval_indices(down_masks) -> Iterator[tuple]:
+    """(lower, upper) element indices of every interval, upper-major."""
+    for ti, mask in enumerate(down_masks):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            yield low.bit_length() - 1, ti
+
+
+def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
+    """{(lower_key(s), upper_key(t)): number of intervals s <= t}.
+
+    A key function sees an element as (word, lower covers, upper covers).
+    The elements sharing a lower key share one mask, so every upper
+    element costs one popcount per lower class, not one step per interval.
+    """
+    words, up_degree, down_degree, down_masks, _ = _m_engine(
+        m, n, resolve_budget(budget))
+    class_mask: dict = {}
+    for i, word in enumerate(words):
+        key = lower_key(word, down_degree[i], up_degree[i])
+        class_mask[key] = class_mask.get(key, 0) | (1 << i)
+    classes = tuple(class_mask.items())
+    cells: dict = {}
+    for ti, word in enumerate(words):
+        upper = upper_key(word, down_degree[ti], up_degree[ti])
+        down = down_masks[ti]
+        for key, mask in classes:
+            count = (down & mask).bit_count()
+            if count:
+                cell = (key, upper)
+                cells[cell] = cells.get(cell, 0) + count
+    return cells
+
+
+def _slope_one_ell(word: str) -> int:
+    """ell of the tree behind a slope-1 ballot word: its interior contacts."""
+    return contacts(word.translate(_TO_DYCK))
+
+
 def m_tamari_interval_count(m: int, n: int, budget=None) -> int:
     return _m_engine(m, n, resolve_budget(budget))[4]
 
@@ -197,12 +310,8 @@ def m_tamari_interval_count(m: int, n: int, budget=None) -> int:
 def m_tamari_intervals(m: int, n: int, budget=None) -> Iterator[tuple]:
     """Every interval once, as (lower, upper) ballot words."""
     words, _, _, down_masks, _ = _m_engine(m, n, resolve_budget(budget))
-    for ti, upper in enumerate(words):
-        mask = down_masks[ti]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            yield (words[low.bit_length() - 1], upper)
+    for si, ti in _interval_indices(down_masks):
+        yield words[si], words[ti]
 
 
 def m_tamari_interval_stats(m: int, n: int, budget=None) -> StatTable:
@@ -210,17 +319,10 @@ def m_tamari_interval_stats(m: int, n: int, budget=None) -> StatTable:
 
     At slope 1 this is the des(s) + asc(t) statistic on tree intervals.
     """
-    words, up_degree, down_degree, down_masks, _ = _m_engine(
-        m, n, resolve_budget(budget))
-    degree_mask: dict = {}
-    for i in range(len(words)):
-        d = down_degree[i]
-        degree_mask[d] = degree_mask.get(d, 0) | (1 << i)
     cells: dict = {}
-    for ti in range(len(words)):
-        for d, mask in degree_mask.items():
-            c = (down_masks[ti] & mask).bit_count()
-            if c:
-                key = (d + up_degree[ti],)
-                cells[key] = cells.get(key, 0) + c
+    for (lower, upper), count in _tally(
+            m, n, budget, lambda word, lower, upper: lower,
+            lambda word, lower, upper: upper).items():
+        key = (lower + upper,)
+        cells[key] = cells.get(key, 0) + count
     return StatTable(n, ("cover_statistic",), cells)

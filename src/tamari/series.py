@@ -30,8 +30,9 @@ from math import comb
 from .equations import MonomialPolynomial, load_quartic, pde_operators
 from .formulas import binomial
 from .lattice import intervals
+from .paths import _slope_one_ell, _tally
 from .polys import ZPolynomial
-from .trees import canopy, ell
+from .trees import canopy
 
 
 def _as_zpoly(value) -> ZPolynomial:
@@ -461,14 +462,18 @@ def catalytic_equation_check(order: int, budget=None) -> bool:
     a_1: dict = {}
     a_star: dict = {}
     for n in range(1, order + 1):
-        for s, t, des_s, asc_t in intervals(n, budget):
+        cells = _tally(
+            1, n, budget,
+            lambda word, des, asc: (_slope_one_ell(word), des),
+            lambda word, des, asc: (asc, _slope_one_ell(word) == 0))
+        for ((ell_s, des_s), (asc_t, ell_t_zero)), count in cells.items():
             k = des_s + asc_t
-            key = (n, ell(s), k)
-            a_u[key] = a_u.get(key, 0) + 1
+            key = (n, ell_s, k)
+            a_u[key] = a_u.get(key, 0) + count
             flat = (n, 0, k)
-            a_1[flat] = a_1.get(flat, 0) + 1
-            if ell(t) == 0:
-                a_star[key] = a_star.get(key, 0) + 1
+            a_1[flat] = a_1.get(flat, 0) + count
+            if ell_t_zero:
+                a_star[key] = a_star.get(key, 0) + count
     one = {(0, 0, 0): 1}
     t_gen = {(1, 0, 0): 1}
     u_gen = {(0, 1, 0): 1}
@@ -558,7 +563,9 @@ def _fh_mul(p: dict, q: dict, cap: int) -> dict:
 def _fh_inverse_of_unit(p: dict, cap: int) -> dict:
     """(1 + x)^(-1) for p = 1 + x with x of positive total degree."""
     x = dict(p)
-    assert x.pop((0, 0, 0), 0) == 1
+    if x.pop((0, 0, 0), 0) != 1:
+        raise ArithmeticError("constant term is not 1: not a unit of the "
+                              "form 1 + x")
     out = {(0, 0, 0): 1}
     term = {(0, 0, 0): 1}
     for _ in range(cap):

@@ -11,7 +11,7 @@ Core claims:
     - `verify` emits a JSON report {suite, params, checks, ok} and its
       exit status tracks the conjunction of the checks
     - exit statuses: 0 success, 2 usage (argparse or ValueError),
-      3 budget exceeded, 4 verification failure
+      3 budget exceeded, 4 verification or self-check failure
     - output is deterministic: repeated runs are byte-identical, and
       --out writes exactly what stdout would have carried
 """
@@ -29,6 +29,8 @@ from tamari.cli import (
     TABLES,
     main,
 )
+from tamari.equations import load_quartic
+from tamari.series import quartic_equation
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -328,6 +330,16 @@ class TestExitStatuses:
         assert status == EXIT_BUDGET
         assert out == ""
         assert "TAMARI_BUDGET" in err
+
+    def test_failed_self_check_exits_four(self, capsys, monkeypatch):
+        monkeypatch.setattr("tamari.equations.QUARTIC_SHA256", "0" * 64)
+        load_quartic.cache_clear()
+        quartic_equation.cache_clear()
+        status, out, err = run_cli(capsys, "verify", "polynomial",
+                                   "--order", "3")
+        assert status == EXIT_VERIFY
+        assert out == ""
+        assert "corrupted" in err and len(err.splitlines()) == 1
 
     def test_nmax_zero_is_a_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "table", "a", "--nmax", "0")

@@ -107,7 +107,8 @@ class TestGenerators:
 # == engine vs. rotation BFS oracle =================================
 
 class TestEngineOracle:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize(
+        "n", [*range(1, 8), pytest.param(8, marks=pytest.mark.extended)])
     def test_down_sets_match_bfs(self, n):
         # dual route: the engine's interval membership vs explicit BFS
         pool = tree_pool(n)

@@ -26,6 +26,7 @@ from tamari.formulas import a_formula, interval_row_polynomial
 from tamari.polys import ZPolynomial
 from tamari.series import (
     PolynomialEquation,
+    _fh_inverse_of_unit,
     TruncatedSeries,
     apply_differential_operator,
     catalytic_equation_check,
@@ -343,6 +344,11 @@ class TestVerifiers:
 
     def test_fusy_humbert(self):
         assert fusy_humbert_check(6)
+
+    def test_inverse_of_unit_rejects_non_unit(self):
+        # a check that `python -O` cannot strip: 2 + u is no 1 + x
+        with pytest.raises(ArithmeticError):
+            _fh_inverse_of_unit({(0, 0, 0): 2, (1, 0, 0): 1}, 2)
 
     def test_verifier_argument_validation(self):
         with pytest.raises(ValueError):
