@@ -3,9 +3,10 @@
 Exact, fully deterministic toolkit: binary/Schröder tree combinatorics
 (trees), exhaustive interval engines for the Tamari and m-Tamari lattices
 (lattice, paths), diagonal face counts and decompositions (diagonal),
-closed-form counting formulas (formulas), and truncated-series machinery
-for the functional equations the counts satisfy (series, equations,
-polys).  The command-line entry point lives in tamari.cli.
+closed-form counting formulas (formulas), the exact polynomial kernel
+(polys), and truncated-series machinery for the functional equations the
+counts satisfy, checked against frozen equation data (series, equations).
+The command-line entry point lives in tamari.cli.
 """
 
 from .diagonal import (

@@ -395,8 +395,9 @@ def _suite_polynomial(args) -> list:
     order = args.order if args.order is not None else 10
     checks: list = []
     root = newton_solve(quartic_equation(), order)
-    _check(checks, f"quartic-root-residual-mod-t^{order + 1}", True,
-           "newton_solve self-checks the residual")
+    _check(checks, f"quartic-root-residual-mod-t^{order + 1}",
+           quartic_equation().evaluate(root).is_zero,
+           "the quartic re-evaluated at the root")
     coeff_bad = None
     for n in range(1, order + 1):
         if root.coefficient(n) != interval_row_polynomial(n):
@@ -554,6 +555,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.nmax is not None and args.nmax < 1:
+        raise ValueError("--nmax must be at least 1")
     checks = SUITES[args.suite](args)
     ok = all(entry["ok"] for entry in checks)
     params = {}

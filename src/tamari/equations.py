@@ -17,112 +17,10 @@ import hashlib
 from functools import lru_cache
 from importlib import resources
 
-from .polys import ZPolynomial
+from .polys import MonomialPolynomial, ZPolynomial
 
 QUARTIC_RESOURCE = "quartic_root_equation.txt"
 QUARTIC_SHA256 = "fb647cdbafc32f9370c5260b91e88eb5c6a17b78fdc1a9dfbfcbfa1be6c8a114"
-
-
-# ===================================================================
-# small exact multivariate polynomials (transcription helper)
-# ===================================================================
-
-class MonomialPolynomial:
-    """Sparse integer polynomial in a fixed number of variables.
-
-    Backed by a dict {exponent tuple: coefficient}.  Only the arithmetic
-    needed to write polynomial tables as readable expressions.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for expo, coeff in (terms or {}).items():
-            if len(expo) != nvars:
-                raise ValueError("exponent arity mismatch")
-            if coeff:
-                clean[tuple(expo)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def variables(cls, nvars: int) -> tuple:
-        out = []
-        for i in range(nvars):
-            expo = tuple(1 if j == i else 0 for j in range(nvars))
-            out.append(cls(nvars, {expo: 1}))
-        return tuple(out)
-
-    @classmethod
-    def constant(cls, nvars: int, value: int) -> "MonomialPolynomial":
-        return cls(nvars, {(0,) * nvars: value})
-
-    def _coerce(self, other):
-        if isinstance(other, MonomialPolynomial):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        if isinstance(other, int):
-            return MonomialPolynomial.constant(self.nvars, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, 0) + coeff
-        return MonomialPolynomial(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MonomialPolynomial(
-            self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return MonomialPolynomial(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int):
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = MonomialPolynomial.constant(self.nvars, 1)
-        for _ in range(power):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"MonomialPolynomial({self.nvars}, {self.terms!r})"
 
 
 # ===================================================================

@@ -1,10 +1,10 @@
 """Truncated power-series kernel and functional-equation verification.
 
 A TruncatedSeries is a series in t, truncated at a stated order, whose
-t-coefficients are exact z-polynomials (ZPolynomial over Fraction).  All
-arithmetic is exact modulo t^(order+1); there is no floating point in this
-module.  Binary operations truncate to the smaller order; d/dt lowers the
-order by one.  The truncation order is part of the value, not a convention.
+t-coefficients are exact z-polynomials (ZPolynomial).  All arithmetic is
+exact modulo t^(order+1); there is no floating point in this module.
+Binary operations truncate to the smaller order; d/dt lowers the order
+by one.  The truncation order is part of the value, not a convention.
 
 On top of the kernel:
 
@@ -20,19 +20,20 @@ On top of the kernel:
   * fusy_humbert_check solves the two-equation canopy system and compares
     it with enumerated canopy statistics, plus its one-variable
     specialization.
+
+The multivariate systems (the catalytic equation, the canopy pair, the
+Lagrange powers) are truncated MonomialPolynomial expressions written as
+printed; `polys` decides how every polynomial is stored.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
-from .equations import MonomialPolynomial, load_quartic, pde_operators
+from .equations import load_quartic, pde_operators
 from .formulas import binomial
-from .lattice import intervals
 from .paths import _slope_one_ell, _tally
-from .polys import ZPolynomial
-from .trees import canopy
+from .polys import MonomialPolynomial, ZPolynomial
 
 
 def _as_zpoly(value) -> ZPolynomial:
@@ -168,13 +169,18 @@ class TruncatedSeries:
         return TruncatedSeries(shifted[:self.order + 1], self.order)
 
     def div_by_unit(self, den: "TruncatedSeries") -> "TruncatedSeries":
-        """Divide by a series whose constant term is a nonzero rational."""
+        """Divide by a series whose constant term is a nonzero rational.
+
+        A head of 1 or -1 is its own inverse, so integer series stay int.
+        """
         order = self._common(den)
         head = den.coeffs[0]
         if head.is_zero or head.degree() > 0:
             raise ValueError(
                 "division requires a unit: nonzero constant term free of z")
-        inverse_head = Fraction(1) / head.constant_term
+        inverse_head = head.constant_term
+        if inverse_head not in (1, -1):
+            inverse_head = Fraction(1) / inverse_head
         out: list = []
         for k in range(order + 1):
             acc = self.coeffs[k]
@@ -231,13 +237,21 @@ class TruncatedSeries:
 # ===================================================================
 
 class PolynomialEquation:
-    """P(t, z, X) with integer coefficients as a {(i, j, k): c} map."""
+    """P(t, z, X) with integer coefficients.
 
-    __slots__ = ("coeffs",)
+    Built from a {(i, j, k): c} map or a MonomialPolynomial in (t, z, X).
+    """
 
-    def __init__(self, coeffs: dict):
-        self.coeffs = {tuple(key): value
-                       for key, value in coeffs.items() if value}
+    __slots__ = ("poly",)
+
+    def __init__(self, coeffs):
+        if not isinstance(coeffs, MonomialPolynomial):
+            coeffs = MonomialPolynomial(3, coeffs)
+        self.poly = coeffs
+
+    @property
+    def coeffs(self) -> dict:
+        return self.poly.terms
 
     def is_regular(self) -> bool:
         """True iff a unique series root with zero constant term exists.
@@ -251,17 +265,10 @@ class PolynomialEquation:
         return set(linear) == {0} and linear[0] != 0
 
     def derivative_x(self) -> "PolynomialEquation":
-        return PolynomialEquation(
-            {(i, j, k - 1): k * c
-             for (i, j, k), c in self.coeffs.items() if k})
+        return PolynomialEquation(self.poly.derivative(2))
 
     def substitute_z_shift(self, shift: int) -> "PolynomialEquation":
-        out: dict = {}
-        for (i, j, k), c in self.coeffs.items():
-            for jj in range(j + 1):
-                key = (i, jj, k)
-                out[key] = out.get(key, 0) + c * comb(j, jj) * shift ** (j - jj)
-        return PolynomialEquation(out)
+        return PolynomialEquation(self.poly.shift(1, shift))
 
     def evaluate(self, x: TruncatedSeries,
                  t_series: TruncatedSeries = None) -> TruncatedSeries:
@@ -309,39 +316,19 @@ def newton_solve(eq: PolynomialEquation, order: int) -> TruncatedSeries:
     return x
 
 
-def _poly_dict(phi) -> dict:
-    if isinstance(phi, MonomialPolynomial):
-        if phi.nvars != 2:
-            raise ValueError("phi must be a polynomial in (s, z)")
-        return dict(phi.terms)
-    return {tuple(k): v for k, v in dict(phi).items()}
-
-
 def lagrange_solve(phi, order: int) -> TruncatedSeries:
     """The unique series S(t, z) with S = t·phi(S, z), via fixed point.
 
     phi is a polynomial in (s, z) as a {(s_exp, z_exp): coeff} map or a
     two-variable MonomialPolynomial; phi(0, z) must be nonzero.
     """
-    terms = _poly_dict(phi)
-    if not any(i == 0 for (i, j) in terms):
+    phi = MonomialPolynomial(
+        2, phi.terms if isinstance(phi, MonomialPolynomial) else phi)
+    if not any(i == 0 for (i, j) in phi.terms):
         raise ValueError("phi(0, z) must be nonzero")
-    by_s: dict = {}
-    for (i, j), c in terms.items():
-        rows = by_s.setdefault(i, {})
-        rows[j] = rows.get(j, 0) + c
-    blocks = {i: ZPolynomial.from_pairs(rows.items())
-              for i, rows in by_s.items()}
-    top = max(by_s)
-
-    def phi_at(series: TruncatedSeries) -> TruncatedSeries:
-        acc = TruncatedSeries.zero(order)
-        for i in range(top, -1, -1):
-            acc = acc * series
-            if i in blocks:
-                acc = acc + TruncatedSeries((blocks[i],), order)
-        return acc
-
+    # phi(X, z) as a polynomial in (t, z, X) with no t
+    phi_at = PolynomialEquation(
+        {(0, j, i): c for (i, j), c in phi.terms.items()}).evaluate
     s = TruncatedSeries.zero(order)
     for _ in range(order):
         s = phi_at(s).mul_t()
@@ -351,23 +338,12 @@ def lagrange_solve(phi, order: int) -> TruncatedSeries:
 
 
 def lagrange_coeff(phi, n: int, k: int, r: int) -> Fraction:
-    """[t^n z^k] S^r = (r/n)·[s^(n-r) z^k] phi(s, z)^n."""
+    """[t^n z^k] S^r = (r/n)·[s^(n-r) z^k] phi(s, z)^n, phi as above."""
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    if r > n:
-        return Fraction(0)
-    terms = _poly_dict(phi)
-    power = {(0, 0): 1}
-    for _ in range(n):
-        nxt: dict = {}
-        for (a1, b1), c1 in power.items():
-            if a1 > n - r:        # higher s-powers can never contribute
-                continue
-            for (a2, b2), c2 in terms.items():
-                key = (a1 + a2, b1 + b2)
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-        power = nxt
-    return Fraction(r, n) * power.get((n - r, k), 0)
+    terms = phi.terms if isinstance(phi, MonomialPolynomial) else phi
+    power = MonomialPolynomial(2, terms, ((1, 0), n - r)) ** n
+    return Fraction(r, n) * power.terms.get((n - r, k), 0)
 
 
 # ===================================================================
@@ -381,30 +357,19 @@ def verify_parametrization(order: int) -> bool:
 
     together with its z = 1 and z = 0 specializations.
     """
-    eq = quartic_equation()
+    s, z = MonomialPolynomial.variables(2)
+    denominator = (s + 1) * (s * z + 1) ** 3
+    x_poly = s - z * s**2 - z * s**3
     for z_value in (None, 1, 0):
-        if z_value is None:
-            denominator = TruncatedSeries.from_polynomial(
-                {(0, 0): 1, (1, 0): 1, (1, 1): 3, (2, 1): 3, (2, 2): 3,
-                 (3, 2): 3, (3, 3): 1, (4, 3): 1}, order)
-            x_series = TruncatedSeries.from_polynomial(
-                {(1, 0): 1, (2, 1): -1, (3, 1): -1}, order)
-            equation = eq
-        else:
-            # specialize (s+1)(sz+1)^3 and s - zs^2 - zs^3 at z = z_value
-            z = z_value
-            denominator = TruncatedSeries.from_polynomial(
-                {(0, 0): 1, (1, 0): 1 + 3 * z, (2, 0): 3 * z + 3 * z * z,
-                 (3, 0): 3 * z * z + z ** 3, (4, 0): z ** 3}, order)
-            x_series = TruncatedSeries.from_polynomial(
-                {(1, 0): 1, (2, 0): -z, (3, 0): -z}, order)
-            specialized: dict = {}
-            for (i, j, k), c in eq.coeffs.items():
-                key = (i, 0, k)
-                specialized[key] = specialized.get(key, 0) + c * z ** j
-            equation = PolynomialEquation(specialized)
-        t_series = TruncatedSeries.t(order).div_by_unit(denominator)
-        residual = equation.evaluate(x_series, t_series=t_series)
+        polys = (quartic_equation().poly, denominator, x_poly)
+        if z_value is not None:
+            polys = (p.specialize(1, z_value) for p in polys)
+        equation, den, x = polys
+        t_series = TruncatedSeries.t(order).div_by_unit(
+            TruncatedSeries.from_polynomial(den.terms, order))
+        residual = PolynomialEquation(equation).evaluate(
+            TruncatedSeries.from_polynomial(x.terms, order),
+            t_series=t_series)
         if not residual.is_zero:
             return False
     return True
@@ -413,32 +378,6 @@ def verify_parametrization(order: int) -> bool:
 # ===================================================================
 # catalytic functional equation (enumeration-fed)
 # ===================================================================
-# Plain dict polynomials {(t_deg, u_deg, z_deg): int}, truncated in t.
-
-def _cat_mul(p: dict, q: dict, cap: int) -> dict:
-    out: dict = {}
-    for (a1, b1, c1), v1 in p.items():
-        if a1 > cap:
-            continue
-        for (a2, b2, c2), v2 in q.items():
-            if a1 + a2 > cap:
-                continue
-            key = (a1 + a2, b1 + b2, c1 + c2)
-            out[key] = out.get(key, 0) + v1 * v2
-    return {k: v for k, v in out.items() if v}
-
-
-def _cat_add(*polys: dict) -> dict:
-    out: dict = {}
-    for p in polys:
-        for key, value in p.items():
-            out[key] = out.get(key, 0) + value
-    return {k: v for k, v in out.items() if v}
-
-
-def _cat_neg(p: dict) -> dict:
-    return {k: -v for k, v in p.items()}
-
 
 def catalytic_equation_check(order: int, budget=None) -> bool:
     """The quadratic equation of the contact-graded interval series.
@@ -474,33 +413,17 @@ def catalytic_equation_check(order: int, budget=None) -> bool:
             a_1[flat] = a_1.get(flat, 0) + count
             if ell_t_zero:
                 a_star[key] = a_star.get(key, 0) + count
-    one = {(0, 0, 0): 1}
-    t_gen = {(1, 0, 0): 1}
-    u_gen = {(0, 1, 0): 1}
-    z_gen = {(0, 0, 1): 1}
-    u_minus_1 = _cat_add(u_gen, _cat_neg(one))
-
-    def mul(p, q):
-        return _cat_mul(p, q, order)
-
-    quad_lhs = mul(u_minus_1, a_u)
-    quad_rhs = mul(t_gen, mul(
-        _cat_add(u_minus_1,
-                 mul(u_gen, mul(_cat_add(u_gen, z_gen, _cat_neg(one)), a_u)),
-                 _cat_neg(mul(z_gen, a_1))),
-        _cat_add(one, mul(u_gen, mul(z_gen, a_u)))))
-    if _cat_add(quad_lhs, _cat_neg(quad_rhs)):
-        return False
-    c1 = _cat_add(a_u, _cat_neg(_cat_add(
-        a_star, mul(u_gen, mul(z_gen, mul(a_star, a_u))))))
-    if c1:
-        return False
-    c2_lhs = mul(u_minus_1, a_star)
-    c2_rhs = mul(t_gen, _cat_add(
-        u_minus_1,
-        mul(z_gen, _cat_add(mul(u_gen, a_u), _cat_neg(a_1))),
-        mul(u_minus_1, mul(u_gen, a_u))))
-    return not _cat_add(c2_lhs, _cat_neg(c2_rhs))
+    # polynomials in (t, u, z), exact mod t^(order+1)
+    truncation = ((1, 0, 0), order)
+    t, u, z = MonomialPolynomial.variables(3, truncation)
+    a_u, a_1, a_star = (MonomialPolynomial(3, terms, truncation)
+                        for terms in (a_u, a_1, a_star))
+    return ((u - 1) * a_u
+            == t * (u - 1 + u * (u + z - 1) * a_u - z * a_1)
+            * (1 + u * z * a_u)
+            and a_u == a_star + u * z * a_star * a_u
+            and (u - 1) * a_star
+            == t * ((u - 1) + z * (u * a_u - a_1) + (u - 1) * u * a_u))
 
 
 # ===================================================================
@@ -520,8 +443,7 @@ def apply_differential_operator(terms, series: TruncatedSeries
             current = current.differentiate_t()
         for _ in range(ndz):
             current = current.differentiate_z()
-        block = TruncatedSeries.from_polynomial(dict(coeff.terms),
-                                                current.order)
+        block = TruncatedSeries.from_polynomial(coeff.terms, current.order)
         term = current * block
         result = term if result is None else result + term
     return result
@@ -546,33 +468,6 @@ def verify_pde(order: int) -> bool:
 # ===================================================================
 # the canopy-pair system
 # ===================================================================
-# Plain dict polynomials {(u_deg, v_deg, w_deg): int}, truncated by
-# total degree.
-
-def _fh_mul(p: dict, q: dict, cap: int) -> dict:
-    out: dict = {}
-    for (a1, b1, c1), v1 in p.items():
-        for (a2, b2, c2), v2 in q.items():
-            if a1 + a2 + b1 + b2 + c1 + c2 > cap:
-                continue
-            key = (a1 + a2, b1 + b2, c1 + c2)
-            out[key] = out.get(key, 0) + v1 * v2
-    return {k: v for k, v in out.items() if v}
-
-
-def _fh_inverse_of_unit(p: dict, cap: int) -> dict:
-    """(1 + x)^(-1) for p = 1 + x with x of positive total degree."""
-    x = dict(p)
-    if x.pop((0, 0, 0), 0) != 1:
-        raise ArithmeticError("constant term is not 1: not a unit of the "
-                              "form 1 + x")
-    out = {(0, 0, 0): 1}
-    term = {(0, 0, 0): 1}
-    for _ in range(cap):
-        term = {k: -v for k, v in _fh_mul(term, x, cap).items()}
-        out = _cat_add(out, term)
-    return out
-
 
 def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     """Solve the two-equation canopy system and compare with enumeration.
@@ -591,59 +486,45 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     if total_degree < 0:
         raise ValueError("total_degree must be nonnegative")
     cap = total_degree + 2
-    one = {(0, 0, 0): 1}
-    u_gen = {(1, 0, 0): 1}
-    v_gen = {(0, 1, 0): 1}
-    w_gen = {(0, 0, 1): 1}
-
-    def mul(p, q):
-        return _fh_mul(p, q, cap)
+    truncation = ((1, 1, 1), cap)
+    u, v, w = MonomialPolynomial.variables(3, truncation)
 
     def step(pair):
-        u_part, v_part = pair
-        one_u = _cat_add(one, u_part)
-        one_v = _cat_add(one, v_part)
-        return (mul(_cat_add(v_gen, mul(w_gen, u_part)),
-                    mul(one_u, mul(one_v, one_v))),
-                mul(_cat_add(u_gen, mul(w_gen, v_part)),
-                    mul(one_v, mul(one_u, one_u))))
+        big_u, big_v = pair
+        return ((v + w * big_u) * (1 + big_u) * (1 + big_v) ** 2,
+                (u + w * big_v) * (1 + big_v) * (1 + big_u) ** 2)
 
-    pair = ({}, {})
+    zero = MonomialPolynomial(3, {}, truncation)
+    pair = (zero, zero)
     for _ in range(cap + 2):
         pair = step(pair)
     if step(pair) != pair:
         raise ArithmeticError("canopy-system fixed point did not stabilize")
     big_u, big_v = pair
-    one_u = _cat_add(one, big_u)
-    one_v = _cat_add(one, big_v)
-    uv_f = _cat_add(
-        mul(u_gen, big_u), mul(v_gen, big_v), mul(w_gen, mul(big_u, big_v)),
-        {k: -v for k, v in
-         mul(mul(big_u, big_v),
-             _fh_inverse_of_unit(mul(one_u, one_v), cap)).items()})
+    uv_f = (u * big_u + v * big_v + w * big_u * big_v
+            - big_u * big_v * ((1 + big_u) * (1 + big_v)).inverse())
     f_algebraic: dict = {}
-    for (a, b, c), value in uv_f.items():
+    for (a, b, c), value in uv_f.terms.items():
         if a < 1 or b < 1:
             return False
         if (a - 1) + (b - 1) + c <= total_degree:
             f_algebraic[(a - 1, b - 1, c)] = value
 
+    # the canopies of s <= t agree in '-' at asc(t) places and in '+' at
+    # des(s) places (checked directly by the canopy suite)
     f_enumerated: dict = {}
     for n in range(1, total_degree + 2):
-        for s, t, _, _ in intervals(n, budget):
-            canopy_s = canopy(s)
-            canopy_t = canopy(t)
-            i = sum(a == b == "-" for a, b in zip(canopy_s, canopy_t))
-            j = sum(a == b == "+" for a, b in zip(canopy_s, canopy_t))
-            key = (i, j, (n - 1) - i - j)
-            f_enumerated[key] = f_enumerated.get(key, 0) + 1
+        for (des_s, asc_t), count in _tally(
+                1, n, budget, lambda word, des, asc: des,
+                lambda word, des, asc: asc).items():
+            f_enumerated[(asc_t, des_s, n - 1 - asc_t - des_s)] = count
     if f_algebraic != f_enumerated:
         return False
 
     # one-variable specialization S = t(z+S)(1+S)^3
     order = total_degree + 1
-    phi = {(0, 1): 1, (1, 1): 3, (2, 1): 3, (3, 1): 1,
-           (1, 0): 1, (2, 0): 3, (3, 0): 3, (4, 0): 1}
+    s, z = MonomialPolynomial.variables(2)
+    phi = (z + s) * (1 + s) ** 3
     s_series = lagrange_solve(phi, order)
     root = newton_solve(quartic_equation(), order)
     one_plus_s = TruncatedSeries.one(order) + s_series
@@ -674,10 +555,10 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
         power = s_series if r == 1 else s_squared
         for n in range(1, min(8, order) + 1):
             for k in range(n + 1):
-                expected = Fraction(r, n) * binomial(n, k) * binomial(
-                    3 * n, k - r)
-                if lagrange_coeff(phi, n, k, r) != expected:
+                # n times (r/n) C(n,k) C(3n,k-r), kept in the integers
+                expected = r * binomial(n, k) * binomial(3 * n, k - r)
+                if n * lagrange_coeff(phi, n, k, r) != expected:
                     return False
-                if power.coefficient(n).coefficient(k) != expected:
+                if n * power.coefficient(n).coefficient(k) != expected:
                     return False
     return True

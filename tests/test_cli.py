@@ -30,7 +30,7 @@ from tamari.cli import (
     main,
 )
 from tamari.equations import load_quartic
-from tamari.series import quartic_equation
+from tamari.series import TruncatedSeries, newton_solve, quartic_equation
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -309,6 +309,21 @@ class TestVerify:
         _, second, _ = run_cli(capsys, "verify", "chu-vandermonde")
         assert first == second
 
+    def test_polynomial_residual_check_reads_the_root(self, capsys,
+                                                      monkeypatch):
+        # a wrong root must turn the residual check red, not pass by fiat
+        def perturbed(eq, order):
+            return newton_solve(eq, order) + TruncatedSeries.from_polynomial(
+                {(order, 1): 1}, order)
+
+        monkeypatch.setattr("tamari.cli.newton_solve", perturbed)
+        status, out, _ = run_cli(capsys, "verify", "polynomial",
+                                 "--order", "4")
+        assert status == EXIT_VERIFY
+        checks = {entry["name"]: entry["ok"]
+                  for entry in json.loads(out)["checks"]}
+        assert checks["quartic-root-residual-mod-t^5"] is False
+
     def test_verify_respects_out(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         status, out, _ = run_cli(capsys, "verify", "canopy", "--nmax", "3",
@@ -341,9 +356,22 @@ class TestExitStatuses:
         assert out == ""
         assert "corrupted" in err and len(err.splitlines()) == 1
 
-    def test_nmax_zero_is_a_usage_error(self, capsys):
-        status, _, err = run_cli(capsys, "table", "a", "--nmax", "0")
+    @pytest.mark.parametrize("nmax", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ("table", "a"),
+        ("verify", "order-oracle"),
+        ("verify", "canopy"),
+        ("verify", "dyck"),
+        ("verify", "telescoped"),
+        ("verify", "euler"),
+        ("verify", "decompositions"),
+        ("verify", "internal-cross"),
+    ], ids="-".join)
+    def test_nmax_zero_is_a_usage_error(self, capsys, command, nmax):
+        # a range below 1 is refused, not checked vacuously
+        status, out, err = run_cli(capsys, *command, "--nmax", nmax)
         assert status == EXIT_USAGE
+        assert out == ""
         assert "--nmax" in err
 
     def test_mmax_zero_is_a_usage_error(self, capsys):

@@ -23,10 +23,9 @@ import pytest
 
 from tamari.equations import load_quartic, pde_operators
 from tamari.formulas import a_formula, interval_row_polynomial
-from tamari.polys import ZPolynomial
+from tamari.polys import MonomialPolynomial, ZPolynomial
 from tamari.series import (
     PolynomialEquation,
-    _fh_inverse_of_unit,
     TruncatedSeries,
     apply_differential_operator,
     catalytic_equation_check,
@@ -347,8 +346,9 @@ class TestVerifiers:
 
     def test_inverse_of_unit_rejects_non_unit(self):
         # a check that `python -O` cannot strip: 2 + u is no 1 + x
+        u, _, _ = MonomialPolynomial.variables(3, ((1, 1, 1), 2))
         with pytest.raises(ArithmeticError):
-            _fh_inverse_of_unit({(0, 0, 0): 2, (1, 0, 0): 1}, 2)
+            (2 + u).inverse()
 
     def test_verifier_argument_validation(self):
         with pytest.raises(ValueError):
