@@ -13,7 +13,9 @@ m-intervals, m-stats, refined-ell, refined-pq, face-dims.
 Verification suites cross-check independent computation routes and print a
 JSON report: order-oracle, canopy, dyck, catalytic, polynomial, pde,
 telescoped, chu-vandermonde, euler, fusy-humbert, decompositions,
-internal-cross.
+internal-cross.  Each suite reads only some of the options (SUITES lists
+them, with the smallest meaningful value); giving it another one, or a
+value below that minimum, is a usage error.
 
 Exit status: 0 success, 2 usage error, 3 budget exceeded, 4 verification
 or internal self-check failure.  Every command is deterministic; progress
@@ -50,6 +52,7 @@ from .formulas import (
 )
 from .lattice import (
     BudgetExceeded,
+    _interval_walk,
     all_trees,
     interval_histogram,
     interval_stats_refined,
@@ -74,10 +77,8 @@ from .series import (
     verify_pde,
 )
 from .trees import (
-    agree,
     asc,
     canopy,
-    canopy_leq,
     des,
     ell,
     rotations_up,
@@ -311,8 +312,18 @@ def _suite_order_oracle(args) -> list:
     return checks
 
 
+def _canopy_plus_mask(t) -> tuple:
+    """(bitmask of the '+' positions of canopy(t), t)."""
+    word = canopy(t)
+    return sum(1 << j for j, letter in enumerate(word) if letter == "+"), t
+
+
 def _suite_canopy(args) -> list:
-    """Canopy statistics: entry counts, monotonicity, agreement counts."""
+    """Canopy statistics: entry counts, monotonicity, agreement counts.
+
+    Each tree's canopy is read once, as the bitmask of its '+' positions;
+    the per-interval checks are bit operations on two such masks.
+    """
     nmax = args.nmax if args.nmax is not None else 6
     checks: list = []
     for n in range(1, nmax + 1):
@@ -329,19 +340,19 @@ def _suite_canopy(args) -> list:
         mono_bad = None
         both_bad = None
         histogram = [0] * n
-        for s, t, des_s, asc_t in intervals(n, args.budget):
-            cs, ct = canopy(s), canopy(t)
-            if not canopy_leq(cs, ct):
+        width = n - 1
+        for (cs, s), (ct, t), des_s, asc_t in _interval_walk(
+                n, args.budget, _canopy_plus_mask):
+            # monotone: every '+' of s is a '+' of t
+            if cs & ~ct:
                 mono_bad = (serialize(s), serialize(t))
                 break
-            minus_both = sum(1 for a, b in zip(cs, ct)
-                             if a == b == "-")
-            plus_both = sum(1 for a, b in zip(cs, ct)
-                            if a == b == "+")
-            if minus_both != asc_t or plus_both != des_s:
+            # a shared '-' is in neither mask, a shared '+' in both
+            if (width - (cs | ct).bit_count() != asc_t
+                    or (cs & ct).bit_count() != des_s):
                 both_bad = (serialize(s), serialize(t))
                 break
-            histogram[agree(s, t)] += 1
+            histogram[width - (cs ^ ct).bit_count()] += 1
         _check(checks, f"canopies-monotone n={n}", mono_bad is None,
                None if mono_bad is None else {"pair": list(mono_bad)})
         _check(checks, f"shared-entries-count-asc-des n={n}", both_bad is None,
@@ -538,32 +549,41 @@ def _suite_internal_cross(args) -> list:
     return checks
 
 
+# name -> (suite, {option it reads: smallest meaningful value, or None});
+# any other option given on the command line is a usage error, except
+# --out, which every suite reads
 SUITES = {
-    "order-oracle": _suite_order_oracle,
-    "canopy": _suite_canopy,
-    "dyck": _suite_dyck,
-    "catalytic": _suite_catalytic,
-    "polynomial": _suite_polynomial,
-    "pde": _suite_pde,
-    "telescoped": _suite_telescoped,
-    "chu-vandermonde": _suite_chu_vandermonde,
-    "euler": _suite_euler,
-    "fusy-humbert": _suite_fusy_humbert,
-    "decompositions": _suite_decompositions,
-    "internal-cross": _suite_internal_cross,
+    "order-oracle": (_suite_order_oracle, {"nmax": 1, "budget": None}),
+    "canopy": (_suite_canopy, {"nmax": 1, "budget": None}),
+    "dyck": (_suite_dyck, {"nmax": 1, "budget": None}),
+    "catalytic": (_suite_catalytic, {"order": 1, "budget": None}),
+    "polynomial": (_suite_polynomial, {"order": 1}),
+    "pde": (_suite_pde, {"order": 3}),
+    "telescoped": (_suite_telescoped, {"nmax": 1}),
+    "chu-vandermonde": (_suite_chu_vandermonde, {}),
+    "euler": (_suite_euler, {"nmax": 1, "budget": None}),
+    "fusy-humbert": (_suite_fusy_humbert, {"order": 0, "budget": None}),
+    "decompositions": (_suite_decompositions,
+                       {"nmax": 1, "mode": None, "budget": None}),
+    "internal-cross": (_suite_internal_cross, {"nmax": 1, "budget": None}),
 }
 
 
 def cmd_verify(args) -> int:
-    if args.nmax is not None and args.nmax < 1:
-        raise ValueError("--nmax must be at least 1")
-    checks = SUITES[args.suite](args)
-    ok = all(entry["ok"] for entry in checks)
+    suite, reads = SUITES[args.suite]
     params = {}
-    for field in ("nmax", "order", "mode", "budget"):
-        value = getattr(args, field, None)
-        if value is not None:
-            params[field] = value
+    for option in ("nmax", "order", "mode", "budget"):
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if option not in reads:
+            raise ValueError(f"verify {args.suite} does not read --{option}")
+        minimum = reads[option]
+        if minimum is not None and value < minimum:
+            raise ValueError(f"--{option} must be at least {minimum}")
+        params[option] = value
+    checks = suite(args)
+    ok = all(entry["ok"] for entry in checks)
     report = {"suite": args.suite, "params": params, "checks": checks,
               "ok": ok}
     _emit(json.dumps(report, indent=2) + "\n", args.out)

@@ -10,7 +10,10 @@ infeasible past small n.
 Internality is computed two independent ways that the tests compare:
 
   * the per-interval edge classification (free/tied/constrained) feeding
-    the closed summation formula, and
+    the closed summation formula.  internal_fvector reads it off span
+    bitmasks (trees.span_masks, computed once per tree), three popcounts
+    per interval; classify_edges, on frozensets of spans, is its oracle;
+    and
   * the direct criterion: (f, g) touches the boundary iff f and g share a
     common two-node contraction.  The direct route tests only facet-level
     contractions: a face lies in a proper face of the associahedron iff it
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .lattice import interval_histogram, intervals
+from .lattice import _interval_walk, interval_histogram, intervals
 from .paths import BudgetExceeded, StatTable, _tally, resolve_budget
 from .trees import (
     SchroederTree,
@@ -32,6 +35,7 @@ from .trees import (
     max_tree,
     min_tree,
     serialize,
+    span_masks,
     two_node_contractions,
 )
 
@@ -150,22 +154,42 @@ def classify_edges(s, t) -> EdgeClassification:
     return EdgeClassification(free=free, tied=tied, constrained=constrained)
 
 
+def _classify_masks(lower: tuple, upper: tuple) -> tuple:
+    """(free, tied, constrained) from the span_masks of s and of t.
+
+    The same classification as classify_edges.  A tree's descent and
+    ascent spans are disjoint, so each count is one popcount.
+    """
+    s_descents, s_ascents = lower
+    t_descents, t_ascents = upper
+    if s_ascents & t_descents:
+        raise ValueError("not an interval: an ascent span of the lower tree "
+                         "reappears as a descent span of the upper tree")
+    free = ((s_descents ^ t_ascents) & ~(t_descents | s_ascents)).bit_count()
+    tied = ((s_descents & t_descents) | (s_ascents & t_ascents)).bit_count()
+    return free, tied, (s_descents & t_ascents).bit_count()
+
+
 def internal_fvector(n: int, budget=None) -> list:
     """Internal face counts by dimension, by the classification formula:
 
     the interval (s, t) contributes sum_i 2^i C(cons, i) C(free, j) to
-    dimension tied + 2·cons - i + j.
+    dimension tied + 2·cons - i + j.  Intervals are tallied by their
+    (free, tied, cons) triple first, so the sum runs once per triple.
     """
     if n < 1:
         raise ValueError("internal_fvector() requires n >= 1")
+    triples: dict = {}
+    for lower, upper, _, _ in _interval_walk(n, budget, span_masks):
+        key = _classify_masks(lower, upper)
+        triples[key] = triples.get(key, 0) + 1
     out = [0] * n
-    for s, t, _, _ in intervals(n, budget):
-        classes = classify_edges(s, t)
-        base = classes.tied + 2 * classes.constrained
-        for i in range(classes.constrained + 1):
-            weight = (1 << i) * comb(classes.constrained, i)
-            for j in range(classes.free + 1):
-                out[base - i + j] += weight * comb(classes.free, j)
+    for (free, tied, constrained), count in triples.items():
+        base = tied + 2 * constrained
+        for i in range(constrained + 1):
+            weight = count * (1 << i) * comb(constrained, i)
+            for j in range(free + 1):
+                out[base - i + j] += weight * comb(free, j)
     return out
 
 

@@ -4,7 +4,9 @@ The Tamari lattice is the slope-1 ballot lattice of tamari.paths, whose
 engine holds the interval down-set masks; this module reads it in terms
 of trees.  A tree's ballot word is its Dyck word, des counts its lower
 covers, asc its upper covers, and ell the interior contacts of the word.
-Only intervals() rebuilds trees, for the length of its walk.  The
+Only the interval walk behind intervals() rebuilds trees, once per
+element and for the length of the walk; it can hand each tree to a
+per-element statistic and yield that instead of the tree.  The
 rotation-BFS route (rotation_down_set) is independent of the engine and
 is the ground truth it is tested against.  Budgets: see tamari.paths.
 """
@@ -105,13 +107,23 @@ def rotation_down_set(t: BinaryTree) -> frozenset:
 # intervals and their statistics (views of the slope-1 engine)
 # ===================================================================
 
-def intervals(n: int, budget=None) -> Iterator[tuple]:
-    """Every Tamari interval once, as (s, t, des(s), asc(t))."""
+def _interval_walk(n: int, budget, element) -> Iterator[tuple]:
+    """Every Tamari interval once, as (element(s), element(t), des(s), asc(t)).
+
+    element is called once per tree, not once per interval, so a per-tree
+    statistic (a bitmask, say) is paid for C_n times.
+    """
     words, up_degree, down_degree, down_masks, _ = _m_engine(
         1, n, resolve_budget(budget))
-    trees = [dyck_to_tree(word.translate(_TO_DYCK)) for word in words]
+    values = [element(dyck_to_tree(word.translate(_TO_DYCK)))
+              for word in words]
     for si, ti in _interval_indices(down_masks):
-        yield trees[si], trees[ti], down_degree[si], up_degree[ti]
+        yield values[si], values[ti], down_degree[si], up_degree[ti]
+
+
+def intervals(n: int, budget=None) -> Iterator[tuple]:
+    """Every Tamari interval once, as (s, t, des(s), asc(t))."""
+    yield from _interval_walk(n, budget, lambda t: t)
 
 
 def interval_count(n: int, budget=None) -> int:

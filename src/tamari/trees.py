@@ -441,6 +441,19 @@ def ascent_spans(t: BinaryTree) -> frozenset:
     return frozenset(sp for sp, kind in edge_spans(t) if kind == "-")
 
 
+def span_masks(t: BinaryTree) -> tuple:
+    """(descent spans, ascent spans) of t as int bitmasks.
+
+    The span (a, b) of edge_spans is bit b(b+1)/2 + a.  The index does not
+    depend on the tree size, so set operations on the spans of two trees
+    become bit operations on their masks.
+    """
+    masks = {"+": 0, "-": 0}
+    for (a, b), kind in edge_spans(t):
+        masks[kind] |= 1 << (b * (b + 1) // 2 + a)
+    return masks["+"], masks["-"]
+
+
 def contract_spans(f: SchroederTree, spans) -> SchroederTree:
     """Contract the internal edges of f whose child spans lie in `spans`.
 

@@ -10,7 +10,8 @@ Core claims:
     - `eval` prints single exact values and enforces arity and sign
     - `verify` emits a JSON report {suite, params, checks, ok} and its
       exit status tracks the conjunction of the checks
-    - exit statuses: 0 success, 2 usage (argparse or ValueError),
+    - exit statuses: 0 success, 2 usage (argparse or ValueError, an
+      option the suite does not read, a value below its minimum),
       3 budget exceeded, 4 verification or self-check failure
     - output is deterministic: repeated runs are byte-identical, and
       --out writes exactly what stdout would have carried
@@ -31,6 +32,7 @@ from tamari.cli import (
 )
 from tamari.equations import load_quartic
 from tamari.series import TruncatedSeries, newton_solve, quartic_equation
+from tamari.trees import canopy, right_comb, serialize
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -324,6 +326,52 @@ class TestVerify:
                   for entry in json.loads(out)["checks"]}
         assert checks["quartic-root-residual-mod-t^5"] is False
 
+    def test_canopy_suite_catches_a_wrong_canopy(self, capsys, monkeypatch):
+        # flip one letter of the top tree's canopy: the per-interval mask
+        # checks must turn red on a pair through that tree
+        top = right_comb(3)
+
+        def flipped(t):
+            word = canopy(t)
+            if t != top:
+                return word
+            return ("-" if word[0] == "+" else "+") + word[1:]
+
+        monkeypatch.setattr("tamari.cli.canopy", flipped)
+        status, out, _ = run_cli(capsys, "verify", "canopy", "--nmax", "3")
+        assert status == EXIT_VERIFY
+        report = json.loads(out)
+        assert report["ok"] is False
+        checks = {entry["name"]: entry for entry in report["checks"]}
+        assert checks["entry-counts-are-asc-des n=3"]["ok"] is False
+        pair_checks = [checks["canopies-monotone n=3"],
+                       checks["shared-entries-count-asc-des n=3"]]
+        failed = [entry for entry in pair_checks if not entry["ok"]]
+        assert len(failed) == 1
+        assert serialize(top) in failed[0]["detail"]["pair"]
+        assert "agreement-histogram n=3" not in checks
+        assert all(entry["ok"] for name, entry in checks.items()
+                   if not name.endswith("n=3"))
+
+    @pytest.mark.parametrize("argv", [
+        ("canopy", "--nmax", "3", "--budget", "100000000"),
+        ("catalytic", "--order", "3", "--budget", "100000000"),
+        ("fusy-humbert", "--order", "2", "--budget", "100000000"),
+        ("polynomial", "--order", "3"),
+        ("pde", "--order", "4"),
+        ("telescoped", "--nmax", "3"),
+        ("decompositions", "--nmax", "2", "--mode", "max-min",
+         "--budget", "1000"),
+    ], ids="-".join)
+    def test_options_a_suite_reads_are_accepted(self, capsys, argv):
+        status, out, _ = run_cli(capsys, "verify", *argv)
+        assert status == 0
+        report = json.loads(out)
+        assert report["ok"] is True
+        given = dict(zip(argv[1::2], argv[2::2]))
+        assert {f"--{key}": str(value)
+                for key, value in report["params"].items()} == given
+
     def test_verify_respects_out(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         status, out, _ = run_cli(capsys, "verify", "canopy", "--nmax", "3",
@@ -373,6 +421,33 @@ class TestExitStatuses:
         assert status == EXIT_USAGE
         assert out == ""
         assert "--nmax" in err
+
+    @pytest.mark.parametrize("suite, order", [
+        ("polynomial", "0"),
+        ("catalytic", "0"),
+        ("pde", "2"),
+        ("fusy-humbert", "-1"),
+    ])
+    def test_order_below_minimum_is_a_usage_error(self, capsys, suite,
+                                                  order):
+        # an order that would check nothing is refused, not passed
+        status, out, err = run_cli(capsys, "verify", suite, "--order", order)
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert "--order" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("order-oracle", "--order", "0"),
+        ("chu-vandermonde", "--mode", "max-min"),
+        ("telescoped", "--budget", "5"),
+        ("polynomial", "--nmax", "3"),
+        ("euler", "--mode", "min-min"),
+    ], ids="-".join)
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        status, out, err = run_cli(capsys, "verify", *argv)
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert argv[1] in err and argv[0] in err
 
     def test_mmax_zero_is_a_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "table", "m-stats",

@@ -10,24 +10,31 @@ Core claims:
     - edge classification: free + tied + 2·constrained = des(s) + asc(t);
       an ascent span of the lower tree never reappears as a descent span
       of the upper tree on intervals, and classify_edges rejects pairs
-      violating that
+      violating that; the span-bitmask route internal_fvector reads gives
+      the same classification and rejects the same pairs
     - internal faces by the classification formula agree with the
       two-node-contraction filter and frozen rows; the internal Euler
-      characteristic alternates; internal vertices are the new intervals
+      characteristic alternates; internal vertices are the new intervals;
+      at n = 9, 10 (extended) the vertex count, the Euler characteristic
+      and the top entry still hold
     - vertex-assignment decompositions: min-min, max-min, max-max have
       boolean fibers; max-min fibers are the interval fibers themselves;
       min-max fails booleanness first at n = 3 with a known witness
 """
 
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import interval_pairs
 from tamari.diagonal import (
     DECOMPOSITION_MODES,
     DiagonalFace,
     EdgeClassification,
+    _classify_masks,
     classify_edges,
     decomposition_report,
     diagonal_faces,
@@ -48,6 +55,7 @@ from tamari.trees import (
     min_tree,
     parse_tree,
     serialize,
+    span_masks,
     tamari_leq,
 )
 
@@ -68,7 +76,11 @@ INTERNAL_ROWS = {
     5: [56, 244, 406, 308, 91],
     6: [288, 1504, 3171, 3384, 1836, 408],
     7: [1584, 9648, 24606, 33680, 26145, 10944, 1938],
+    8: [9152, 63712, 190564, 317670, 319044, 193292, 65527, 9614],
 }
+
+# enough for the 6,369,883 intervals at n = 10
+EXTENDED_BUDGET = 10_000_000
 
 # (dim f, dim g) blocks: rows p, columns q, staircase p+q <= n-1
 BY_DIMS_ROWS = {
@@ -213,6 +225,28 @@ class TestClassification:
         assert not tamari_leq(s, t)
         with pytest.raises(ValueError):
             classify_edges(s, t)
+        with pytest.raises(ValueError):
+            _classify_masks(span_masks(s), span_masks(t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.sampled_from(_interval_pairs(n))))
+    def test_span_masks_match_frozensets(self, pair):
+        # the bitmask route of internal_fvector against its oracle
+        s, t = pair
+        assert EdgeClassification(*_classify_masks(span_masks(s),
+                                                   span_masks(t))) \
+            == classify_edges(s, t)
+
+
+@lru_cache(maxsize=None)
+def _interval_pairs(n):
+    return tuple(interval_pairs(n))
+
+
+@lru_cache(maxsize=None)
+def _internal_row(n):
+    return internal_fvector(n, EXTENDED_BUDGET)
 
 
 class TestInternal:
@@ -239,6 +273,15 @@ class TestInternal:
     def test_top_faces_all_internal(self, n):
         # dimension n-1 faces: corolla pairs, never on the boundary
         assert internal_fvector(n)[n - 1] == diagonal_fvector(n)[n - 1]
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_extended_rows(self, n):
+        row = _internal_row(n)
+        assert row[0] == new_interval_formula(n)
+        assert sum((-1) ** k * c for k, c in enumerate(row)) \
+            == (-1) ** (n - 1)
+        assert row[n - 1] == diagonal_fvector(n, EXTENDED_BUDGET)[n - 1]
 
     def test_criterion_spot_checks(self):
         corolla3 = parse_tree("(,,)")
