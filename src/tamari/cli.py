@@ -13,9 +13,9 @@ m-intervals, m-stats, refined-ell, refined-pq, face-dims.
 Verification suites cross-check independent computation routes and print a
 JSON report: order-oracle, canopy, dyck, catalytic, polynomial, pde,
 telescoped, chu-vandermonde, euler, fusy-humbert, decompositions,
-internal-cross.  Each suite reads only some of the options (SUITES lists
-them, with the smallest meaningful value); giving it another one, or a
-value below that minimum, is a usage error.
+internal-cross.  Every table and suite reads only the options TABLES or
+SUITES declares for it, with their defaults and smallest meaningful
+values; another option, or a value below that minimum, is a usage error.
 
 Exit status: 0 success, 2 usage error, 3 budget exceeded, 4 verification
 or internal self-check failure.  Every command is deterministic; progress
@@ -27,7 +27,6 @@ import argparse
 import json
 import random
 import sys
-from math import comb
 
 from .diagonal import (
     DECOMPOSITION_MODES,
@@ -54,7 +53,6 @@ from .lattice import (
     BudgetExceeded,
     _interval_walk,
     all_trees,
-    interval_histogram,
     interval_stats_refined,
     intervals,
     rotation_down_set,
@@ -111,7 +109,7 @@ def _staircase(prefix: list, counts: dict, row_max: int, kcols: int) -> list:
     return prefix + cells
 
 
-def _table_a(nmax: int, budget) -> tuple:
+def _table_a(nmax: int) -> tuple:
     header = ["n"] + [f"k={k}" for k in range(nmax)] + ["total"]
     rows = [_staircase([n], {k: a_formula(n, k) for k in range(n)},
                        n - 1, nmax) + [interval_count_formula(n)]
@@ -119,7 +117,7 @@ def _table_a(nmax: int, budget) -> tuple:
     return header, rows
 
 
-def _table_b(nmax: int, budget) -> tuple:
+def _table_b(nmax: int) -> tuple:
     header = ["n"] + [f"k={k}" for k in range(nmax)]
     rows = [[n] + [b_formula(n, k) if k < n else None for k in range(nmax)]
             for n in range(1, nmax + 1)]
@@ -138,7 +136,7 @@ def _table_internal(nmax: int, budget) -> tuple:
     return header, rows
 
 
-def _table_m_intervals(nmax: int, mmax: int, budget) -> tuple:
+def _table_m_intervals(nmax: int, mmax: int) -> tuple:
     header = ["n"] + [f"m={m}" for m in range(1, mmax + 1)]
     rows = [[n] + [m_tamari_intervals_formula(m, n)
                    for m in range(1, mmax + 1)]
@@ -202,17 +200,42 @@ def _table_face_dims(nmax: int, budget) -> tuple:
         nmax, lambda n: diagonal_fvector_by_dims(n, budget))
 
 
+# name -> (builder, {option it reads: (default, smallest meaningful value
+# or None)}); every table reads --format and --out
+ANY = (None, None)  # no default, no minimum
 TABLES = {
-    # name -> (builder, default nmax, uses mmax)
-    "a": (_table_a, 9, False),
-    "b": (_table_b, 9, False),
-    "internal": (_table_internal, 7, False),
-    "m-intervals": (_table_m_intervals, 9, True),
-    "m-stats": (_table_m_stats, 4, True),
-    "refined-ell": (_table_refined_ell, 5, False),
-    "refined-pq": (_table_refined_pq, 5, False),
-    "face-dims": (_table_face_dims, 5, False),
+    "a": (_table_a, {"nmax": (9, 1)}),
+    "b": (_table_b, {"nmax": (9, 1)}),
+    "internal": (_table_internal, {"nmax": (7, 1), "budget": ANY}),
+    "m-intervals": (_table_m_intervals, {"nmax": (9, 1), "mmax": (6, 1)}),
+    "m-stats": (_table_m_stats,
+                {"nmax": (4, 1), "mmax": (6, 1), "budget": ANY}),
+    "refined-ell": (_table_refined_ell, {"nmax": (5, 1), "budget": ANY}),
+    "refined-pq": (_table_refined_pq, {"nmax": (5, 1), "budget": ANY}),
+    "face-dims": (_table_face_dims, {"nmax": (5, 1), "budget": ANY}),
 }
+
+# the options a command may declare, in the order of a report's params
+OPTIONS = ("nmax", "mmax", "order", "mode", "budget")
+
+
+def _read_options(command: str, reads: dict, args) -> tuple:
+    """(keyword arguments with defaults filled in, the options given).
+
+    An undeclared option or a value below its minimum is a usage error."""
+    kwargs = {option: default for option, (default, _) in reads.items()}
+    given = {}
+    for option in OPTIONS:
+        value = getattr(args, option, None)
+        if value is None:
+            continue
+        if option not in reads:
+            raise ValueError(f"{command} does not read --{option}")
+        minimum = reads[option][1]
+        if minimum is not None and value < minimum:
+            raise ValueError(f"--{option} must be at least {minimum}")
+        kwargs[option] = given[option] = value
+    return kwargs, given
 
 
 def _render_csv(header: list, rows: list) -> str:
@@ -239,17 +262,9 @@ def _render_json(name: str, header: list, rows: list) -> str:
 
 
 def cmd_table(args) -> int:
-    builder, default_nmax, uses_m = TABLES[args.name]
-    nmax = args.nmax if args.nmax is not None else default_nmax
-    if nmax < 1:
-        raise ValueError("--nmax must be at least 1")
-    if uses_m:
-        mmax = args.mmax if args.mmax is not None else 6
-        if mmax < 1:
-            raise ValueError("--mmax must be at least 1")
-        header, rows = builder(nmax, mmax, args.budget)
-    else:
-        header, rows = builder(nmax, args.budget)
+    builder, reads = TABLES[args.name]
+    kwargs, _ = _read_options(f"table {args.name}", reads, args)
+    header, rows = builder(**kwargs)
     if args.format == "csv":
         text = _render_csv(header, rows)
     else:
@@ -268,29 +283,21 @@ def _emit(text: str, out) -> None:
 
 # ===================================================================
 # verification suites
+#
+# A suite yields its checks as (name, ok, detail or None).
 # ===================================================================
 
-def _check(checks: list, name: str, ok: bool, detail=None) -> bool:
-    entry = {"name": name, "ok": bool(ok)}
-    if detail is not None:
-        entry["detail"] = detail
-    checks.append(entry)
-    return bool(ok)
-
-
-def _suite_order_oracle(args) -> list:
+def _suite_order_oracle(nmax: int, budget):
     """Bitmask interval engine against the rotation-BFS down-set oracle."""
-    nmax = args.nmax if args.nmax is not None else 6
-    checks: list = []
     for n in range(1, nmax + 1):
         if n >= 7:
             _progress(f"order-oracle n={n}")
-        expected = {t: rotation_down_set(t) for t in all_trees(n, args.budget)}
+        expected = {t: rotation_down_set(t) for t in all_trees(n, budget)}
         actual: dict = {t: set() for t in expected}
-        for s, t, _, _ in intervals(n, args.budget):
+        for s, t, _, _ in intervals(n, budget):
             actual[t].add(s)
         bad = [t for t in expected if expected[t] != actual[t]]
-        _check(checks, f"down-sets-match-bfs n={n}", not bad,
+        yield (f"down-sets-match-bfs n={n}", not bad,
                None if not bad else f"first mismatch at {serialize(bad[0])}")
         pair_bad = None
         trees = list(expected)
@@ -301,15 +308,13 @@ def _suite_order_oracle(args) -> list:
                     break
             if pair_bad:
                 break
-        _check(checks, f"comparison-matches-reachability n={n}",
-               pair_bad is None,
+        yield (f"comparison-matches-reachability n={n}", pair_bad is None,
                None if pair_bad is None else {"pair": list(pair_bad)})
         total = sum(len(v) for v in expected.values())
-        _check(checks, f"interval-count-closed-form n={n}",
+        yield (f"interval-count-closed-form n={n}",
                total == interval_count_formula(n),
                {"enumerated": str(total),
                 "formula": str(interval_count_formula(n))})
-    return checks
 
 
 def _canopy_plus_mask(t) -> tuple:
@@ -318,31 +323,28 @@ def _canopy_plus_mask(t) -> tuple:
     return sum(1 << j for j, letter in enumerate(word) if letter == "+"), t
 
 
-def _suite_canopy(args) -> list:
+def _suite_canopy(nmax: int, budget):
     """Canopy statistics: entry counts, monotonicity, agreement counts.
 
     Each tree's canopy is read once, as the bitmask of its '+' positions;
     the per-interval checks are bit operations on two such masks.
     """
-    nmax = args.nmax if args.nmax is not None else 6
-    checks: list = []
     for n in range(1, nmax + 1):
         if n >= 7:
             _progress(f"canopy n={n}")
         entry_bad = None
-        for t in all_trees(n, args.budget):
+        for t in all_trees(n, budget):
             word = canopy(t)
             if word.count("-") != asc(t) or word.count("+") != des(t):
                 entry_bad = serialize(t)
                 break
-        _check(checks, f"entry-counts-are-asc-des n={n}", entry_bad is None,
-               entry_bad)
+        yield f"entry-counts-are-asc-des n={n}", entry_bad is None, entry_bad
         mono_bad = None
         both_bad = None
         histogram = [0] * n
         width = n - 1
         for (cs, s), (ct, t), des_s, asc_t in _interval_walk(
-                n, args.budget, _canopy_plus_mask):
+                n, budget, _canopy_plus_mask):
             # monotone: every '+' of s is a '+' of t
             if cs & ~ct:
                 mono_bad = (serialize(s), serialize(t))
@@ -353,29 +355,25 @@ def _suite_canopy(args) -> list:
                 both_bad = (serialize(s), serialize(t))
                 break
             histogram[width - (cs ^ ct).bit_count()] += 1
-        _check(checks, f"canopies-monotone n={n}", mono_bad is None,
+        yield (f"canopies-monotone n={n}", mono_bad is None,
                None if mono_bad is None else {"pair": list(mono_bad)})
-        _check(checks, f"shared-entries-count-asc-des n={n}", both_bad is None,
+        yield (f"shared-entries-count-asc-des n={n}", both_bad is None,
                None if both_bad is None else {"pair": list(both_bad)})
         if mono_bad is None and both_bad is None:
             expected = [a_formula(n, k) for k in range(n)]
-            _check(checks, f"agreement-histogram n={n}",
-                   histogram == expected,
+            yield (f"agreement-histogram n={n}", histogram == expected,
                    {"histogram": [str(c) for c in histogram]})
-    return checks
 
 
-def _suite_dyck(args) -> list:
+def _suite_dyck(nmax: int, budget):
     """Path bijection: statistics transport, round trip, cover transport."""
-    nmax = args.nmax if args.nmax is not None else 6
-    checks: list = []
     to_ballot = str.maketrans("UD", "NE")
     to_dyck = str.maketrans("NE", "UD")
     for n in range(1, nmax + 1):
         stat_bad = None
         round_bad = None
         cover_bad = None
-        for t in all_trees(n, args.budget):
+        for t in all_trees(n, budget):
             word = tree_to_dyck(t)
             if (valleys(word) != asc(t) or double_falls(word) != des(t)
                     or contacts(word) != ell(t)):
@@ -389,24 +387,19 @@ def _suite_dyck(args) -> list:
             if image != {tree_to_dyck(u) for u in rotations_up(t)}:
                 cover_bad = serialize(t)
                 break
-        _check(checks, f"statistics-transport n={n}", stat_bad is None,
-               stat_bad)
-        _check(checks, f"round-trip n={n}", round_bad is None, round_bad)
-        _check(checks, f"cover-transport n={n}", cover_bad is None, cover_bad)
-    return checks
+        yield f"statistics-transport n={n}", stat_bad is None, stat_bad
+        yield f"round-trip n={n}", round_bad is None, round_bad
+        yield f"cover-transport n={n}", cover_bad is None, cover_bad
 
 
-def _suite_catalytic(args) -> list:
-    order = args.order if args.order is not None else 8
-    ok = catalytic_equation_check(order, args.budget)
-    return [{"name": f"catalytic-quadratic-mod-t^{order}", "ok": ok}]
+def _suite_catalytic(order: int, budget):
+    yield (f"catalytic-quadratic-mod-t^{order}",
+           catalytic_equation_check(order, budget), None)
 
 
-def _suite_polynomial(args) -> list:
-    order = args.order if args.order is not None else 10
-    checks: list = []
+def _suite_polynomial(order: int):
     root = newton_solve(quartic_equation(), order)
-    _check(checks, f"quartic-root-residual-mod-t^{order + 1}",
+    yield (f"quartic-root-residual-mod-t^{order + 1}",
            quartic_equation().evaluate(root).is_zero,
            "the quartic re-evaluated at the root")
     coeff_bad = None
@@ -414,45 +407,36 @@ def _suite_polynomial(args) -> list:
         if root.coefficient(n) != interval_row_polynomial(n):
             coeff_bad = n
             break
-    _check(checks, f"coefficients-match-closed-form n<={order}",
-           coeff_bad is None, coeff_bad)
+    yield (f"coefficients-match-closed-form n<={order}", coeff_bad is None,
+           coeff_bad)
     shifted = newton_solve(quartic_equation().substitute_z_shift(1), order)
-    _check(checks, f"z-shift-of-root-is-shifted-root-mod-t^{order + 1}",
-           root.substitute_z_shift(1) == shifted)
+    yield (f"z-shift-of-root-is-shifted-root-mod-t^{order + 1}",
+           root.substitute_z_shift(1) == shifted, None)
     s_order = order + 3
-    _check(checks, f"parametrization-annihilates-mod-s^{s_order}",
-           verify_parametrization(s_order))
-    return checks
+    yield (f"parametrization-annihilates-mod-s^{s_order}",
+           verify_parametrization(s_order), None)
 
 
-def _suite_pde(args) -> list:
-    order = args.order if args.order is not None else 10
-    ok = verify_pde(order)
-    return [{"name": f"differential-operators-annihilate-mod-t^{order - 2}",
-             "ok": ok}]
+def _suite_pde(order: int):
+    yield (f"differential-operators-annihilate-mod-t^{order - 2}",
+           verify_pde(order), None)
 
 
-def _suite_telescoped(args) -> list:
-    nmax = args.nmax if args.nmax is not None else 12
-    checks: list = []
-    report = telescoped_recurrence_check(nmax)
-    _check(checks, f"telescoped-recurrence n<={nmax}", report["ok"],
-           {"checked": report["checked"],
-            "failures": [str(f) for f in report["failures"]]})
-    two_term = two_term_recurrence_check(20)
-    _check(checks, "two-term-recurrences n<=20", two_term["ok"],
-           {"checked": two_term["checked"],
-            "failures": [str(f) for f in two_term["failures"]]})
-    return checks
+def _suite_telescoped(nmax: int):
+    for name, report in ((f"telescoped-recurrence n<={nmax}",
+                          telescoped_recurrence_check(nmax)),
+                         ("two-term-recurrences n<=20",
+                          two_term_recurrence_check(20))):
+        yield (name, report["ok"],
+               {"checked": report["checked"],
+                "failures": [str(f) for f in report["failures"]]})
 
 
-def _suite_chu_vandermonde(args) -> list:
-    checks: list = []
+def _suite_chu_vandermonde():
     frozen = [(4, 1, 9, 702), (6, 2, 7, 4620), (5, 0, 15, 5985), (3, 2, 4, 6)]
     for n, k, r, value in frozen:
         lhs, rhs = chu_vandermonde_sides(n, k, r)
-        _check(checks, f"frozen n={n} k={k} r={r}",
-               lhs == rhs == value,
+        yield (f"frozen n={n} k={k} r={r}", lhs == rhs == value,
                {"lhs": str(lhs), "rhs": str(rhs), "expected": str(value)})
     rng = random.Random(CHU_SEED)
     bad = None
@@ -463,126 +447,102 @@ def _suite_chu_vandermonde(args) -> list:
         if not chu_vandermonde_check(n, k, r):
             bad = (n, k, r)
             break
-    _check(checks, "randomized-grid n,k,r<=30 (fixed seed)", bad is None,
+    yield ("randomized-grid n,k,r<=30 (fixed seed)", bad is None,
            None if bad is None else {"triple": list(bad)})
-    return checks
 
 
-def _suite_euler(args) -> list:
+def _alternating_sum(values) -> int:
+    return sum((-1) ** k * c for k, c in enumerate(values))
+
+
+def _suite_euler(nmax: int, budget):
     """Alternating sums of the diagonal and internal face counts."""
-    nmax = args.nmax if args.nmax is not None else 7
-    checks: list = []
     for n in range(1, nmax + 1):
         if n >= 7:
             _progress(f"euler n={n}")
-        histogram = interval_histogram(n, args.budget)
-        enumerated = [sum(count * comb(j, k)
-                          for j, count in enumerate(histogram))
-                      for k in range(n)]
-        alternating = sum((-1) ** k * c for k, c in enumerate(enumerated))
-        formula_alt = sum((-1) ** k * b_formula(n, k) for k in range(n))
-        _check(checks, f"diagonal-alternating-sum n={n}",
-               alternating == 1 and formula_alt == 1,
-               {"enumerated": str(alternating), "formula": str(formula_alt)})
-        internal_alt = sum((-1) ** k * c
-                           for k, c in enumerate(internal_fvector(n,
-                                                                  args.budget)))
-        _check(checks, f"internal-alternating-sum n={n}",
-               internal_alt == (-1) ** (n - 1), {"value": str(internal_alt)})
-    return checks
+        enumerated = _alternating_sum(diagonal_fvector(n, budget))
+        formula = _alternating_sum(b_formula(n, k) for k in range(n))
+        yield (f"diagonal-alternating-sum n={n}",
+               enumerated == 1 and formula == 1,
+               {"enumerated": str(enumerated), "formula": str(formula)})
+        internal = _alternating_sum(internal_fvector(n, budget))
+        yield (f"internal-alternating-sum n={n}", internal == (-1) ** (n - 1),
+               {"value": str(internal)})
 
 
-def _suite_fusy_humbert(args) -> list:
-    degree = args.order if args.order is not None else 6
-    ok = fusy_humbert_check(degree, args.budget)
-    return [{"name": f"three-variable-system-to-degree-{degree}", "ok": ok}]
+def _suite_fusy_humbert(order: int, budget):
+    yield (f"three-variable-system-to-degree-{order}",
+           fusy_humbert_check(order, budget), None)
 
 
-def _suite_decompositions(args) -> list:
-    nmax = args.nmax if args.nmax is not None else 4
-    modes = [args.mode] if args.mode else list(DECOMPOSITION_MODES)
-    checks: list = []
-    for mode in modes:
-        saw_non_boolean = False
+def _suite_decompositions(nmax: int, mode, budget):
+    for mode in [mode] if mode else DECOMPOSITION_MODES:
         witness = None
         for n in range(1, nmax + 1):
-            report = decomposition_report(n, mode, args.budget)
-            _check(checks, f"fvector-agrees mode={mode} n={n}",
-                   report["fvector"] == diagonal_fvector(n, args.budget))
+            report = decomposition_report(n, mode, budget)
+            yield (f"fvector-agrees mode={mode} n={n}",
+                   report["fvector"] == diagonal_fvector(n, budget), None)
             if mode == "max-min":
-                _check(checks, f"one-fiber-per-interval mode={mode} n={n}",
+                yield (f"one-fiber-per-interval mode={mode} n={n}",
                        report["fiber_count"] == interval_count_formula(n),
                        {"fibers": str(report["fiber_count"])})
             if mode == "min-max":
-                if report["non_boolean_fibers"]:
-                    saw_non_boolean = True
-                    if witness is None:
-                        witness = {"n": n,
-                                   "fiber": report["non_boolean_fibers"][0]}
+                if witness is None and report["non_boolean_fibers"]:
+                    witness = {"n": n,
+                               "fiber": report["non_boolean_fibers"][0]}
             else:
-                _check(checks, f"all-fibers-boolean mode={mode} n={n}",
+                yield (f"all-fibers-boolean mode={mode} n={n}",
                        report["all_boolean"],
                        None if report["all_boolean"]
                        else report["non_boolean_fibers"][0])
         if mode == "min-max":
             # expected failure: this assignment is NOT a valid Morse
             # function, and the suite passes by exhibiting a witness
-            _check(checks, f"non-boolean-fiber-exists mode={mode} n<={nmax}",
-                   saw_non_boolean, witness)
-    return checks
+            yield (f"non-boolean-fiber-exists mode={mode} n<={nmax}",
+                   witness is not None, witness)
 
 
-def _suite_internal_cross(args) -> list:
-    nmax = args.nmax if args.nmax is not None else 5
-    checks: list = []
+def _suite_internal_cross(nmax: int, budget):
     for n in range(1, nmax + 1):
-        by_formula = internal_fvector(n, args.budget)
-        by_faces = internal_fvector_direct(n, args.budget)
-        _check(checks, f"classification-vs-contractions n={n}",
+        by_formula = internal_fvector(n, budget)
+        by_faces = internal_fvector_direct(n, budget)
+        yield (f"classification-vs-contractions n={n}",
                by_formula == by_faces,
                {"formula": [str(c) for c in by_formula],
                 "direct": [str(c) for c in by_faces]})
-        _check(checks, f"vertex-count-closed-form n={n}",
+        yield (f"vertex-count-closed-form n={n}",
                by_formula[0] == new_interval_formula(n),
                {"enumerated": str(by_formula[0]),
                 "formula": str(new_interval_formula(n))})
-    return checks
 
 
-# name -> (suite, {option it reads: smallest meaningful value, or None});
-# any other option given on the command line is a usage error, except
-# --out, which every suite reads
+# name -> (suite, options declared as in TABLES); every suite reads --out
 SUITES = {
-    "order-oracle": (_suite_order_oracle, {"nmax": 1, "budget": None}),
-    "canopy": (_suite_canopy, {"nmax": 1, "budget": None}),
-    "dyck": (_suite_dyck, {"nmax": 1, "budget": None}),
-    "catalytic": (_suite_catalytic, {"order": 1, "budget": None}),
-    "polynomial": (_suite_polynomial, {"order": 1}),
-    "pde": (_suite_pde, {"order": 3}),
-    "telescoped": (_suite_telescoped, {"nmax": 1}),
+    "order-oracle": (_suite_order_oracle, {"nmax": (6, 1), "budget": ANY}),
+    "canopy": (_suite_canopy, {"nmax": (6, 1), "budget": ANY}),
+    "dyck": (_suite_dyck, {"nmax": (6, 1), "budget": ANY}),
+    "catalytic": (_suite_catalytic, {"order": (8, 1), "budget": ANY}),
+    "polynomial": (_suite_polynomial, {"order": (10, 1)}),
+    "pde": (_suite_pde, {"order": (10, 3)}),
+    "telescoped": (_suite_telescoped, {"nmax": (12, 1)}),
     "chu-vandermonde": (_suite_chu_vandermonde, {}),
-    "euler": (_suite_euler, {"nmax": 1, "budget": None}),
-    "fusy-humbert": (_suite_fusy_humbert, {"order": 0, "budget": None}),
+    "euler": (_suite_euler, {"nmax": (7, 1), "budget": ANY}),
+    "fusy-humbert": (_suite_fusy_humbert, {"order": (6, 0), "budget": ANY}),
     "decompositions": (_suite_decompositions,
-                       {"nmax": 1, "mode": None, "budget": None}),
-    "internal-cross": (_suite_internal_cross, {"nmax": 1, "budget": None}),
+                       {"nmax": (4, 1), "mode": ANY, "budget": ANY}),
+    "internal-cross": (_suite_internal_cross, {"nmax": (5, 1), "budget": ANY}),
 }
 
 
 def cmd_verify(args) -> int:
     suite, reads = SUITES[args.suite]
-    params = {}
-    for option in ("nmax", "order", "mode", "budget"):
-        value = getattr(args, option)
-        if value is None:
-            continue
-        if option not in reads:
-            raise ValueError(f"verify {args.suite} does not read --{option}")
-        minimum = reads[option]
-        if minimum is not None and value < minimum:
-            raise ValueError(f"--{option} must be at least {minimum}")
-        params[option] = value
-    checks = suite(args)
+    kwargs, params = _read_options(f"verify {args.suite}", reads, args)
+    checks = []
+    for name, ok, detail in suite(**kwargs):
+        entry = {"name": name, "ok": bool(ok)}
+        if detail is not None:
+            entry["detail"] = detail
+        checks.append(entry)
     ok = all(entry["ok"] for entry in checks)
     report = {"suite": args.suite, "params": params, "checks": checks,
               "ok": ok}
@@ -594,34 +554,24 @@ def cmd_verify(args) -> int:
 # evaluation
 # ===================================================================
 
-EVAL_ARITY = {
-    "a": 2,
-    "b": 2,
-    "intervals": 1,
-    "sync": 1,
-    "m-intervals": 2,
+EVALS = {
+    # name -> (closed formula, number of integer arguments)
+    "a": (a_formula, 2),
+    "b": (b_formula, 2),
+    "intervals": (interval_count_formula, 1),
+    "sync": (synchronized_formula, 1),
+    "m-intervals": (m_tamari_intervals_formula, 2),
 }
 
 
 def cmd_eval(args, parser) -> int:
-    expected = EVAL_ARITY[args.expr]
-    if len(args.values) != expected:
-        parser.error(f"eval {args.expr} takes {expected} integer "
-                     f"argument{'s' if expected > 1 else ''}")
-    values = args.values
-    if any(v < 0 for v in values):
+    formula, arity = EVALS[args.expr]
+    if len(args.values) != arity:
+        parser.error(f"eval {args.expr} takes {arity} integer "
+                     f"argument{'s' if arity > 1 else ''}")
+    if any(v < 0 for v in args.values):
         parser.error("eval arguments must be nonnegative integers")
-    if args.expr == "a":
-        result = a_formula(values[0], values[1])
-    elif args.expr == "b":
-        result = b_formula(values[0], values[1])
-    elif args.expr == "intervals":
-        result = interval_count_formula(values[0])
-    elif args.expr == "sync":
-        result = synchronized_formula(values[0])
-    else:
-        result = m_tamari_intervals_formula(values[0], values[1])
-    print(result)
+    print(formula(*args.values))
     return 0
 
 
@@ -659,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None)
 
     evaluate = sub.add_parser("eval", help="print one exact value")
-    evaluate.add_argument("expr", choices=sorted(EVAL_ARITY))
+    evaluate.add_argument("expr", choices=sorted(EVALS))
     evaluate.add_argument("values", type=int, nargs="*", metavar="N")
     return parser
 

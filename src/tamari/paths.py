@@ -264,12 +264,17 @@ def _m_engine(m: int, n: int, budget: int):
 
 
 def _interval_indices(down_masks) -> Iterator[tuple]:
-    """(lower, upper) element indices of every interval, upper-major."""
+    """(lower, upper) element indices of every interval, upper-major.
+
+    A mask is scanned as its reversed binary string, so reading a set bit
+    does not rebuild a C_n-bit integer.
+    """
     for ti, mask in enumerate(down_masks):
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            yield low.bit_length() - 1, ti
+        bits = bin(mask)[:1:-1]
+        si = bits.find("1")
+        while si >= 0:
+            yield si, ti
+            si = bits.find("1", si + 1)
 
 
 def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:

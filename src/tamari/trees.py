@@ -577,8 +577,3 @@ def parse_tree(text: str) -> SchroederTree:
     if pos != len(s):
         raise ValueError(f"trailing characters at position {pos} in {text!r}")
     return out
-
-
-def sort_key(t: SchroederTree) -> tuple:
-    """Deterministic total order: by leaf count, then serialized form."""
-    return (leaf_count(t), serialize(t))

@@ -9,9 +9,12 @@ Core claims:
       decimal strings and staircase gaps as null
     - `eval` prints single exact values and enforces arity and sign
     - `verify` emits a JSON report {suite, params, checks, ok} and its
-      exit status tracks the conjunction of the checks
+      exit status tracks the conjunction of the checks; every suite's
+      default report matches the checked-in JSON under golden/ byte for
+      byte
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
-      option the suite does not read, a value below its minimum),
+      option the table or suite does not read, a value below its
+      minimum),
       3 budget exceeded, 4 verification or self-check failure
     - output is deterministic: repeated runs are byte-identical, and
       --out writes exactly what stdout would have carried
@@ -103,6 +106,15 @@ class TestGoldenTables:
         header, rows = csv_grid(out)
         assert header == ["n", "k=0", "k=1", "k=2", "k=3", "total"]
         assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_default_report_matches_golden_bytes(self, capsys, suite):
+        status, out, _ = run_cli(capsys, "verify", suite)
+        assert status == 0
+        golden = GOLDEN / f"verify_{suite.replace('-', '_')}.json"
+        assert out == golden.read_text(encoding="utf-8")
 
 
 # ===================================================================
@@ -448,6 +460,26 @@ class TestExitStatuses:
         assert status == EXIT_USAGE
         assert out == ""
         assert argv[1] in err and argv[0] in err
+
+    @pytest.mark.parametrize("argv", [
+        ("a", "--mmax", "3"),
+        ("internal", "--mmax", "2"),
+        ("b", "--budget", "5"),
+    ], ids="-".join)
+    def test_option_a_table_does_not_read_is_a_usage_error(self, capsys,
+                                                           argv):
+        status, out, err = run_cli(capsys, "table", *argv)
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert argv[1] in err and f"table {argv[0]}" in err
+
+    def test_options_a_table_reads_are_accepted(self, capsys):
+        status, out, _ = run_cli(capsys, "table", "m-stats", "--nmax", "2",
+                                 "--mmax", "2", "--budget", "100000000")
+        assert status == 0
+        _, rows = csv_grid(out)
+        assert [row[:2] for row in rows] == [["1", "1"], ["1", "2"],
+                                             ["2", "1"], ["2", "2"]]
 
     def test_mmax_zero_is_a_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "table", "m-stats",

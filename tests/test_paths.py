@@ -11,6 +11,8 @@ Core claims:
       counts and same cover-statistic histogram
     - m-interval counts match the closed formula; the cover-statistic
       tables match rows frozen from independent tabulation
+    - the interval scan reads every set bit of every down-set mask, in
+      upper-major, ascending order
     - malformed words and blown budgets raise
 """
 
@@ -26,6 +28,8 @@ from tamari.formulas import (
 )
 from tamari.lattice import BudgetExceeded, interval_histogram
 from tamari.paths import (
+    _interval_indices,
+    _m_engine,
     contacts,
     double_falls,
     dyck_to_tree,
@@ -34,6 +38,7 @@ from tamari.paths import (
     m_tamari_interval_count,
     m_tamari_interval_stats,
     m_tamari_intervals,
+    resolve_budget,
     tree_to_dyck,
     valleys,
 )
@@ -205,6 +210,16 @@ class TestBallot:
                     changed = changed or len(down[u]) != before
         pairs = {(lo, hi) for hi in words for lo in down[hi]}
         assert set(m_tamari_intervals(m, n)) == pairs
+
+    @pytest.mark.parametrize("m,n", [(1, n) for n in range(1, 7)]
+                             + [(2, n) for n in range(1, 5)])
+    def test_interval_indices_read_every_mask_bit(self, m, n):
+        # the string scan against a bit-by-bit test of each down-set mask:
+        # same pairs, upper-major, lower indices ascending
+        masks = _m_engine(m, n, resolve_budget(None))[3]
+        expected = [(s, t) for t, mask in enumerate(masks)
+                    for s in range(len(masks)) if mask >> s & 1]
+        assert list(_interval_indices(masks)) == expected
 
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 3)])
     def test_covers_permute_and_raise(self, m, n):
