@@ -17,8 +17,9 @@ internal-cross.  Every table and suite reads only the options TABLES or
 SUITES declares for it, with their defaults and smallest meaningful
 values; another option, or a value below that minimum, is a usage error.
 
-Exit status: 0 success, 2 usage error, 3 budget exceeded, 4 verification
-or internal self-check failure.  Every command is deterministic; progress
+Exit status: 0 success, 2 usage error (an --out path that cannot be
+written included), 3 budget exceeded, 4 verification or internal
+self-check failure.  Every command is deterministic; progress
 goes to stderr only.
 """
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .lattice import (
 )
 from .paths import (
     contacts,
+    cover_table,
     double_falls,
     dyck_to_tree,
     m_tamari_covers,
@@ -71,6 +73,7 @@ from .series import (
     fusy_humbert_check,
     newton_solve,
     quartic_equation,
+    substitute,
     verify_parametrization,
     verify_pde,
 )
@@ -191,8 +194,7 @@ def _pq_triangle(nmax: int, table_for_n) -> tuple:
 
 
 def _table_refined_pq(nmax: int, budget) -> tuple:
-    return _pq_triangle(
-        nmax, lambda n: interval_stats_refined(n, budget)[1])
+    return _pq_triangle(nmax, lambda n: cover_table(1, n, budget))
 
 
 def _table_face_dims(nmax: int, budget) -> tuple:
@@ -400,7 +402,7 @@ def _suite_catalytic(order: int, budget):
 def _suite_polynomial(order: int):
     root = newton_solve(quartic_equation(), order)
     yield (f"quartic-root-residual-mod-t^{order + 1}",
-           quartic_equation().evaluate(root).is_zero,
+           substitute(quartic_equation(), root).is_zero,
            "the quartic re-evaluated at the root")
     coeff_bad = None
     for n in range(1, order + 1):
@@ -409,7 +411,7 @@ def _suite_polynomial(order: int):
             break
     yield (f"coefficients-match-closed-form n<={order}", coeff_bad is None,
            coeff_bad)
-    shifted = newton_solve(quartic_equation().substitute_z_shift(1), order)
+    shifted = newton_solve(quartic_equation().shift(1, 1), order)
     yield (f"z-shift-of-root-is-shifted-root-mod-t^{order + 1}",
            root.substitute_z_shift(1) == shifted, None)
     s_order = order + 3
@@ -626,7 +628,8 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"tamari: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # a bad option value, or an --out path that cannot be written
         print(f"tamari: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, RuntimeError) as exc:

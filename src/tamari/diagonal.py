@@ -26,7 +26,7 @@ from math import comb
 from typing import Iterator
 
 from .lattice import _interval_walk, interval_histogram, intervals
-from .paths import BudgetExceeded, StatTable, _tally, resolve_budget
+from .paths import BudgetExceeded, StatTable, cover_table, resolve_budget
 from .trees import (
     SchroederTree,
     ascent_spans,
@@ -124,8 +124,7 @@ def diagonal_fvector_direct(n: int, budget=None) -> list:
 def diagonal_fvector_by_dims(n: int, budget=None) -> StatTable:
     """Faces counted by the pair (dim f, dim g)."""
     cells: dict = {}
-    for (d, a), count in _tally(1, n, budget, lambda word, des, asc: des,
-                                lambda word, des, asc: asc).items():
+    for (d, a), count in cover_table(1, n, budget).cells.items():
         for p in range(d + 1):
             c_p = comb(d, p)
             for q in range(a + 1):

@@ -14,7 +14,11 @@ words (an N gains m units of height, an E loses one).
 
 The interval engine of every slope, the Tamari lattice's included,
 accumulates down-sets as bitmasks in a linear extension: down(t) is {t}
-with the union of down(c) over the words c covered by t.
+with the union of down(c) over the words c covered by t.  The extension
+is the reversed generation order.  Every statistics table is a popcount
+tally over the masks; cover_table counts intervals by the lower covers of
+the lower word and the upper covers of the upper one, (des(s), asc(t))
+at slope 1.
 
 Every exhaustive operation takes an element/interval budget and raises
 BudgetExceeded rather than running unbounded.  The default budget comes
@@ -237,8 +241,9 @@ def _m_engine(m: int, n: int, budget: int):
     """(words in a linear extension, upper-cover counts, lower-cover
     counts, down-set masks, interval total)."""
     words = m_tamari_elements(m, n, budget)
-    # sum of E positions strictly increases along covers: a linear extension
-    words.sort(key=lambda w: (sum(i for i, c in enumerate(w) if c == "E"), w))
+    # generated N-first, and a cover turns the first letter it changes from
+    # E into N: every cover comes earlier, so the reverse is a linear extension
+    words.reverse()
     index = {w: i for i, w in enumerate(words)}
     up_degree = [0] * len(words)
     down_lists: list = [[] for _ in words]
@@ -319,15 +324,23 @@ def m_tamari_intervals(m: int, n: int, budget=None) -> Iterator[tuple]:
         yield words[si], words[ti]
 
 
+def cover_table(m: int, n: int, budget=None) -> StatTable:
+    """Intervals counted by (covers below the lower, covers above the upper).
+
+    At slope 1 these are des(s) and asc(t) of the tree interval s <= t.
+    """
+    return StatTable(n, ("des_lower", "asc_upper"), _tally(
+        m, n, budget, lambda word, lower, upper: lower,
+        lambda word, lower, upper: upper))
+
+
 def m_tamari_interval_stats(m: int, n: int, budget=None) -> StatTable:
     """Intervals counted by (covers below the lower) + (covers above the upper).
 
     At slope 1 this is the des(s) + asc(t) statistic on tree intervals.
     """
     cells: dict = {}
-    for (lower, upper), count in _tally(
-            m, n, budget, lambda word, lower, upper: lower,
-            lambda word, lower, upper: upper).items():
+    for (lower, upper), count in cover_table(m, n, budget).cells.items():
         key = (lower + upper,)
         cells[key] = cells.get(key, 0) + count
     return StatTable(n, ("cover_statistic",), cells)

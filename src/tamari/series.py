@@ -6,14 +6,15 @@ exact modulo t^(order+1); there is no floating point in this module.
 Binary operations truncate to the smaller order; d/dt lowers the order
 by one.  The truncation order is part of the value, not a convention.
 
-On top of the kernel:
+An equation P(t, z, X) = 0 is a MonomialPolynomial in (t, z, X), and
+substitute evaluates it at a series X.  On top of that:
 
   * newton_solve finds the unique root with zero constant term of a regular
-    polynomial equation P(t, z, X) = 0, with a built-in residual self-check;
+    equation, with a built-in residual self-check;
   * lagrange_solve iterates S = t·phi(S, z) and lagrange_coeff evaluates
     [t^n z^k] S^r = (r/n) [s^(n-r) z^k] phi(s, z)^n;
-  * verify_parametrization substitutes the rational parametrization
-    t = s/((s+1)(sz+1)^3), X = s - zs^2 - zs^3 into the quartic;
+  * verify_parametrization clears the denominator of the rational curve
+    t = s/((s+1)(sz+1)^3), X = s - zs^2 - zs^3 in the quartic;
   * catalytic_equation_check rebuilds the contact-graded interval series
     from enumeration and checks its quadratic functional equation;
   * verify_pde applies the three annihilating differential operators;
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 from .equations import load_quartic, pde_operators
 from .formulas import binomial
-from .paths import _slope_one_ell, _tally
+from .paths import _slope_one_ell, _tally, cover_table
 from .polys import MonomialPolynomial, ZPolynomial
 
 
@@ -190,18 +191,6 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out), order)
 
     # ------------------------------------------------ substitutions
-    def compose_in_t(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute t -> inner, which must have zero constant term."""
-        if not inner.coeffs[0].is_zero:
-            raise ValueError("composition needs a series of valuation >= 1")
-        order = min(self.order, inner.order)
-        inner = inner.truncate(order)
-        result = TruncatedSeries.zero(order)
-        for n in range(order, -1, -1):
-            result = result * inner
-            result = result + TruncatedSeries((self.coeffs[n],), order)
-        return result
-
     def substitute_z_shift(self, shift) -> "TruncatedSeries":
         """z -> z + shift in every coefficient."""
         return TruncatedSeries(
@@ -236,113 +225,71 @@ class TruncatedSeries:
 # polynomial equations in (t, z, X) and their series roots
 # ===================================================================
 
-class PolynomialEquation:
-    """P(t, z, X) with integer coefficients.
-
-    Built from a {(i, j, k): c} map or a MonomialPolynomial in (t, z, X).
-    """
-
-    __slots__ = ("poly",)
-
-    def __init__(self, coeffs):
-        if not isinstance(coeffs, MonomialPolynomial):
-            coeffs = MonomialPolynomial(3, coeffs)
-        self.poly = coeffs
-
-    @property
-    def coeffs(self) -> dict:
-        return self.poly.terms
-
-    def is_regular(self) -> bool:
-        """True iff a unique series root with zero constant term exists.
-
-        Needs P(0, z, 0) = 0 and d P/d X at (0, z, 0) a nonzero constant.
-        """
-        if any(i == 0 and k == 0 for (i, j, k) in self.coeffs):
-            return False
-        linear = {j: c for (i, j, k), c in self.coeffs.items()
-                  if i == 0 and k == 1}
-        return set(linear) == {0} and linear[0] != 0
-
-    def derivative_x(self) -> "PolynomialEquation":
-        return PolynomialEquation(self.poly.derivative(2))
-
-    def substitute_z_shift(self, shift: int) -> "PolynomialEquation":
-        return PolynomialEquation(self.poly.shift(1, shift))
-
-    def evaluate(self, x: TruncatedSeries,
-                 t_series: TruncatedSeries = None) -> TruncatedSeries:
-        """P(t, z, x), optionally substituting a series for t as well."""
-        order = x.order if t_series is None else min(x.order, t_series.order)
-        by_x: dict = {}
-        for (i, j, k), c in self.coeffs.items():
-            rows = by_x.setdefault(k, {})
-            rows[(i, j)] = rows.get((i, j), 0) + c
-        result = TruncatedSeries.zero(order)
-        for k in range(max(by_x), -1, -1):
-            result = result * x
-            if k in by_x:
-                block = TruncatedSeries.from_polynomial(by_x[k], order)
-                if t_series is not None:
-                    block = block.compose_in_t(t_series)
-                result = result + block
-        return result
+def substitute(poly: MonomialPolynomial, x: TruncatedSeries
+               ) -> TruncatedSeries:
+    """P(t, z, x) for a polynomial P in (t, z, X), by Horner in X."""
+    by_x: dict = {}
+    for (i, j, k), c in poly.terms.items():
+        by_x.setdefault(k, {})[(i, j)] = c
+    result = TruncatedSeries.zero(x.order)
+    for k in range(max(by_x, default=0), -1, -1):
+        result = result * x + TruncatedSeries.from_polynomial(
+            by_x.get(k, {}), x.order)
+    return result
 
 
 @lru_cache(maxsize=1)
-def quartic_equation() -> PolynomialEquation:
+def quartic_equation() -> MonomialPolynomial:
     """The degree-4 equation satisfied by the interval series A(t, z)."""
-    return PolynomialEquation(load_quartic())
+    return MonomialPolynomial(3, load_quartic())
 
 
-def newton_solve(eq: PolynomialEquation, order: int) -> TruncatedSeries:
+def newton_solve(eq: MonomialPolynomial, order: int) -> TruncatedSeries:
     """Unique series root with zero constant term, mod t^(order+1).
 
-    Newton iteration X <- X - P(X)/P'(X) with quadratic convergence; the
-    result is re-substituted into P as a self-check before returning.
+    P must be regular: its only term free of t and of degree at most one
+    in X is c·X.  Newton iteration X <- X - P(X)/P'(X) converges
+    quadratically; the root is re-substituted into P as a self-check.
     """
-    if not eq.is_regular():
+    if {(j, k) for (i, j, k) in eq.terms if i == 0 and k <= 1} != {(0, 1)}:
         raise ValueError("equation is singular at the origin: no regular root")
-    derivative = eq.derivative_x()
+    derivative = eq.derivative(2)
     x = TruncatedSeries.zero(order)
     correct = 1
     while correct <= order:
-        x = x - eq.evaluate(x).div_by_unit(derivative.evaluate(x))
+        x = x - substitute(eq, x).div_by_unit(substitute(derivative, x))
         correct *= 2
-    residual = eq.evaluate(x)
+    residual = substitute(eq, x)
     if not residual.is_zero:
         raise ArithmeticError("newton_solve self-check failed: "
                               f"nonzero residual {residual}")
     return x
 
 
-def lagrange_solve(phi, order: int) -> TruncatedSeries:
+def lagrange_solve(phi: MonomialPolynomial, order: int) -> TruncatedSeries:
     """The unique series S(t, z) with S = t·phi(S, z), via fixed point.
 
-    phi is a polynomial in (s, z) as a {(s_exp, z_exp): coeff} map or a
-    two-variable MonomialPolynomial; phi(0, z) must be nonzero.
+    phi is a MonomialPolynomial in (s, z); phi(0, z) must be nonzero.
     """
-    phi = MonomialPolynomial(
-        2, phi.terms if isinstance(phi, MonomialPolynomial) else phi)
     if not any(i == 0 for (i, j) in phi.terms):
         raise ValueError("phi(0, z) must be nonzero")
     # phi(X, z) as a polynomial in (t, z, X) with no t
-    phi_at = PolynomialEquation(
-        {(0, j, i): c for (i, j), c in phi.terms.items()}).evaluate
+    phi_x = MonomialPolynomial(
+        3, {(0, j, i): c for (i, j), c in phi.terms.items()})
     s = TruncatedSeries.zero(order)
     for _ in range(order):
-        s = phi_at(s).mul_t()
-    if s != phi_at(s).mul_t():
+        s = substitute(phi_x, s).mul_t()
+    if s != substitute(phi_x, s).mul_t():
         raise ArithmeticError("lagrange_solve fixed point did not stabilize")
     return s
 
 
-def lagrange_coeff(phi, n: int, k: int, r: int) -> Fraction:
+def lagrange_coeff(phi: MonomialPolynomial, n: int, k: int, r: int
+                   ) -> Fraction:
     """[t^n z^k] S^r = (r/n)·[s^(n-r) z^k] phi(s, z)^n, phi as above."""
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    terms = phi.terms if isinstance(phi, MonomialPolynomial) else phi
-    power = MonomialPolynomial(2, terms, ((1, 0), n - r)) ** n
+    power = MonomialPolynomial(2, phi.terms, ((1, 0), n - r)) ** n
     return Fraction(r, n) * power.terms.get((n - r, k), 0)
 
 
@@ -350,29 +297,30 @@ def lagrange_coeff(phi, n: int, k: int, r: int) -> Fraction:
 # rational parametrization of the quartic
 # ===================================================================
 
+def cleared_parametrization(order=None, z_value=None) -> MonomialPolynomial:
+    """D^d·P(s/D, z, X) on the curve t = s/D, X = s - zs^2 - zs^3, with
+    D = (s+1)(sz+1)^3 and d the t-degree of the quartic P: the polynomial
+    sum of c·s^i·D^(d-i)·z^j·X^k over the terms c·t^i z^j X^k of P, in
+    (s, z), exact or mod s^(order+1).  A z_value replaces z throughout."""
+    truncation = None if order is None else ((1, 0), order)
+    s, z = MonomialPolynomial.variables(2, truncation)
+    if z_value is not None:
+        z = MonomialPolynomial.constant(2, z_value, truncation)
+    den = (s + 1) * (s * z + 1) ** 3
+    x = s - z * s**2 - z * s**3
+    terms = quartic_equation().terms
+    degree = max(i for i, _, _ in terms)
+    total = MonomialPolynomial(2, {}, truncation)
+    for (i, j, k), c in terms.items():
+        total = total + c * s**i * den**(degree - i) * z**j * x**k
+    return total
+
+
 def verify_parametrization(order: int) -> bool:
-    """Check P(t(s), z, X(s)) = 0 mod s^(order+1) for the rational curve
-
-        t = s/((s+1)(sz+1)^3),   X = s - zs^2 - zs^3,
-
-    together with its z = 1 and z = 0 specializations.
-    """
-    s, z = MonomialPolynomial.variables(2)
-    denominator = (s + 1) * (s * z + 1) ** 3
-    x_poly = s - z * s**2 - z * s**3
-    for z_value in (None, 1, 0):
-        polys = (quartic_equation().poly, denominator, x_poly)
-        if z_value is not None:
-            polys = (p.specialize(1, z_value) for p in polys)
-        equation, den, x = polys
-        t_series = TruncatedSeries.t(order).div_by_unit(
-            TruncatedSeries.from_polynomial(den.terms, order))
-        residual = PolynomialEquation(equation).evaluate(
-            TruncatedSeries.from_polynomial(x.terms, order),
-            t_series=t_series)
-        if not residual.is_zero:
-            return False
-    return True
+    """P(t(s), z, X(s)) = 0 mod s^(order+1), for all z and at z = 1, 0: as
+    D is a unit there, the cleared sum of cleared_parametrization vanishes."""
+    return all(not cleared_parametrization(order, z_value).terms
+               for z_value in (None, 1, 0))
 
 
 # ===================================================================
@@ -514,9 +462,7 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     # des(s) places (checked directly by the canopy suite)
     f_enumerated: dict = {}
     for n in range(1, total_degree + 2):
-        for (des_s, asc_t), count in _tally(
-                1, n, budget, lambda word, des, asc: des,
-                lambda word, des, asc: asc).items():
+        for (des_s, asc_t), count in cover_table(1, n, budget).cells.items():
             f_enumerated[(asc_t, des_s, n - 1 - asc_t - des_s)] = count
     if f_algebraic != f_enumerated:
         return False

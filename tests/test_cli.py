@@ -14,7 +14,7 @@ Core claims:
       byte
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
-      minimum),
+      minimum, an --out path that cannot be written),
       3 budget exceeded, 4 verification or self-check failure
     - output is deterministic: repeated runs are byte-identical, and
       --out writes exactly what stdout would have carried
@@ -480,6 +480,18 @@ class TestExitStatuses:
         _, rows = csv_grid(out)
         assert [row[:2] for row in rows] == [["1", "1"], ["1", "2"],
                                              ["2", "1"], ["2", "2"]]
+
+    @pytest.mark.parametrize("command", [
+        ("table", "a"),
+        ("verify", "canopy", "--nmax", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path,
+                                             command):
+        target = tmp_path / "no-such-directory" / "out.txt"
+        status, out, err = run_cli(capsys, *command, "--out", str(target))
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("tamari: ") and len(err.splitlines()) == 1
 
     def test_mmax_zero_is_a_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "table", "m-stats",

@@ -8,7 +8,10 @@ Core claims:
       slope 1 (swap an EN's E past the shortest following balanced run)
     - m_tamari_elements counts are the Fuss-Catalan numbers
     - the slope-1 ballot lattice is the Tamari lattice: same interval
-      counts and same cover-statistic histogram
+      counts and same cover-statistic histogram; cover_table's
+      (des, asc) table is the refined tally's
+    - the engine's element order is a linear extension: every cover of
+      a word comes after it
     - m-interval counts match the closed formula; the cover-statistic
       tables match rows frozen from independent tabulation
     - the interval scan reads every set bit of every down-set mask, in
@@ -26,11 +29,16 @@ from tamari.formulas import (
     interval_count_formula,
     m_tamari_intervals_formula,
 )
-from tamari.lattice import BudgetExceeded, interval_histogram
+from tamari.lattice import (
+    BudgetExceeded,
+    interval_histogram,
+    interval_stats_refined,
+)
 from tamari.paths import (
     _interval_indices,
     _m_engine,
     contacts,
+    cover_table,
     double_falls,
     dyck_to_tree,
     m_tamari_covers,
@@ -163,6 +171,10 @@ class TestSlopeOne:
         assert row == interval_histogram(n)
         assert table.total == interval_count_formula(n)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_cover_table_is_the_refined_des_asc_table(self, n):
+        assert cover_table(1, n) == interval_stats_refined(n)[1]
+
 
 # == general slope ==================================================
 
@@ -221,10 +233,22 @@ class TestBallot:
                     for s in range(len(masks)) if mask >> s & 1]
         assert list(_interval_indices(masks)) == expected
 
+    @pytest.mark.parametrize("m,n", [(1, n) for n in range(1, 7)]
+                             + [(2, n) for n in range(1, 5)]
+                             + [(3, n) for n in range(1, 4)])
+    def test_engine_order_is_a_linear_extension(self, m, n):
+        # the down-set masks are built in this order, so every cover of a
+        # word must have a larger index
+        words = _m_engine(m, n, resolve_budget(None))[0]
+        assert sorted(words) == sorted(m_tamari_elements(m, n))
+        index = {w: i for i, w in enumerate(words)}
+        for i, w in enumerate(words):
+            assert all(index[u] > i for u in m_tamari_covers(w))
+
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 3)])
     def test_covers_permute_and_raise(self, m, n):
         # covers permute the letters, and the sum of E positions strictly
-        # increases -- the linear extension the interval engine sorts by
+        # increases
         def e_weight(word):
             return sum(i for i, c in enumerate(word) if c == "E")
 

@@ -3,9 +3,11 @@
 Core claims:
     - TruncatedSeries is an immutable exact ring truncated in t:
       operations land on the common order, equality compares up to the
-      common order, units invert, composition and calculus behave
+      common order, units invert, calculus behaves
     - the quartic data file is checksummed and regular at the origin;
       shifting z by one reproduces the printed face-side quartic
+    - the rational parametrization lies on the quartic exactly: with its
+      denominator cleared, the substitution is the zero polynomial
     - newton_solve extracts the interval series: its rows are the
       interval row polynomials, z = 1 gives interval counts, z = 0
       gives t/(1-t), and the shifted root solves the shifted equation
@@ -25,25 +27,28 @@ from tamari.equations import load_quartic, pde_operators
 from tamari.formulas import a_formula, interval_row_polynomial
 from tamari.polys import MonomialPolynomial, ZPolynomial
 from tamari.series import (
-    PolynomialEquation,
     TruncatedSeries,
     apply_differential_operator,
     catalytic_equation_check,
+    cleared_parametrization,
     fusy_humbert_check,
     lagrange_coeff,
     lagrange_solve,
     newton_solve,
     quartic_equation,
+    substitute,
     verify_parametrization,
     verify_pde,
 )
 
-# phi for S = t(z+S)(1+S)^3, as {(s_exp, z_exp): coeff}
-PHI_CANOPY = {(0, 1): 1, (1, 1): 3, (2, 1): 3, (3, 1): 1,
-              (1, 0): 1, (2, 0): 3, (3, 0): 3, (4, 0): 1}
+# phi for S = t(z+S)(1+S)^3, in (s, z)
+PHI_CANOPY = MonomialPolynomial(2, {
+    (0, 1): 1, (1, 1): 3, (2, 1): 3, (3, 1): 1,
+    (1, 0): 1, (2, 0): 3, (3, 0): 3, (4, 0): 1})
 # phi for the parametrization variable: s = t(s+1)(sz+1)^3
-PHI_PARAM = {(0, 0): 1, (1, 0): 1, (1, 1): 3, (2, 1): 3, (2, 2): 3,
-             (3, 2): 3, (3, 3): 1, (4, 3): 1}
+PHI_PARAM = MonomialPolynomial(2, {
+    (0, 0): 1, (1, 0): 1, (1, 1): 3, (2, 1): 3, (2, 2): 3,
+    (3, 2): 3, (3, 3): 1, (4, 3): 1})
 
 
 # == series ring semantics ==========================================
@@ -100,19 +105,6 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             one.div_by_unit(z_head)  # constant term must be z-free
 
-    def test_compose_in_t(self):
-        order = 6
-        # 1/(1-t) composed with t^2 = 1/(1-t^2)
-        one = TruncatedSeries.one(order)
-        geo = one.div_by_unit(one - TruncatedSeries.t(order))
-        t_sq = TruncatedSeries.t(order) * TruncatedSeries.t(order)
-        composed = geo.compose_in_t(t_sq)
-        for n in range(order + 1):
-            expected = ZPolynomial((1,)) if n % 2 == 0 else ZPolynomial(())
-            assert composed.coefficient(n) == expected
-        with pytest.raises(ValueError):
-            geo.compose_in_t(one)
-
     def test_calculus(self):
         order = 5
         t = TruncatedSeries.t(order)
@@ -167,12 +159,13 @@ class TestQuartic:
         coeffs = load_quartic()
         assert len(coeffs) == 34
         assert max(k for (_, _, k) in coeffs) == 4
-        assert quartic_equation().is_regular()
+        # regular at the origin: the only t-free term of X-degree <= 1 is X
+        assert {e for e in quartic_equation().terms
+                if e[0] == 0 and e[2] <= 1} == {(0, 0, 1)}
 
     def test_shift_roundtrip(self):
         eq = quartic_equation()
-        assert eq.substitute_z_shift(1).substitute_z_shift(-1).coeffs \
-            == eq.coeffs
+        assert eq.shift(1, 1).shift(1, -1).terms == eq.terms
 
     def test_shifted_equation_is_the_printed_one(self):
         # z -> z+1 must reproduce the printed face-count quartic,
@@ -194,15 +187,15 @@ class TestQuartic:
         printed = {(i, j, k): c
                    for k, block in by_x.items()
                    for (i, j), c in block.items()}
-        assert quartic_equation().substitute_z_shift(1).coeffs == printed
+        assert quartic_equation().shift(1, 1).terms == printed
 
     def test_singular_equation_rejected(self):
-        bad = PolynomialEquation({(0, 0, 0): 1, (0, 0, 1): 1})
-        assert not bad.is_regular()
-        with pytest.raises(ValueError):
-            newton_solve(bad, 4)
-        no_linear = PolynomialEquation({(1, 0, 0): 1, (0, 0, 2): 1})
-        assert not no_linear.is_regular()
+        for terms in ({(0, 0, 0): 1, (0, 0, 1): 1},   # P(0, z, 0) != 0
+                      {(1, 0, 0): 1, (0, 0, 2): 1},   # no linear term in X
+                      # z in dP/dX(0, z, 0)
+                      {(1, 0, 0): 1, (0, 0, 1): 1, (0, 1, 1): 1}):
+            with pytest.raises(ValueError):
+                newton_solve(MonomialPolynomial(3, terms), 4)
 
 
 # == Newton extraction ==============================================
@@ -241,7 +234,7 @@ class TestNewton:
 
     def test_shifted_root_solves_shifted_equation(self, root):
         # z-shift compatibility at series level, mod t^11
-        shifted_eq = quartic_equation().substitute_z_shift(1)
+        shifted_eq = quartic_equation().shift(1, 1)
         shifted_root = newton_solve(shifted_eq, self.ORDER)
         assert shifted_root == root.substitute_z_shift(1)
 
@@ -296,7 +289,7 @@ class TestLagrange:
 
     def test_catalan_special_case(self):
         # phi = (1+s)^2: [t^n] S is the n-th Catalan number
-        phi = {(0, 0): 1, (1, 0): 2, (2, 0): 1}
+        phi = MonomialPolynomial(2, {(0, 0): 1, (1, 0): 2, (2, 0): 1})
         s_series = lagrange_solve(phi, 8)
         catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
         for n in range(1, 9):
@@ -305,7 +298,8 @@ class TestLagrange:
 
     def test_rejects_bad_phi(self):
         with pytest.raises(ValueError):
-            lagrange_solve({(1, 0): 1}, 5)  # phi(0, z) = 0
+            # phi(0, z) = 0
+            lagrange_solve(MonomialPolynomial(2, {(1, 0): 1}), 5)
         with pytest.raises(ValueError):
             lagrange_coeff(PHI_CANOPY, 0, 0, 1)
         assert lagrange_coeff(PHI_CANOPY, 2, 1, 3) == 0  # r > n
@@ -316,6 +310,20 @@ class TestLagrange:
 class TestVerifiers:
     def test_parametrization(self):
         assert verify_parametrization(13)
+
+    def test_cleared_parametrization_is_exactly_zero(self):
+        # untruncated: the curve lies on the quartic at every order, all z
+        cleared = cleared_parametrization()
+        assert cleared.truncation is None
+        assert cleared.terms == {}
+
+    def test_parametrization_negative_control(self, monkeypatch):
+        # one changed coefficient must leave a residual mod s^11
+        terms = dict(quartic_equation().terms)
+        terms[(3, 6, 4)] += 1
+        monkeypatch.setattr("tamari.series.quartic_equation",
+                            lambda: MonomialPolynomial(3, terms))
+        assert not verify_parametrization(10)
 
     def test_catalytic(self):
         assert catalytic_equation_check(8)
@@ -339,7 +347,7 @@ class TestVerifiers:
         order = 6
         wrong = newton_solve(eq, order) + TruncatedSeries.from_polynomial(
             {(5, 1): 1}, order)
-        assert not eq.evaluate(wrong).is_zero
+        assert not substitute(eq, wrong).is_zero
 
     def test_fusy_humbert(self):
         assert fusy_humbert_check(6)
