@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
+from .formulas import b_formula
 from .lattice import _interval_walk, interval_histogram, intervals
-from .paths import BudgetExceeded, StatTable, cover_table, resolve_budget
+from .paths import StatTable, cover_table, within_budget
 from .trees import (
     SchroederTree,
     ascent_spans,
@@ -70,24 +71,17 @@ class EdgeClassification:
 # face generation through interval fibers
 # ===================================================================
 
-def _face_budget(n: int, budget) -> int:
-    bud = resolve_budget(budget)
-    histogram = interval_histogram(n, bud)
-    total = sum(count << k for k, count in enumerate(histogram))
-    if total > bud:
-        raise BudgetExceeded(f"diagonal_faces({n})", total, bud)
-    return bud
-
-
 def diagonal_faces(n: int, budget=None) -> Iterator[DiagonalFace]:
     """Every face of the diagonal exactly once.
 
-    The fiber over an interval (s, t) has size 2^(des(s)+asc(t)).
+    The fiber over an interval (s, t) has size 2^(des(s)+asc(t)); the
+    budget is checked against the face count sum_k b(n, k) up front.
     """
     if n < 1:
         raise ValueError("diagonal_faces() requires n >= 1")
-    bud = _face_budget(n, budget)
-    for s, t, des_s, asc_t in intervals(n, bud):
+    within_budget(f"diagonal_faces({n})",
+                  sum(b_formula(n, k) for k in range(n)), budget)
+    for s, t, des_s, asc_t in intervals(n, budget):
         down_spans = sorted(descent_spans(s))
         up_spans = sorted(ascent_spans(t))
         for d_mask in range(1 << des_s):

@@ -14,7 +14,6 @@ The module only holds the data; solving and verifying happen in `series`.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 from importlib import resources
 
 from .polys import MonomialPolynomial, ZPolynomial
@@ -27,7 +26,6 @@ QUARTIC_SHA256 = "fb647cdbafc32f9370c5260b91e88eb5c6a17b78fdc1a9dfbfcbfa1be6c8a1
 # the quartic equation (data file + checksum)
 # ===================================================================
 
-@lru_cache(maxsize=1)
 def load_quartic() -> dict:
     """{(t_exp, z_exp, x_exp): coefficient} for the quartic P(t, z, X)."""
     raw = resources.files(__package__).joinpath(
@@ -56,7 +54,6 @@ def load_quartic() -> dict:
 # annihilating differential operators
 # ===================================================================
 
-@lru_cache(maxsize=1)
 def pde_operators() -> dict:
     """Three operators annihilating A(t, z), lowest order first.
 

@@ -237,27 +237,26 @@ def telescoped_recurrence_check(n_max: int) -> dict:
     """The order-2 telescoped recurrence on interval rows, both weightings.
 
     For each n, eta0(n)·a~_n + eta1(n)·a~_{n+1} + eta2(n)·a~_{n+2} must be
-    the zero z-polynomial; the face-count side uses the same rows and etas
-    with z shifted by one.
+    the zero z-polynomial; the face-count side applies the same etas with
+    z shifted by one to the rows sum_k b(n, k) z^k of the face formula,
+    which equal a~_n(z + 1).
     """
     failures = []
     checked = 0
     for n in range(1, n_max + 1):
-        eta0, eta1, eta2 = eta_polynomials(n)
-        rows = (interval_row_polynomial(n),
-                interval_row_polynomial(n + 1),
-                interval_row_polynomial(n + 2))
-        residual = eta0 * rows[0] + eta1 * rows[1] + eta2 * rows[2]
-        checked += 1
-        if not residual.is_zero:
-            failures.append({"side": "interval", "n": n,
-                             "residual_degree": residual.degree()})
-        shifted = (eta0.shift_z(1) * rows[0].shift_z(1)
-                   + eta1.shift_z(1) * rows[1].shift_z(1)
-                   + eta2.shift_z(1) * rows[2].shift_z(1))
-        checked += 1
-        if not shifted.is_zero:
-            failures.append({"side": "face", "n": n,
-                             "residual_degree": shifted.degree()})
+        etas = eta_polynomials(n)
+        sides = (
+            ("interval", etas,
+             [interval_row_polynomial(n + i) for i in range(3)]),
+            ("face", [eta.shift_z(1) for eta in etas],
+             [ZPolynomial(tuple(b_formula(n + i, k) for k in range(n + i)))
+              for i in range(3)]),
+        )
+        for side, (eta0, eta1, eta2), (row0, row1, row2) in sides:
+            residual = eta0 * row0 + eta1 * row1 + eta2 * row2
+            checked += 1
+            if not residual.is_zero:
+                failures.append({"side": side, "n": n,
+                                 "residual_degree": residual.degree()})
     return {"n_max": n_max, "checked": checked, "failures": failures,
             "ok": not failures}

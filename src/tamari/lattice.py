@@ -26,7 +26,7 @@ from .paths import (
     dyck_to_tree,
     m_tamari_interval_count,
     m_tamari_interval_stats,
-    resolve_budget,
+    within_budget,
 )
 from .trees import BinaryTree, rotations_down
 
@@ -39,10 +39,7 @@ def all_trees(n: int, budget=None) -> list:
     """All binary trees with n nodes, deterministic order, Catalan(n) many."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bud = resolve_budget(budget)
-    count = catalan(n)
-    if count > bud:
-        raise BudgetExceeded(f"all_trees({n})", count, bud)
+    within_budget(f"all_trees({n})", catalan(n), budget)
     by_size: list = [[None]]
     for m in range(1, n + 1):
         by_size.append([(left, right)
@@ -73,10 +70,8 @@ def schroeder_count(nleaves: int) -> int:
 
 def all_schroeder_trees(nleaves: int, budget=None) -> list:
     """All Schröder trees with the given number of leaves."""
-    bud = resolve_budget(budget)
-    count = schroeder_count(nleaves)
-    if count > bud:
-        raise BudgetExceeded(f"all_schroeder_trees({nleaves})", count, bud)
+    within_budget(f"all_schroeder_trees({nleaves})",
+                  schroeder_count(nleaves), budget)
     by_leaves: list = [None, [None]]
     for size in range(2, nleaves + 1):
         # ordered forests with `size` leaves, every part of size < `size`
@@ -113,8 +108,7 @@ def _interval_walk(n: int, budget, element) -> Iterator[tuple]:
     element is called once per tree, not once per interval, so a per-tree
     statistic (a bitmask, say) is paid for C_n times.
     """
-    words, up_degree, down_degree, down_masks, _ = _m_engine(
-        1, n, resolve_budget(budget))
+    words, up_degree, down_degree, down_masks = _m_engine(1, n, budget)
     values = [element(dyck_to_tree(word.translate(_TO_DYCK)))
               for word in words]
     for si, ti in _interval_indices(down_masks):

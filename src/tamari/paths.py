@@ -20,18 +20,20 @@ tally over the masks; cover_table counts intervals by the lower covers of
 the lower word and the upper covers of the upper one, (des(s), asc(t))
 at slope 1.
 
-Every exhaustive operation takes an element/interval budget and raises
-BudgetExceeded rather than running unbounded.  The default budget comes
-from the TAMARI_BUDGET environment variable (fallback 2_000_000).
+One budget rule covers every exhaustive operation: within_budget compares
+the exact size of an enumeration (elements, trees, intervals, faces, tree
+pairs), read off its closed formula, with the budget and raises
+BudgetExceeded before any of the work.  The default budget comes from the
+TAMARI_BUDGET environment variable (fallback 2_000_000).  Engines are not
+cached: each view builds its own and frees it when it returns.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .formulas import fuss_catalan
+from .formulas import fuss_catalan, m_tamari_intervals_formula
 from .trees import BinaryTree
 
 FALLBACK_BUDGET = 2_000_000
@@ -62,6 +64,14 @@ def resolve_budget(budget=None) -> int:
     if budget <= 0:
         raise ValueError("budget must be positive")
     return budget
+
+
+def within_budget(what: str, size: int, budget=None) -> None:
+    """Refuse an enumeration whose exact size exceeds the budget; call it
+    before any of the work."""
+    bud = resolve_budget(budget)
+    if size > bud:
+        raise BudgetExceeded(what, size, bud)
 
 
 @dataclass(frozen=True)
@@ -190,10 +200,8 @@ def m_tamari_elements(m: int, n: int, budget=None) -> list:
     """All ballot words with n up-steps of slope m, deterministic order."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    bud = resolve_budget(budget)
-    count = fuss_catalan(m, n)
-    if count > bud:
-        raise BudgetExceeded(f"m_tamari_elements({m}, {n})", count, bud)
+    within_budget(f"m_tamari_elements({m}, {n})", fuss_catalan(m, n),
+                  budget)
     words: list = []
 
     def extend(prefix: str, ups: int, downs: int, height: int) -> None:
@@ -236,10 +244,11 @@ def m_tamari_covers(word: str) -> frozenset:
 _TO_DYCK = str.maketrans("NE", "UD")
 
 
-@lru_cache(maxsize=8)
-def _m_engine(m: int, n: int, budget: int):
+def _m_engine(m: int, n: int, budget=None):
     """(words in a linear extension, upper-cover counts, lower-cover
-    counts, down-set masks, interval total)."""
+    counts, down-set masks), refused on the interval count up front."""
+    within_budget(f"m_tamari intervals({m}, {n})",
+                  m_tamari_intervals_formula(m, n), budget)
     words = m_tamari_elements(m, n, budget)
     # generated N-first, and a cover turns the first letter it changes from
     # E into N: every cover comes earlier, so the reverse is a linear extension
@@ -254,18 +263,13 @@ def _m_engine(m: int, n: int, budget: int):
             down_lists[index[y]].append(i)
     del index  # freed before the masks, which hold nearly all the memory
     down_masks: list = []
-    total = 0
     for i in range(len(words)):
         mask = 1 << i
         for j in down_lists[i]:
             mask |= down_masks[j]
         down_masks.append(mask)
-        total += mask.bit_count()
-        if total > budget:
-            raise BudgetExceeded(f"m_tamari intervals({m}, {n})",
-                                 f"more than {total}", budget)
     down_degree = tuple(len(lst) for lst in down_lists)
-    return tuple(words), tuple(up_degree), down_degree, tuple(down_masks), total
+    return tuple(words), tuple(up_degree), down_degree, tuple(down_masks)
 
 
 def _interval_indices(down_masks) -> Iterator[tuple]:
@@ -289,8 +293,7 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     The elements sharing a lower key share one mask, so every upper
     element costs one popcount per lower class, not one step per interval.
     """
-    words, up_degree, down_degree, down_masks, _ = _m_engine(
-        m, n, resolve_budget(budget))
+    words, up_degree, down_degree, down_masks = _m_engine(m, n, budget)
     class_mask: dict = {}
     for i, word in enumerate(words):
         key = lower_key(word, down_degree[i], up_degree[i])
@@ -314,12 +317,12 @@ def _slope_one_ell(word: str) -> int:
 
 
 def m_tamari_interval_count(m: int, n: int, budget=None) -> int:
-    return _m_engine(m, n, resolve_budget(budget))[4]
+    return sum(mask.bit_count() for mask in _m_engine(m, n, budget)[3])
 
 
 def m_tamari_intervals(m: int, n: int, budget=None) -> Iterator[tuple]:
     """Every interval once, as (lower, upper) ballot words."""
-    words, _, _, down_masks, _ = _m_engine(m, n, resolve_budget(budget))
+    words, _, _, down_masks = _m_engine(m, n, budget)
     for si, ti in _interval_indices(down_masks):
         yield words[si], words[ti]
 

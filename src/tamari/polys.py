@@ -317,25 +317,17 @@ class MonomialPolynomial:
                 terms[key] = terms.get(key, 0) + coeff * factor
         return MonomialPolynomial(self.nvars, terms, self.truncation)
 
-    def _substitutable(self, var: int) -> None:
-        if self.truncation is not None and self.truncation[0][var]:
-            raise ValueError("substituting a variable of positive weight "
-                             "needs the terms the truncation dropped")
-
     def derivative(self, var: int) -> "MonomialPolynomial":
         """d/dx_var, term by term."""
         return self._map_var(var, lambda e: [(e - 1, e)] if e else [])
 
     def shift(self, var: int, c: int) -> "MonomialPolynomial":
         """Substitute x_var -> x_var + c (binomial expansion, exact)."""
-        self._substitutable(var)
+        if self.truncation is not None and self.truncation[0][var]:
+            raise ValueError("substituting a variable of positive weight "
+                             "needs the terms the truncation dropped")
         return self._map_var(var, lambda e: [(j, comb(e, j) * c ** (e - j))
                                              for j in range(e + 1)])
-
-    def specialize(self, var: int, value: int) -> "MonomialPolynomial":
-        """Set x_var = value; the variable stays, with exponent 0."""
-        self._substitutable(var)
-        return self._map_var(var, lambda e: [(0, value ** e)])
 
     def inverse(self) -> "MonomialPolynomial":
         """1/p under the truncation, for p = 1 + x with x of positive degree.

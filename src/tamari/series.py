@@ -29,7 +29,6 @@ printed; `polys` decides how every polynomial is stored.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .equations import load_quartic, pde_operators
 from .formulas import binomial
@@ -238,7 +237,6 @@ def substitute(poly: MonomialPolynomial, x: TruncatedSeries
     return result
 
 
-@lru_cache(maxsize=1)
 def quartic_equation() -> MonomialPolynomial:
     """The degree-4 equation satisfied by the interval series A(t, z)."""
     return MonomialPolynomial(3, load_quartic())
@@ -297,30 +295,27 @@ def lagrange_coeff(phi: MonomialPolynomial, n: int, k: int, r: int
 # rational parametrization of the quartic
 # ===================================================================
 
-def cleared_parametrization(order=None, z_value=None) -> MonomialPolynomial:
+def cleared_parametrization() -> MonomialPolynomial:
     """D^d·P(s/D, z, X) on the curve t = s/D, X = s - zs^2 - zs^3, with
     D = (s+1)(sz+1)^3 and d the t-degree of the quartic P: the polynomial
     sum of c·s^i·D^(d-i)·z^j·X^k over the terms c·t^i z^j X^k of P, in
-    (s, z), exact or mod s^(order+1).  A z_value replaces z throughout."""
-    truncation = None if order is None else ((1, 0), order)
-    s, z = MonomialPolynomial.variables(2, truncation)
-    if z_value is not None:
-        z = MonomialPolynomial.constant(2, z_value, truncation)
+    (s, z), exact."""
+    s, z = MonomialPolynomial.variables(2)
     den = (s + 1) * (s * z + 1) ** 3
     x = s - z * s**2 - z * s**3
     terms = quartic_equation().terms
     degree = max(i for i, _, _ in terms)
-    total = MonomialPolynomial(2, {}, truncation)
+    total = MonomialPolynomial(2, {})
     for (i, j, k), c in terms.items():
         total = total + c * s**i * den**(degree - i) * z**j * x**k
     return total
 
 
-def verify_parametrization(order: int) -> bool:
-    """P(t(s), z, X(s)) = 0 mod s^(order+1), for all z and at z = 1, 0: as
-    D is a unit there, the cleared sum of cleared_parametrization vanishes."""
-    return all(not cleared_parametrization(order, z_value).terms
-               for z_value in (None, 1, 0))
+def verify_parametrization() -> bool:
+    """P(t(s), z, X(s)) = 0 exactly, so mod every power of s and at every
+    z: the cleared sum of cleared_parametrization is the zero polynomial,
+    and D is a unit of Q[z][[s]]."""
+    return not cleared_parametrization().terms
 
 
 # ===================================================================

@@ -1,5 +1,6 @@
 """Shared test helpers: hypothesis strategies and exhaustive pools."""
 
+import pytest
 from hypothesis import strategies as st
 
 from tamari.lattice import all_trees, intervals
@@ -33,3 +34,13 @@ def tree_pool(n: int) -> list:
 
 def interval_pairs(n: int) -> list:
     return [(s, t) for s, t, _, _ in intervals(n)]
+
+
+@pytest.fixture
+def no_engine(monkeypatch):
+    """Fail the test if any ballot word or cover is generated."""
+    def refuse(*args):
+        raise AssertionError("the engine started before the budget check")
+
+    monkeypatch.setattr("tamari.paths.m_tamari_elements", refuse)
+    monkeypatch.setattr("tamari.paths.m_tamari_covers", refuse)

@@ -209,8 +209,8 @@ def criterion_functional_equations():
         failures.append("quartic residual nonzero mod t^11")
     if not catalytic_equation_check(7):
         failures.append("catalytic system fails mod t^8")
-    if not verify_parametrization(12):
-        failures.append("parametrization leaves a residual mod s^13")
+    if not verify_parametrization():
+        failures.append("parametrization leaves a residual")
     shifted = newton_solve(equation.shift(1, 1), 9)
     if root.substitute_z_shift(1) != shifted:
         failures.append("z-shifted root != root of z-shifted equation")

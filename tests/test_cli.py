@@ -14,8 +14,10 @@ Core claims:
       byte
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
-      minimum, an --out path that cannot be written),
-      3 budget exceeded, 4 verification or self-check failure
+      minimum, an --out path that cannot be written, refused before the
+      work), 3 budget exceeded (order-oracle on its tree pairs, before
+      the first row), 4 verification or self-check failure; exits 3 and
+      4 leave an existing --out file as it was
     - output is deterministic: repeated runs are byte-identical, and
       --out writes exactly what stdout would have carried
 """
@@ -33,8 +35,7 @@ from tamari.cli import (
     TABLES,
     main,
 )
-from tamari.equations import load_quartic
-from tamari.series import TruncatedSeries, newton_solve, quartic_equation
+from tamari.series import TruncatedSeries, newton_solve
 from tamari.trees import canopy, right_comb, serialize
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -406,10 +407,30 @@ class TestExitStatuses:
         assert out == ""
         assert "TAMARI_BUDGET" in err
 
+    def test_order_oracle_is_refused_before_the_first_row(self, capsys,
+                                                           monkeypatch):
+        # 58,786^2 ordered comparisons at n = 11 against the default budget
+        def refuse(*args):
+            raise AssertionError("the oracle started a row")
+
+        monkeypatch.delenv("TAMARI_BUDGET", raising=False)
+        monkeypatch.setattr("tamari.cli.all_trees", refuse)
+        status, out, err = run_cli(capsys, "verify", "order-oracle",
+                                   "--nmax", "11")
+        assert status == EXIT_BUDGET
+        assert out == ""
+        assert "comparisons n=11" in err
+
+    @pytest.mark.parametrize("budget, status", [("195", EXIT_BUDGET),
+                                                ("196", 0)])
+    def test_order_oracle_budget_counts_tree_pairs(self, capsys, budget,
+                                                   status):
+        # C_4 = 14 trees make 196 ordered pairs
+        assert run_cli(capsys, "verify", "order-oracle", "--nmax", "4",
+                       "--budget", budget)[0] == status
+
     def test_failed_self_check_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr("tamari.equations.QUARTIC_SHA256", "0" * 64)
-        load_quartic.cache_clear()
-        quartic_equation.cache_clear()
         status, out, err = run_cli(capsys, "verify", "polynomial",
                                    "--order", "3")
         assert status == EXIT_VERIFY
@@ -492,6 +513,42 @@ class TestExitStatuses:
         assert status == EXIT_USAGE
         assert out == ""
         assert err.startswith("tamari: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [
+        ("table", "internal", "--nmax", "9"),
+        ("verify", "euler", "--nmax", "9"),
+    ], ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("missing", [True, False],
+                             ids=["no-directory", "a-directory"])
+    def test_unwritable_out_is_refused_before_the_work(
+            self, capsys, monkeypatch, tmp_path, command, missing):
+        def refuse(**kwargs):
+            raise AssertionError("the work started")
+
+        kind, name = command[:2]
+        registry = TABLES if kind == "table" else SUITES
+        monkeypatch.setitem(registry, name, (refuse, registry[name][1]))
+        target = tmp_path / "no-such-directory" / "x.json" if missing \
+            else tmp_path
+        status, out, err = run_cli(capsys, *command, "--out", str(target))
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("tamari: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, status", [
+        (("table", "refined-pq", "--nmax", "6", "--budget", "10"),
+         EXIT_BUDGET),
+        (("verify", "polynomial", "--order", "3"), EXIT_VERIFY),
+    ], ids=lambda value: value[1] if isinstance(value, tuple) else None)
+    def test_failed_run_keeps_an_existing_out_file(self, capsys, monkeypatch,
+                                                   tmp_path, argv, status):
+        # the corrupted checksum fails the polynomial suite's self-check
+        monkeypatch.setattr("tamari.equations.QUARTIC_SHA256", "0" * 64)
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"earlier contents\n")
+        assert run_cli(capsys, *argv, "--out", str(target))[:2] == (status,
+                                                                   "")
+        assert target.read_bytes() == b"earlier contents\n"
 
     def test_mmax_zero_is_a_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "table", "m-stats",

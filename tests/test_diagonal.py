@@ -46,7 +46,11 @@ from tamari.diagonal import (
     internal_fvector_direct,
     is_internal_face,
 )
-from tamari.formulas import b_formula, new_interval_formula
+from tamari.formulas import (
+    b_formula,
+    interval_count_formula,
+    new_interval_formula,
+)
 from tamari.lattice import BudgetExceeded, interval_count
 from tamari.trees import (
     asc,
@@ -152,6 +156,13 @@ class TestFvector:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             diagonal_fvector(7, budget=10000)
+
+    def test_face_budget_refuses_before_the_engine(self, no_engine):
+        # enough for the 68 intervals at n = 4, not for their 333 faces
+        faces = sum(b_formula(4, k) for k in range(4))
+        with pytest.raises(BudgetExceeded) as info:
+            next(diagonal_faces(4, interval_count_formula(4)))
+        assert info.value.required == faces
 
 
 # == the (dim f, dim g) refinement ==================================

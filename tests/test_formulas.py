@@ -11,8 +11,9 @@ Core claims:
     - the m-interval formula matches frozen grid values
     - the contracted Chu-Vandermonde identity holds on frozen
       quadruples and on a searchable grid
-    - two-term and telescoped recurrences hold; the telescoped
-      eta2 shifted by one reproduces its printed face-side form
+    - two-term and telescoped recurrences hold; the telescoped face side
+      reads the b_formula rows and fails on one wrong face count; the
+      telescoped eta2 shifted by one reproduces its printed face-side form
     - every formula divides exactly; _exact_div raises on a lie
 """
 
@@ -253,6 +254,19 @@ class TestIdentities:
         report = telescoped_recurrence_check(12)
         assert report["ok"], report["failures"]
         assert report["checked"] == 24
+
+    def test_telescoped_face_side_reads_the_face_formula(self, monkeypatch):
+        # one wrong face count must fail the face side, and only it
+        def bumped(n, k):
+            return b_formula(n, k) + ((n, k) == (5, 2))
+
+        monkeypatch.setattr("tamari.formulas.b_formula", bumped)
+        report = telescoped_recurrence_check(12)
+        assert not report["ok"]
+        assert report["checked"] == 24
+        assert {f["side"] for f in report["failures"]} == {"face"}
+        # b(5, .) enters the rows of n = 3, 4, 5
+        assert [f["n"] for f in report["failures"]] == [3, 4, 5]
 
 
 # == telescoped coefficients ========================================

@@ -27,10 +27,10 @@ from tamari.lattice import (
     interval_histogram,
     interval_stats_refined,
     intervals,
-    resolve_budget,
     rotation_down_set,
     schroeder_count,
 )
+from tamari.paths import resolve_budget
 from tamari.trees import asc, des, ell, left_comb, tamari_leq
 
 # [1, 1, 3, 13, 68, 399, 2530, 16965, 118668, 857956] -- interval counts
@@ -284,9 +284,11 @@ class TestBudgets:
             all_trees(10, budget=100)
         assert info.value.budget == 100
 
-    def test_interval_budget(self):
-        with pytest.raises(BudgetExceeded):
+    def test_interval_budget(self, no_engine):
+        # refused on the closed form, before any tree is generated
+        with pytest.raises(BudgetExceeded) as info:
             interval_count(8, budget=1000)
+        assert info.value.required == interval_count_formula(8)
 
     def test_schroeder_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -46,7 +46,6 @@ from tamari.paths import (
     m_tamari_interval_count,
     m_tamari_interval_stats,
     m_tamari_intervals,
-    resolve_budget,
     tree_to_dyck,
     valleys,
 )
@@ -228,7 +227,7 @@ class TestBallot:
     def test_interval_indices_read_every_mask_bit(self, m, n):
         # the string scan against a bit-by-bit test of each down-set mask:
         # same pairs, upper-major, lower indices ascending
-        masks = _m_engine(m, n, resolve_budget(None))[3]
+        masks = _m_engine(m, n)[3]
         expected = [(s, t) for t, mask in enumerate(masks)
                     for s in range(len(masks)) if mask >> s & 1]
         assert list(_interval_indices(masks)) == expected
@@ -239,7 +238,7 @@ class TestBallot:
     def test_engine_order_is_a_linear_extension(self, m, n):
         # the down-set masks are built in this order, so every cover of a
         # word must have a larger index
-        words = _m_engine(m, n, resolve_budget(None))[0]
+        words = _m_engine(m, n)[0]
         assert sorted(words) == sorted(m_tamari_elements(m, n))
         index = {w: i for i, w in enumerate(words)}
         for i, w in enumerate(words):
@@ -274,3 +273,9 @@ class TestBallot:
             m_tamari_elements(2, 10, budget=100)
         with pytest.raises(BudgetExceeded):
             m_tamari_interval_count(2, 6, budget=1000)
+
+    def test_interval_budget_refuses_before_any_word(self, no_engine):
+        # 1,000 < m_tamari_intervals_formula(2, 6), known before the engine
+        with pytest.raises(BudgetExceeded) as info:
+            m_tamari_interval_count(2, 6, budget=1000)
+        assert info.value.required == m_tamari_intervals_formula(2, 6)

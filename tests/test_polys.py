@@ -6,7 +6,7 @@ Core claims:
       inverse is 1 under the cap
     - truncations do not mix; substituting a weighted variable and
       inverting a non-unit are refused
-    - derivative, shift and specialize agree with the exact expansions
+    - derivative and shift agree with the exact expansions
     - integer inputs stay int through ZPolynomial, TruncatedSeries and
       Newton; Fraction appears only where a rational does
 """
@@ -94,20 +94,12 @@ class TestSubstitution:
         assert p.shift(1, c) == expected
         assert p.shift(1, c).shift(1, -c) == p
 
-    def test_specialize(self):
-        t, z, x = MonomialPolynomial.variables(NVARS)
-        p = t * z**2 + 3 * z * x - 1
-        assert p.specialize(1, 2) == 4 * t + 6 * x - 1
-        assert p.specialize(1, 0) == -1
-
     def test_substituting_a_weighted_variable_is_refused(self):
         t, z, _ = MonomialPolynomial.variables(NVARS, ((1, 0, 0), 3))
         p = t * z
         assert p.shift(1, 1) == t * z + t  # weight 0: exact
         with pytest.raises(ValueError):
             p.shift(0, 1)
-        with pytest.raises(ValueError):
-            p.specialize(0, 2)
 
 
 # == the scalar policy ==============================================
