@@ -5,7 +5,9 @@ with max_tree(f) <= min_tree(g) in the Tamari order.  Faces are generated
 through interval fibers — for every interval (s, t), contract any subset
 of descent edges of s to get f and any subset of ascent edges of t to get
 g — never by filtering all pairs of Schröder trees, which is quadratically
-infeasible past small n.
+infeasible past small n.  Each tree's contractions are built once, and a
+fiber is the product of the lower tree's descent contractions and the
+upper tree's ascent contractions.
 
 Internality is computed two independent ways that the tests compare:
 
@@ -14,10 +16,12 @@ Internality is computed two independent ways that the tests compare:
     bitmasks (trees.span_masks, computed once per tree), three popcounts
     per interval; classify_edges, on frozensets of spans, is its oracle;
     and
-  * the direct criterion: (f, g) touches the boundary iff f and g share a
-    common two-node contraction.  The direct route tests only facet-level
-    contractions: a face lies in a proper face of the associahedron iff it
-    lies in a facet, and facets are exactly the two-node Schröder trees.
+  * the direct criterion: (f, g) touches the boundary iff f and g lie in
+    a common facet.  A face lies in a proper face of the associahedron iff
+    it lies in a facet; a facet is a Schröder tree with two internal
+    nodes, named by the leaf span of its inner node, and the facets
+    containing f are named by the spans of f's internal edges.  So f and
+    g share a facet iff they share an internal edge span.
 """
 from __future__ import annotations
 
@@ -26,18 +30,18 @@ from math import comb
 from typing import Iterator
 
 from .formulas import b_formula
-from .lattice import _interval_walk, interval_histogram, intervals
+from .lattice import _interval_walk, interval_histogram
 from .paths import StatTable, cover_table, within_budget
 from .trees import (
     SchroederTree,
     ascent_spans,
     contract_spans,
     descent_spans,
+    internal_edge_spans,
     max_tree,
     min_tree,
     serialize,
     span_masks,
-    two_node_contractions,
 )
 
 
@@ -71,6 +75,23 @@ class EdgeClassification:
 # face generation through interval fibers
 # ===================================================================
 
+def _contractions(t: SchroederTree, spans) -> list:
+    """[(contraction of t, its dimension)] per subset of the sorted spans,
+    subsets in bit order."""
+    spans = sorted(spans)
+    out = []
+    for mask in range(1 << len(spans)):
+        chosen = [span for b, span in enumerate(spans) if mask >> b & 1]
+        out.append((contract_spans(t, chosen), len(chosen)))
+    return out
+
+
+def _fiber_sides(t: SchroederTree) -> tuple:
+    """(contractions of descent edges, contractions of ascent edges)."""
+    return (_contractions(t, descent_spans(t)),
+            _contractions(t, ascent_spans(t)))
+
+
 def diagonal_faces(n: int, budget=None) -> Iterator[DiagonalFace]:
     """Every face of the diagonal exactly once.
 
@@ -81,19 +102,11 @@ def diagonal_faces(n: int, budget=None) -> Iterator[DiagonalFace]:
         raise ValueError("diagonal_faces() requires n >= 1")
     within_budget(f"diagonal_faces({n})",
                   sum(b_formula(n, k) for k in range(n)), budget)
-    for s, t, des_s, asc_t in intervals(n, budget):
-        down_spans = sorted(descent_spans(s))
-        up_spans = sorted(ascent_spans(t))
-        for d_mask in range(1 << des_s):
-            chosen_d = frozenset(span for b, span in enumerate(down_spans)
-                                 if d_mask >> b & 1)
-            f = contract_spans(s, chosen_d) if chosen_d else s
-            f_dim = len(chosen_d)
-            for a_mask in range(1 << asc_t):
-                chosen_a = frozenset(span for b, span in enumerate(up_spans)
-                                     if a_mask >> b & 1)
-                g = contract_spans(t, chosen_a) if chosen_a else t
-                yield DiagonalFace(f, g, f_dim + len(chosen_a))
+    for (lower, _), (_, upper), _, _ in _interval_walk(n, budget,
+                                                       _fiber_sides):
+        for f, f_dim in lower:
+            for g, g_dim in upper:
+                yield DiagonalFace(f, g, f_dim + g_dim)
 
 
 def diagonal_fvector(n: int, budget=None) -> list:
@@ -187,8 +200,9 @@ def internal_fvector(n: int, budget=None) -> list:
 
 
 def is_internal_face(f: SchroederTree, g: SchroederTree) -> bool:
-    """Direct criterion: no common two-node contraction."""
-    return two_node_contractions(f).isdisjoint(two_node_contractions(g))
+    """Direct criterion for two trees on the same leaves: no common facet,
+    that is, no common internal edge span."""
+    return internal_edge_spans(f).isdisjoint(internal_edge_spans(g))
 
 
 def internal_fvector_direct(n: int, budget=None) -> list:
@@ -257,17 +271,3 @@ def decomposition_report(n: int, mode: str, budget=None) -> dict:
         "non_boolean_fibers": non_boolean,
     }
 
-
-def face_records(n: int, budget=None) -> Iterator[dict]:
-    """JSON-ready face records with per-mode vertex assignments."""
-    for face in diagonal_faces(n, budget):
-        record = {
-            "f": serialize(face.f),
-            "g": serialize(face.g),
-            "dim": face.dim,
-            "internal": is_internal_face(face.f, face.g),
-        }
-        for mode in DECOMPOSITION_MODES:
-            record[mode.replace("-", "_")] = [
-                serialize(v) for v in _assign_vertices(face, mode)]
-        yield record

@@ -130,23 +130,15 @@ def interval_histogram(n: int, budget=None) -> list:
     return [table.value(k) for k in range(n)]
 
 
-def interval_stats_refined(n: int, budget=None) -> tuple:
-    """Two refinements of the interval count.
-
-    Returns (by_ell, by_des_asc):
-      * by_ell: StatTable over (ell(s), des(s) + asc(t)),
-      * by_des_asc: StatTable over (des(s), asc(t)).
-    Both are sums over one tally by ((ell(s), des(s)), asc(t)).
-    """
+def interval_stats_refined(n: int, budget=None) -> StatTable:
+    """Intervals counted by (ell(s), des(s) + asc(t)), summed from one
+    tally by ((ell(s), des(s)), asc(t)).  The (des(s), asc(t)) table is
+    paths.cover_table(1, n)."""
     by_ell: dict = {}
-    by_pq: dict = {}
     cells = _tally(1, n, budget,
                    lambda word, des, asc: (_slope_one_ell(word), des),
                    lambda word, des, asc: asc)
     for ((ell_s, des_s), asc_t), count in cells.items():
         key = (ell_s, des_s + asc_t)
         by_ell[key] = by_ell.get(key, 0) + count
-        key = (des_s, asc_t)
-        by_pq[key] = by_pq.get(key, 0) + count
-    return (StatTable(n, ("ell_lower", "cover_statistic"), by_ell),
-            StatTable(n, ("des_lower", "asc_upper"), by_pq))
+    return StatTable(n, ("ell_lower", "cover_statistic"), by_ell)

@@ -27,11 +27,12 @@ Claims implemented here (each one is exercised by the test suite):
 * Contracting internal edges of a Schröder tree merges a child's children
   into its parent's child list; the faces strictly containing f correspond
   to its nonempty edge contractions, and the facet-level ones (exactly two
-  internal nodes) are in bijection with the internal edges of f.
+  internal nodes) are in bijection with the internal edges of f: each is
+  named by the leaf span of its inner node, the span of the kept edge.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 BinaryTree = Optional[tuple]
 SchroederTree = Optional[tuple]
@@ -499,28 +500,6 @@ def internal_edge_spans(f: SchroederTree) -> frozenset:
 
     walk(f, 0, True)
     return frozenset(spans)
-
-
-def two_node_contraction(span: tuple, nleaves: int) -> SchroederTree:
-    """The Schröder tree with two internal nodes whose inner node covers span."""
-    a, b = span
-    if not (0 <= a <= b < nleaves) or (a, b) == (0, nleaves - 1) or a == b:
-        raise ValueError(f"invalid inner-node span {span} on {nleaves} leaves")
-    inner = tuple([None] * (b - a + 1))
-    return tuple([None] * a + [inner] + [None] * (nleaves - 1 - b))
-
-
-def two_node_contractions(f: SchroederTree) -> frozenset:
-    """All contractions of f with exactly two internal nodes.
-
-    One per internal edge (contract every other internal edge); the
-    corolla and the single-node tree yield the empty set.  Two Schröder
-    trees lie in a common proper face of the associahedron exactly when
-    these sets intersect.
-    """
-    nleaves = leaf_count(f)
-    return frozenset(two_node_contraction(span, nleaves)
-                     for span in internal_edge_spans(f))
 
 
 # ===================================================================

@@ -17,7 +17,8 @@ Core claims:
       minimum, an --out path that cannot be written, refused before the
       work), 3 budget exceeded (order-oracle on its tree pairs, before
       the first row), 4 verification or self-check failure; exits 3 and
-      4 leave an existing --out file as it was
+      4 leave an existing --out file as it was; every table and suite
+      exits 0 with each declared option at its minimum
     - output is deterministic: repeated runs are byte-identical, and
       --out writes exactly what stdout would have carried
 """
@@ -35,6 +36,7 @@ from tamari.cli import (
     TABLES,
     main,
 )
+from tamari.diagonal import decomposition_report
 from tamari.series import TruncatedSeries, newton_solve
 from tamari.trees import canopy, right_comb, serialize
 
@@ -307,17 +309,22 @@ class TestVerify:
             "fusy-humbert", "decompositions", "internal-cross",
         }
 
-    def test_failing_suite_exits_four(self, capsys):
-        # at n=1 every min-max fiber is boolean, so the witness check
+    def test_failing_suite_exits_four(self, capsys, monkeypatch):
+        # with every min-max fiber reported boolean, the witness check
         # that a non-boolean fiber exists must come up red
+        def all_boolean(n, mode, budget):
+            report = decomposition_report(n, mode, budget)
+            return dict(report, all_boolean=True, non_boolean_fibers=[])
+
+        monkeypatch.setattr("tamari.cli.decomposition_report", all_boolean)
         status, out, _ = run_cli(capsys, "verify", "decompositions",
-                                 "--mode", "min-max", "--nmax", "1")
+                                 "--mode", "min-max", "--nmax", "2")
         assert status == EXIT_VERIFY
         report = json.loads(out)
         assert report["ok"] is False
         failed = [entry["name"] for entry in report["checks"]
                   if not entry["ok"]]
-        assert failed == ["non-boolean-fiber-exists mode=min-max n<=1"]
+        assert failed == ["non-boolean-fiber-exists mode=min-max n<=2"]
 
     def test_seeded_suite_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "chu-vandermonde")
@@ -549,6 +556,18 @@ class TestExitStatuses:
         assert run_cli(capsys, *argv, "--out", str(target))[:2] == (status,
                                                                    "")
         assert target.read_bytes() == b"earlier contents\n"
+
+    @pytest.mark.parametrize(
+        "command", [("table", name) for name in TABLES]
+        + [("verify", name) for name in SUITES], ids="-".join)
+    def test_every_option_at_its_minimum_exits_zero(self, capsys, command):
+        # the smallest declared value is meaningful: it passes, not fails
+        kind, name = command
+        reads = (TABLES if kind == "table" else SUITES)[name][1]
+        argv = [f"--{option}={minimum}"
+                for option, (_, minimum) in reads.items()
+                if minimum is not None]
+        assert run_cli(capsys, *command, *argv)[0] == 0
 
     def test_mmax_zero_is_a_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "table", "m-stats",

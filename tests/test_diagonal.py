@@ -12,18 +12,20 @@ Core claims:
       of the upper tree on intervals, and classify_edges rejects pairs
       violating that; the span-bitmask route internal_fvector reads gives
       the same classification and rejects the same pairs
-    - internal faces by the classification formula agree with the
-      two-node-contraction filter and frozen rows; the internal Euler
+    - internal faces by the classification formula agree with the direct
+      shared-facet filter (n <= 6, n = 7 extended) and frozen rows; the
+      direct filter, by internal edge spans, equals the test for a shared
+      two-node contraction; face generation builds each tree's
+      contractions once; the internal Euler
       characteristic alternates; internal vertices are the new intervals;
       at n = 9, 10 (extended) the vertex count, the Euler characteristic
       and the top entry still hold
     - vertex-assignment decompositions: min-min, max-min, max-max have
       boolean fibers; max-min fibers are the interval fibers themselves;
-      min-max fails booleanness first at n = 3 with a known witness
+      min-max fails booleanness first at n = 2 with a known witness
 """
 
 from functools import lru_cache
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,6 @@ from tamari.diagonal import (
     diagonal_fvector,
     diagonal_fvector_by_dims,
     diagonal_fvector_direct,
-    face_records,
     internal_fvector,
     internal_fvector_direct,
     is_internal_face,
@@ -51,14 +52,15 @@ from tamari.formulas import (
     interval_count_formula,
     new_interval_formula,
 )
-from tamari.lattice import BudgetExceeded, interval_count
+from tamari.lattice import BudgetExceeded, interval_count, schroeder_count
 from tamari.trees import (
     asc,
+    contract_spans,
     des,
+    internal_edge_spans,
     max_tree,
     min_tree,
     parse_tree,
-    serialize,
     span_masks,
     tamari_leq,
 )
@@ -129,6 +131,20 @@ class TestFaces:
         vertices = {(face.f, face.g) for face in diagonal_faces(n)
                     if face.dim == 0}
         assert vertices == set(interval_pairs(n))
+
+    def test_each_tree_is_contracted_once_per_subset(self, monkeypatch):
+        # a binary tree on 6 leaves has one contraction per subset of its
+        # descent edges and one per subset of its ascent edges; summed
+        # over the trees, each side counts the Schröder trees once
+        calls = []
+
+        def counting(f, spans):
+            calls.append(1)
+            return contract_spans(f, spans)
+
+        monkeypatch.setattr("tamari.diagonal.contract_spans", counting)
+        assert sum(1 for _ in diagonal_faces(5)) == sum(B_ROWS[5])
+        assert len(calls) <= 2 * schroeder_count(6)
 
 
 # == f-vectors ======================================================
@@ -265,9 +281,10 @@ class TestInternal:
     def test_frozen(self, n):
         assert internal_fvector(n) == INTERNAL_ROWS[n]
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize(
+        "n", [*range(1, 7), pytest.param(7, marks=pytest.mark.extended)])
     def test_formula_equals_direct(self, n):
-        # dual route: classification formula vs contraction filter
+        # dual route: classification formula vs shared-facet filter
         assert internal_fvector(n) == internal_fvector_direct(n)
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -303,6 +320,19 @@ class TestInternal:
         assert is_internal_face(corolla3, rc)
         assert not is_internal_face(lc, lc)   # shares a facet with itself
         assert not is_internal_face(rc, rc)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_criterion_is_the_shared_facet_test(self, n):
+        # the definition the span test stands for: f and g share no
+        # facet, a tree's facets being its contractions of every
+        # internal edge but one
+        def facets(f):
+            spans = internal_edge_spans(f)
+            return {contract_spans(f, spans - {keep}) for keep in spans}
+
+        for face in diagonal_faces(n):
+            assert is_internal_face(face.f, face.g) == \
+                facets(face.f).isdisjoint(facets(face.g))
 
 
 # == vertex-assignment decompositions ===============================
@@ -364,22 +394,3 @@ class TestDecompositions:
         with pytest.raises(ValueError):
             decomposition_report(3, "best-best")
 
-
-# == face records ===================================================
-
-class TestFaceRecords:
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_records_consistent(self, n):
-        count = 0
-        for record in face_records(n):
-            count += 1
-            f = parse_tree(record["f"])
-            g = parse_tree(record["g"])
-            assert record["internal"] == is_internal_face(f, g)
-            assert record["max_min"] == [serialize(max_tree(f)),
-                                         serialize(min_tree(g))]
-            assert record["min_max"] == [serialize(min_tree(f)),
-                                         serialize(max_tree(g))]
-            assert set(record) == {"f", "g", "dim", "internal", "min_min",
-                                   "max_min", "min_max", "max_max"}
-        assert count == sum(diagonal_fvector(n))

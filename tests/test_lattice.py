@@ -7,9 +7,9 @@ Core claims:
     - interval counts match 2(4n+1)!/((n+1)!(3n+2)!)
     - the cover-statistic histogram matches both the closed product
       formula and rows frozen from independent tabulation
-    - refined tables: by (ell(s), des(s)+asc(t)) and by (des(s), asc(t)),
-      frozen blocks, marginals, symmetry of the (p, q) table, and the
-      Narayana top row
+    - refined tables: by (ell(s), des(s)+asc(t)) (interval_stats_refined)
+      and by (des(s), asc(t)) (paths.cover_table), frozen blocks,
+      marginals, symmetry of the (p, q) table, and the Narayana top row
     - StatTable accessors behave (total, value, axis_range, marginal)
     - enumeration and engine construction respect budgets
 """
@@ -30,7 +30,7 @@ from tamari.lattice import (
     rotation_down_set,
     schroeder_count,
 )
-from tamari.paths import resolve_budget
+from tamari.paths import cover_table, resolve_budget
 from tamari.trees import asc, des, ell, left_comb, tamari_leq
 
 # [1, 1, 3, 13, 68, 399, 2530, 16965, 118668, 857956] -- interval counts
@@ -173,14 +173,14 @@ class TestCounts:
 class TestRefined:
     @pytest.mark.parametrize("n", sorted(REFINED_ELL_ROWS))
     def test_by_ell_frozen(self, n):
-        by_ell, _ = interval_stats_refined(n)
+        by_ell = interval_stats_refined(n)
         assert by_ell.axes == ("ell_lower", "cover_statistic")
         for i, row in REFINED_ELL_ROWS[n].items():
             assert [by_ell.value(i, k) for k in range(n)] == row
 
     @pytest.mark.parametrize("n", sorted(REFINED_PQ_ROWS))
     def test_by_pq_frozen(self, n):
-        _, by_pq = interval_stats_refined(n)
+        by_pq = cover_table(1, n)
         assert by_pq.axes == ("des_lower", "asc_upper")
         for p, row in REFINED_PQ_ROWS[n].items():
             assert [by_pq.value(p, q) for q in range(len(row))] == row
@@ -198,19 +198,21 @@ class TestRefined:
             k2 = (des(s), asc(t))
             ell_cells[k1] = ell_cells.get(k1, 0) + 1
             pq_cells[k2] = pq_cells.get(k2, 0) + 1
-        by_ell, by_pq = interval_stats_refined(n)
+        by_ell = interval_stats_refined(n)
+        by_pq = cover_table(1, n)
         assert dict(by_ell.cells) == ell_cells
         assert dict(by_pq.cells) == pq_cells
 
     @pytest.mark.parametrize("n", sorted(ELL_MARGINALS))
     def test_ell_marginal_frozen(self, n):
-        by_ell, _ = interval_stats_refined(n)
+        by_ell = interval_stats_refined(n)
         marg = by_ell.marginal(0)
         assert [marg[i] for i in range(n)] == ELL_MARGINALS[n]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_marginals_recover_histogram(self, n):
-        by_ell, by_pq = interval_stats_refined(n)
+        by_ell = interval_stats_refined(n)
+        by_pq = cover_table(1, n)
         hist = interval_histogram(n)
         marg = by_ell.marginal(1)
         assert [marg.get(k, 0) for k in range(n)] == hist
@@ -221,7 +223,7 @@ class TestRefined:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_pq_table_symmetric(self, n):
-        _, by_pq = interval_stats_refined(n)
+        by_pq = cover_table(1, n)
         for (p, q), c in by_pq.cells.items():
             assert by_pq.value(q, p) == c
 
@@ -229,7 +231,7 @@ class TestRefined:
     def test_narayana_top_row(self, n):
         # ell(s) = n-1 forces s to be the left comb, so the row counts
         # upper trees by asc(t): the Narayana numbers
-        by_ell, _ = interval_stats_refined(n)
+        by_ell = interval_stats_refined(n)
         row = [by_ell.value(n - 1, k) for k in range(n)]
         from math import comb
         narayana = [comb(n, k) * comb(n, k + 1) // n for k in range(n)]
@@ -237,7 +239,7 @@ class TestRefined:
 
     def test_left_comb_row_explicitly(self):
         n = 5
-        by_ell, _ = interval_stats_refined(n)
+        by_ell = interval_stats_refined(n)
         lc = left_comb(n)
         above = [t for s, t in interval_pairs(n) if s == lc]
         assert len(above) == catalan(n)
@@ -264,7 +266,8 @@ class TestStatTable:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_totals_are_interval_counts(self, n):
-        by_ell, by_pq = interval_stats_refined(n)
+        by_ell = interval_stats_refined(n)
+        by_pq = cover_table(1, n)
         assert by_ell.total == by_pq.total == interval_count(n)
 
 

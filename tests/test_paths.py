@@ -8,8 +8,8 @@ Core claims:
       slope 1 (swap an EN's E past the shortest following balanced run)
     - m_tamari_elements counts are the Fuss-Catalan numbers
     - the slope-1 ballot lattice is the Tamari lattice: same interval
-      counts and same cover-statistic histogram; cover_table's
-      (des, asc) table is the refined tally's
+      counts and same cover-statistic histogram; cover_table counts the
+      intervals by the trees' (des(s), asc(t))
     - the engine's element order is a linear extension: every cover of
       a word comes after it
     - m-interval counts match the closed formula; the cover-statistic
@@ -32,7 +32,7 @@ from tamari.formulas import (
 from tamari.lattice import (
     BudgetExceeded,
     interval_histogram,
-    interval_stats_refined,
+    intervals,
 )
 from tamari.paths import (
     _interval_indices,
@@ -172,7 +172,14 @@ class TestSlopeOne:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_cover_table_is_the_refined_des_asc_table(self, n):
-        assert cover_table(1, n) == interval_stats_refined(n)[1]
+        # the word-level cover counts are des(s) and asc(t) of the trees
+        cells: dict = {}
+        for s, t, _, _ in intervals(n):
+            key = (des(s), asc(t))
+            cells[key] = cells.get(key, 0) + 1
+        table = cover_table(1, n)
+        assert table.axes == ("des_lower", "asc_upper")
+        assert dict(table.cells) == cells
 
 
 # == general slope ==================================================

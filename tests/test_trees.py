@@ -13,8 +13,8 @@ Core claims:
     - ell counts left-branch edges; left_branch_pieces/graft round-trip;
       interval decomposition splits into ell(t)+1 component intervals
     - leaf spans: descent/ascent span counts equal des/asc; contraction
-      by spans is dimension-additive; two-node contractions detect
-      common facets
+      by spans is dimension-additive; contracting every internal edge
+      but one leaves the two-node tree named by the kept edge's span
     - min_tree/max_tree bound every face; serialize/parse round-trips
 """
 
@@ -66,8 +66,6 @@ from tamari.trees import (
     rotations_up,
     serialize,
     tamari_leq,
-    two_node_contraction,
-    two_node_contractions,
 )
 
 
@@ -325,25 +323,31 @@ class TestSpans:
                 assert leaf_count(f) == n + 1
 
     def test_two_node_contraction_shape(self):
-        f = two_node_contraction((1, 2), 4)
+        # keep the edge over leaves 1..2 of (·, ((·, ·), ·)), contract the
+        # edge over leaves 1..3
+        f = contract_spans(parse_tree("(,((,),))"), {(1, 3)})
+        assert f == parse_tree("(,(,),)")
         assert leaf_count(f) == 4
         assert internal_node_count(f) == 2
         assert internal_edge_spans(f) == frozenset({(1, 2)})
 
     def test_corolla_has_no_internal_edges(self):
         assert internal_edge_spans(corolla(5)) == frozenset()
-        assert two_node_contractions(corolla(5)) == frozenset()
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_two_node_contractions_via_contract_spans(self, n):
-        # dual route: contracting all internal edges but one must land on
-        # the two-node tree named by the surviving span
+        # contracting all internal edges but one lands on a tree with two
+        # internal nodes whose one internal edge span is the kept one
         for t in tree_pool(n):
             spans = descent_spans(t) | ascent_spans(t)
             assert internal_edge_spans(t) == spans
-            expected = {contract_spans(t, spans - {keep}) for keep in spans}
-            assert two_node_contractions(t) == expected
-            assert len(expected) == n - 1  # binary: all spans distinct
+            facets = set()
+            for keep in spans:
+                f = contract_spans(t, spans - {keep})
+                assert internal_node_count(f) == 2
+                assert internal_edge_spans(f) == {keep}
+                facets.add(f)
+            assert len(facets) == n - 1  # binary: all spans distinct
 
 
 # == face bounds ====================================================
