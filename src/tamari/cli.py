@@ -125,7 +125,8 @@ def _table_a(nmax: int) -> tuple:
 
 def _table_b(nmax: int) -> tuple:
     header = ["n"] + [f"k={k}" for k in range(nmax)]
-    rows = [[n] + [b_formula(n, k) if k < n else None for k in range(nmax)]
+    rows = [_staircase([n], {k: b_formula(n, k) for k in range(n)},
+                       n - 1, nmax)
             for n in range(1, nmax + 1)]
     return header, rows
 

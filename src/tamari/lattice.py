@@ -4,11 +4,12 @@ The Tamari lattice is the slope-1 ballot lattice of tamari.paths, whose
 engine holds the interval down-set masks; this module reads it in terms
 of trees.  A tree's ballot word is its Dyck word, des counts its lower
 covers, asc its upper covers, and ell the interior contacts of the word.
-Only the interval walk behind intervals() rebuilds trees, once per
-element and for the length of the walk; it can hand each tree to a
-per-element statistic and yield that instead of the tree.  The
-rotation-BFS route (rotation_down_set) is independent of the engine and
-is the ground truth it is tested against.  Budgets: see tamari.paths.
+Only the interval walk behind intervals(), the mask scan of tamari.paths
+read in trees, rebuilds trees, once per element and for the length of
+the walk; it can hand each tree to a per-element statistic and yield
+that instead of the tree.  The rotation-search route (rotation_down_set)
+is independent of the engine and is the ground truth that it and
+trees.tamari_leq are tested against.  Budgets: see tamari.paths.
 """
 from __future__ import annotations
 
@@ -19,10 +20,9 @@ from .paths import (
     BudgetExceeded,
     StatTable,
     _TO_DYCK,
-    _interval_indices,
-    _m_engine,
     _slope_one_ell,
     _tally,
+    _walk,
     dyck_to_tree,
     m_tamari_interval_count,
     m_tamari_interval_stats,
@@ -86,7 +86,7 @@ def all_schroeder_trees(nleaves: int, budget=None) -> list:
 
 
 def rotation_down_set(t: BinaryTree) -> frozenset:
-    """All trees below t, by BFS over left rotations (oracle route)."""
+    """All trees below t, by a search over left rotations (oracle route)."""
     seen = {t}
     stack = [t]
     while stack:
@@ -108,11 +108,8 @@ def _interval_walk(n: int, budget, element) -> Iterator[tuple]:
     element is called once per tree, not once per interval, so a per-tree
     statistic (a bitmask, say) is paid for C_n times.
     """
-    words, up_degree, down_degree, down_masks = _m_engine(1, n, budget)
-    values = [element(dyck_to_tree(word.translate(_TO_DYCK)))
-              for word in words]
-    for si, ti in _interval_indices(down_masks):
-        yield values[si], values[ti], down_degree[si], up_degree[ti]
+    return _walk(1, n, budget, lambda word: element(
+        dyck_to_tree(word.translate(_TO_DYCK))))
 
 
 def intervals(n: int, budget=None) -> Iterator[tuple]:

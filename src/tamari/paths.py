@@ -18,7 +18,8 @@ with the union of down(c) over the words c covered by t.  The extension
 is the reversed generation order.  Every statistics table is a popcount
 tally over the masks; cover_table counts intervals by the lower covers of
 the lower word and the upper covers of the upper one, (des(s), asc(t))
-at slope 1.
+at slope 1.  Every walk over the intervals themselves, the tree walk of
+tamari.lattice included, is the one mask scan _walk.
 
 One budget rule covers every exhaustive operation: within_budget compares
 the exact size of an enumeration (elements, trees, intervals, faces, tree
@@ -272,17 +273,22 @@ def _m_engine(m: int, n: int, budget=None):
     return tuple(words), tuple(up_degree), down_degree, tuple(down_masks)
 
 
-def _interval_indices(down_masks) -> Iterator[tuple]:
-    """(lower, upper) element indices of every interval, upper-major.
+def _walk(m: int, n: int, budget, element) -> Iterator[tuple]:
+    """Every interval once, upper-major, lower indices ascending, as
+    (element(s), element(t), lower covers of s, upper covers of t).
 
-    A mask is scanned as its reversed binary string, so reading a set bit
-    does not rebuild a C_n-bit integer.
+    element is called once per word, not once per interval.  A mask is
+    scanned as its reversed binary string, so reading a set bit does not
+    rebuild a C_n-bit integer.
     """
+    words, up_degree, down_degree, down_masks = _m_engine(m, n, budget)
+    values = [element(word) for word in words]
     for ti, mask in enumerate(down_masks):
+        upper, up = values[ti], up_degree[ti]
         bits = bin(mask)[:1:-1]
         si = bits.find("1")
         while si >= 0:
-            yield si, ti
+            yield values[si], upper, down_degree[si], up
             si = bits.find("1", si + 1)
 
 
@@ -322,9 +328,8 @@ def m_tamari_interval_count(m: int, n: int, budget=None) -> int:
 
 def m_tamari_intervals(m: int, n: int, budget=None) -> Iterator[tuple]:
     """Every interval once, as (lower, upper) ballot words."""
-    words, _, _, down_masks = _m_engine(m, n, budget)
-    for si, ti in _interval_indices(down_masks):
-        yield words[si], words[ti]
+    for lower, upper, _, _ in _walk(m, n, budget, lambda word: word):
+        yield lower, upper
 
 
 def cover_table(m: int, n: int, budget=None) -> StatTable:

@@ -185,7 +185,7 @@ Truncation = Optional[tuple]   # None or (weights tuple, cap)
 
 
 class MonomialPolynomial:
-    """Sparse integer polynomial in a fixed number of variables.
+    """Sparse exact polynomial in a fixed number of variables.
 
     Backed by a dict {exponent tuple: coefficient}.  With a truncation
     (weights, cap) only terms of weighted degree sum_i w_i e_i <= cap are
@@ -209,7 +209,7 @@ class MonomialPolynomial:
             if len(expo) != nvars:
                 raise ValueError("exponent arity mismatch")
             if coeff and self._degree(expo) <= self._cap():
-                clean[tuple(expo)] = coeff
+                clean[tuple(expo)] = _scalar(coeff)
         self.terms = clean
 
     @classmethod

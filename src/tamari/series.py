@@ -11,8 +11,8 @@ substitute evaluates it at a series X.  On top of that:
 
   * newton_solve finds the unique root with zero constant term of a regular
     equation, with a built-in residual self-check;
-  * lagrange_solve iterates S = t·phi(S, z) and lagrange_coeff evaluates
-    [t^n z^k] S^r = (r/n) [s^(n-r) z^k] phi(s, z)^n;
+  * lagrange_coeff evaluates [t^n z^k] S^r = (r/n) [s^(n-r) z^k] phi(s, z)^n
+    for S = t·phi(S, z), the root newton_solve finds of X - t·phi(X, z);
   * verify_parametrization clears the denominator of the rational curve
     t = s/((s+1)(sz+1)^3), X = s - zs^2 - zs^3 in the quartic;
   * catalytic_equation_check rebuilds the contact-graded interval series
@@ -264,27 +264,9 @@ def newton_solve(eq: MonomialPolynomial, order: int) -> TruncatedSeries:
     return x
 
 
-def lagrange_solve(phi: MonomialPolynomial, order: int) -> TruncatedSeries:
-    """The unique series S(t, z) with S = t·phi(S, z), via fixed point.
-
-    phi is a MonomialPolynomial in (s, z); phi(0, z) must be nonzero.
-    """
-    if not any(i == 0 for (i, j) in phi.terms):
-        raise ValueError("phi(0, z) must be nonzero")
-    # phi(X, z) as a polynomial in (t, z, X) with no t
-    phi_x = MonomialPolynomial(
-        3, {(0, j, i): c for (i, j), c in phi.terms.items()})
-    s = TruncatedSeries.zero(order)
-    for _ in range(order):
-        s = substitute(phi_x, s).mul_t()
-    if s != substitute(phi_x, s).mul_t():
-        raise ArithmeticError("lagrange_solve fixed point did not stabilize")
-    return s
-
-
 def lagrange_coeff(phi: MonomialPolynomial, n: int, k: int, r: int
                    ) -> Fraction:
-    """[t^n z^k] S^r = (r/n)·[s^(n-r) z^k] phi(s, z)^n, phi as above."""
+    """[t^n z^k] S^r = (r/n)·[s^(n-r) z^k] phi^n for S = t·phi(S, z)."""
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
     power = MonomialPolynomial(2, phi.terms, ((1, 0), n - r)) ** n
@@ -462,11 +444,13 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     if f_algebraic != f_enumerated:
         return False
 
-    # one-variable specialization S = t(z+S)(1+S)^3
+    # one-variable specialization S = t(z+S)(1+S)^3, root of X - t·phi(X, z)
     order = total_degree + 1
     s, z = MonomialPolynomial.variables(2)
     phi = (z + s) * (1 + s) ** 3
-    s_series = lagrange_solve(phi, order)
+    terms = {(1, j, i): -c for (i, j), c in phi.terms.items()}
+    terms[(0, 0, 1)] = 1
+    s_series = newton_solve(MonomialPolynomial(3, terms), order)
     root = newton_solve(quartic_equation(), order)
     one_plus_s = TruncatedSeries.one(order) + s_series
     two_z = ZPolynomial.monomial(1, 2)
@@ -491,7 +475,7 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
                                                   total_degree + 1)
     if not (from_canopy - root.truncate(total_degree + 1)).is_zero:
         return False
-    # [t^n z^k] S^r = (r/n) C(n,k) C(3n, k-r), iterated vs closed form
+    # [t^n z^k] S^r = (r/n) C(n,k) C(3n, k-r), series vs closed form
     for r in (1, 2):
         power = s_series if r == 1 else s_squared
         for n in range(1, min(8, order) + 1):

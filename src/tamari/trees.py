@@ -13,7 +13,8 @@ Claims implemented here (each one is exercised by the test suite):
 * tamari_leq is the Tamari order: the reflexive-transitive closure of the
   right-rotation relation.  It is computed via bracket vectors (node i
   maps to i + size of its right subtree, inorder labels) and agrees with
-  breadth-first reachability in the rotation digraph.
+  reachability in the rotation digraph, searched down from t by
+  tamari.lattice.rotation_down_set.
 * The canopy of a tree with n nodes is the word in {-,+}^(n-1) whose jth
   letter is '-' exactly when the jth node (inorder) has an empty right
   subtree.  It has asc(t) minus signs and des(t) plus signs, and is
@@ -218,29 +219,6 @@ def tamari_leq(s: BinaryTree, t: BinaryTree) -> bool:
         raise ValueError(
             f"tree sizes differ: {len(vs)} vs {len(vt)} nodes")
     return all(a <= b for a, b in zip(vs, vt))
-
-
-def rotation_reachable(s: BinaryTree, t: BinaryTree) -> bool:
-    """Authoritative order test: BFS over right rotations from s up to t.
-
-    Exponentially slower than tamari_leq; kept as the ground-truth oracle
-    that pins the bracket-vector criterion.
-    """
-    if node_count(s) != node_count(t):
-        raise ValueError("tree sizes differ")
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        if t in seen:
-            return True
-        nxt = []
-        for x in frontier:
-            for y in rotations_up(x):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return t in seen
 
 
 # ===================================================================

@@ -14,8 +14,9 @@ Core claims:
       a word comes after it
     - m-interval counts match the closed formula; the cover-statistic
       tables match rows frozen from independent tabulation
-    - the interval scan reads every set bit of every down-set mask, in
-      upper-major, ascending order
+    - the interval walk reads every set bit of every down-set mask, in
+      upper-major, ascending order, with the engine's cover counts; at
+      slope 1 it yields the intervals of lattice.intervals in its order
     - malformed words and blown budgets raise
 """
 
@@ -35,8 +36,8 @@ from tamari.lattice import (
     intervals,
 )
 from tamari.paths import (
-    _interval_indices,
     _m_engine,
+    _walk,
     contacts,
     cover_table,
     double_falls,
@@ -232,12 +233,31 @@ class TestBallot:
     @pytest.mark.parametrize("m,n", [(1, n) for n in range(1, 7)]
                              + [(2, n) for n in range(1, 5)])
     def test_interval_indices_read_every_mask_bit(self, m, n):
-        # the string scan against a bit-by-bit test of each down-set mask:
-        # same pairs, upper-major, lower indices ascending
-        masks = _m_engine(m, n)[3]
-        expected = [(s, t) for t, mask in enumerate(masks)
+        # the walk's string scan against a bit-by-bit test of each
+        # down-set mask: same pairs, upper-major, lower indices ascending,
+        # with the engine's cover counts; element runs once per word
+        words, up_degree, down_degree, masks = _m_engine(m, n)
+        index = {w: i for i, w in enumerate(words)}
+        calls = []
+
+        def element(word):
+            calls.append(word)
+            return index[word]
+
+        expected = [(s, t, down_degree[s], up_degree[t])
+                    for t, mask in enumerate(masks)
                     for s in range(len(masks)) if mask >> s & 1]
-        assert list(_interval_indices(masks)) == expected
+        assert list(_walk(m, n, None, element)) == expected
+        assert sorted(calls) == sorted(words)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_slope_one_intervals_in_tree_walk_order(self, n):
+        # same sequence, not only the same set, as lattice.intervals
+        to_dyck = str.maketrans("NE", "UD")
+        as_trees = [(dyck_to_tree(s.translate(to_dyck)),
+                     dyck_to_tree(t.translate(to_dyck)))
+                    for s, t in m_tamari_intervals(1, n)]
+        assert as_trees == [(s, t) for s, t, _, _ in intervals(n)]
 
     @pytest.mark.parametrize("m,n", [(1, n) for n in range(1, 7)]
                              + [(2, n) for n in range(1, 5)]

@@ -8,7 +8,8 @@ Core claims:
       inverting a non-unit are refused
     - derivative and shift agree with the exact expansions
     - integer inputs stay int through ZPolynomial, TruncatedSeries and
-      Newton; Fraction appears only where a rational does
+      Newton; Fraction appears only where a rational does; any other
+      coefficient given to either representation becomes a Fraction
 """
 
 from fractions import Fraction
@@ -127,6 +128,17 @@ class TestScalarPolicy:
         half = ZPolynomial((0.5, Fraction(1, 3)))
         assert half.coeffs == (Fraction(1, 2), Fraction(1, 3))
         assert all(type(c) is Fraction for c in half.coeffs)
+
+    def test_monomial_coefficients_follow_the_policy(self):
+        p = MonomialPolynomial(2, {(0, 0): 0.5, (1, 0): 1})
+        assert p.terms == {(0, 0): Fraction(1, 2), (1, 0): 1}
+        assert type(p.terms[(0, 0)]) is Fraction
+        assert type(p.terms[(1, 0)]) is int
+        # squared exactly, not in floats
+        square = p * p
+        assert square.terms == {(0, 0): Fraction(1, 4), (1, 0): 1, (2, 0): 1}
+        assert type(square.terms[(0, 0)]) is Fraction
+        assert type(square.terms[(1, 0)]) is Fraction
 
     def test_non_unit_head_divides_through_fraction(self):
         order = 6

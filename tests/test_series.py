@@ -11,9 +11,10 @@ Core claims:
     - newton_solve extracts the interval series: its rows are the
       interval row polynomials, z = 1 gives interval counts, z = 0
       gives t/(1-t), and the shifted root solves the shifted equation
-    - Lagrange: the fixed-point solver matches Newton through the
-      rational parametrization, and lagrange_coeff matches the two
-      printed closed coefficient forms
+    - Lagrange: S = t·phi(S, z), solved by Newton on X - t·phi(X, z),
+      gives the quartic root through the rational parametrization, and
+      lagrange_coeff matches its coefficients and the two printed closed
+      coefficient forms
     - the catalytic system, the three differential operators, and the
       canopy-pair system all check out; a perturbed series fails
 """
@@ -33,7 +34,6 @@ from tamari.series import (
     cleared_parametrization,
     fusy_humbert_check,
     lagrange_coeff,
-    lagrange_solve,
     newton_solve,
     quartic_equation,
     substitute,
@@ -49,6 +49,13 @@ PHI_CANOPY = MonomialPolynomial(2, {
 PHI_PARAM = MonomialPolynomial(2, {
     (0, 0): 1, (1, 0): 1, (1, 1): 3, (2, 1): 3, (2, 2): 3,
     (3, 2): 3, (3, 3): 1, (4, 3): 1})
+
+
+def lagrange_root(phi: MonomialPolynomial, order: int) -> TruncatedSeries:
+    """S = t·phi(S, z) as the root of X - t·phi(X, z), in (t, z, X)."""
+    terms = {(1, j, i): -c for (i, j), c in phi.terms.items()}
+    terms[(0, 0, 1)] = 1
+    return newton_solve(MonomialPolynomial(3, terms), order)
 
 
 # == series ring semantics ==========================================
@@ -251,9 +258,9 @@ class TestNewton:
 # == Lagrange inversion =============================================
 
 class TestLagrange:
-    def test_fixed_point_matches_newton(self):
+    def test_root_through_parametrization_is_the_quartic_root(self):
         order = 9
-        s_series = lagrange_solve(PHI_PARAM, order)
+        s_series = lagrange_root(PHI_PARAM, order)
         # A = X(s(t)) with X(s) = s - z s^2 - z s^3
         z = ZPolynomial((0, 1))
         s2 = s_series * s_series
@@ -278,7 +285,7 @@ class TestLagrange:
 
     def test_coeff_against_series(self):
         order = 7
-        s_series = lagrange_solve(PHI_CANOPY, order)
+        s_series = lagrange_root(PHI_CANOPY, order)
         square = s_series * s_series
         for n in range(1, order + 1):
             for k in range(n + 1):
@@ -290,16 +297,13 @@ class TestLagrange:
     def test_catalan_special_case(self):
         # phi = (1+s)^2: [t^n] S is the n-th Catalan number
         phi = MonomialPolynomial(2, {(0, 0): 1, (1, 0): 2, (2, 0): 1})
-        s_series = lagrange_solve(phi, 8)
+        s_series = lagrange_root(phi, 8)
         catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
         for n in range(1, 9):
             assert s_series.coefficient(n) == ZPolynomial.constant(
                 catalan[n])
 
     def test_rejects_bad_phi(self):
-        with pytest.raises(ValueError):
-            # phi(0, z) = 0
-            lagrange_solve(MonomialPolynomial(2, {(1, 0): 1}), 5)
         with pytest.raises(ValueError):
             lagrange_coeff(PHI_CANOPY, 0, 0, 1)
         assert lagrange_coeff(PHI_CANOPY, 2, 1, 3) == 0  # r > n

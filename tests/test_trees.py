@@ -30,6 +30,7 @@ from conftest import (
     tree_pool,
 )
 from tamari.formulas import catalan
+from tamari.lattice import rotation_down_set
 from tamari.trees import (
     LEAF,
     SINGLE_NODE,
@@ -61,7 +62,6 @@ from tamari.trees import (
     node_count,
     parse_tree,
     right_comb,
-    rotation_reachable,
     rotations_down,
     rotations_up,
     serialize,
@@ -131,11 +131,12 @@ class TestRotations:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_comparison_equals_reachability(self, n):
-        # dual route: bracket-vector criterion vs explicit rotation BFS
+        # dual route: bracket-vector criterion vs explicit rotation search
         pool = tree_pool(n)
-        for s in pool:
-            for t in pool:
-                assert tamari_leq(s, t) == rotation_reachable(s, t), \
+        for t in pool:
+            below = rotation_down_set(t)
+            for s in pool:
+                assert tamari_leq(s, t) == (s in below), \
                     (serialize(s), serialize(t))
 
     @pytest.mark.parametrize("n", range(1, 7))
