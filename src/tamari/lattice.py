@@ -1,13 +1,13 @@
 """Exhaustive tree generators, and Tamari intervals with their statistics.
 
 The Tamari lattice is the slope-1 ballot lattice of tamari.paths, whose
-engine holds the interval down-set masks; this module reads it in terms
-of trees.  A tree's ballot word is its Dyck word, des counts its lower
-covers, asc its upper covers, and ell the interior contacts of the word.
-Only the interval walk behind intervals(), the mask scan of tamari.paths
-read in trees, rebuilds trees, once per element and for the length of
-the walk; it can hand each tree to a per-element statistic and yield
-that instead of the tree.  The rotation-search route (rotation_down_set)
+engine streams the interval down-set masks; this module reads it in
+terms of trees.  A tree's ballot word is its Dyck word, des counts its
+lower covers, asc its upper covers, and ell the interior contacts of the
+word.  Only the interval walk behind intervals(), the mask scan of
+tamari.paths read in trees, rebuilds trees, once per element and for the
+length of the walk; it can hand each tree to a per-element statistic and
+yield that instead of the tree.  The rotation-search route (rotation_down_set)
 is independent of the engine and is the ground truth that it and
 trees.tamari_leq are tested against.  Budgets: see tamari.paths.
 """

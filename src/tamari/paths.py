@@ -13,20 +13,25 @@ Paths are plain strings: 'U'/'D' for Dyck words, 'N'/'E' for m-ballot
 words (an N gains m units of height, an E loses one).
 
 The interval engine of every slope, the Tamari lattice's included,
-accumulates down-sets as bitmasks in a linear extension: down(t) is {t}
-with the union of down(c) over the words c covered by t.  The extension
-is the reversed generation order.  Every statistics table is a popcount
-tally over the masks; cover_table counts intervals by the lower covers of
-the lower word and the upper covers of the upper one, (des(s), asc(t))
-at slope 1.  Every walk over the intervals themselves, the tree walk of
-tamari.lattice included, is the one mask scan _walk.
+streams down-sets as bitmasks in a linear extension: down(t) is {t} with
+the union of down(c) over the words c covered by t.  Inside the engine a
+ballot word is an int (N = 1, first letter most significant) and its
+covers come from bit arithmetic; ascending int order, the reversed
+generation order of m_tamari_elements, is the extension.  Each mask is
+dropped once its last upper cover has been built, so only the masks
+still owed to a later word stay alive.  Every statistics table is a
+popcount tally over the stream; cover_table counts intervals by the
+lower covers of the lower word and the upper covers of the upper one,
+(des(s), asc(t)) at slope 1.  Every walk over the intervals themselves,
+the tree walk of tamari.lattice included, is the one mask scan _walk.
+The validated string move m_tamari_covers is the cover oracle.
 
 One budget rule covers every exhaustive operation: within_budget compares
 the exact size of an enumeration (elements, trees, intervals, faces, tree
 pairs), read off its closed formula, with the budget and raises
 BudgetExceeded before any of the work.  The default budget comes from the
-TAMARI_BUDGET environment variable (fallback 2_000_000).  Engines are not
-cached: each view builds its own and frees it when it returns.
+TAMARI_BUDGET environment variable (fallback 2_000_000).  Nothing is
+cached: each view runs its own engine, which holds no mask once it ends.
 """
 from __future__ import annotations
 
@@ -197,25 +202,45 @@ def _ballot_slope(word: str) -> int:
     return m
 
 
+def _ballot_words(m: int, n: int) -> list:
+    """Every ballot word with n up-steps of slope m as an int, N = 1 and
+    the first letter most significant, in ascending order.
+
+    A cover turns the first letter it changes from E into N, so it is a
+    larger int: ascending order is a linear extension of the lattice.
+    """
+    words: list = []
+
+    def extend(word: int, ups: int, height: int) -> None:
+        # E before N: ascending; once every N is placed, only E's remain
+        if height:
+            extend(word << 1, ups, height - 1)
+        if ups:
+            extend(word << 1 | 1, ups - 1, height + m)
+        elif not height:
+            words.append(word)
+
+    extend(0, n, 0)
+    return words
+
+
+# an int ballot word's binary digits read as its letters
+_TO_LETTERS = str.maketrans("10", "NE")
+
+
+def _render(word: int) -> str:
+    """The letters of an int ballot word; its first letter N is its top bit."""
+    return bin(word)[2:].translate(_TO_LETTERS)
+
+
 def m_tamari_elements(m: int, n: int, budget=None) -> list:
-    """All ballot words with n up-steps of slope m, deterministic order."""
+    """All ballot words with n up-steps of slope m, deterministic order
+    (N-first generation order, the reverse of the engine's)."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     within_budget(f"m_tamari_elements({m}, {n})", fuss_catalan(m, n),
                   budget)
-    words: list = []
-
-    def extend(prefix: str, ups: int, downs: int, height: int) -> None:
-        if not ups and not downs:
-            words.append(prefix)
-            return
-        if ups:
-            extend(prefix + "N", ups - 1, downs, height + m)
-        if downs and height:
-            extend(prefix + "E", ups, downs - 1, height - 1)
-
-    extend("", n, m * n, 0)
-    return words
+    return [_render(word) for word in reversed(_ballot_words(m, n))]
 
 
 def m_tamari_covers(word: str) -> frozenset:
@@ -245,32 +270,59 @@ def m_tamari_covers(word: str) -> frozenset:
 _TO_DYCK = str.maketrans("NE", "UD")
 
 
-def _m_engine(m: int, n: int, budget=None):
-    """(words in a linear extension, upper-cover counts, lower-cover
-    counts, down-set masks), refused on the interval count up front."""
+def _covers(word: int, m: int) -> list:
+    """The cover move of m_tamari_covers on an int ballot word of slope m.
+
+    A set bit of ~word & (word << 1) is an E followed by an N.  From that N the
+    scan runs down to the bit q where the height first returns to zero;
+    adding the factor below the E back in, one place up, swaps the E past
+    the factor.
+    """
+    out = []
+    marks = ~word & (word << 1) & ((1 << word.bit_length()) - 1)
+    while marks:
+        top = marks.bit_length() - 1
+        marks ^= 1 << top
+        q = top - 1
+        height = m
+        while height:
+            q -= 1
+            height += m if word >> q & 1 else -1
+        out.append(word + ((word >> q & ((1 << (top - q)) - 1)) << q))
+    return out
+
+
+def _m_engine(m: int, n: int, budget=None) -> Iterator[tuple]:
+    """Stream (index, word, lower covers, upper covers, down-set mask) in
+    a linear extension, refused on the interval count up front.
+
+    down(t) is bit t with the union of down(s) over the words s covered
+    by t; the mask of s is dropped once its last upper cover, the largest
+    index among its covers, has OR-ed it in.
+    """
     within_budget(f"m_tamari intervals({m}, {n})",
                   m_tamari_intervals_formula(m, n), budget)
-    words = m_tamari_elements(m, n, budget)
-    # generated N-first, and a cover turns the first letter it changes from
-    # E into N: every cover comes earlier, so the reverse is a linear extension
-    words.reverse()
+    words = _ballot_words(m, n)
     index = {w: i for i, w in enumerate(words)}
-    up_degree = [0] * len(words)
-    down_lists: list = [[] for _ in words]
-    for i, w in enumerate(words):
-        above = m_tamari_covers(w)
-        up_degree[i] = len(above)
-        for y in above:
-            down_lists[index[y]].append(i)
-    del index  # freed before the masks, which hold nearly all the memory
-    down_masks: list = []
-    for i in range(len(words)):
-        mask = 1 << i
-        for j in down_lists[i]:
-            mask |= down_masks[j]
-        down_masks.append(mask)
-    down_degree = tuple(len(lst) for lst in down_lists)
-    return tuple(words), tuple(up_degree), down_degree, tuple(down_masks)
+    below: list = [[] for _ in words]
+    up_degree: list = []
+    last_up: list = []
+    for i, word in enumerate(words):
+        above = [index[c] for c in _covers(word, m)]
+        for j in above:
+            below[j].append(i)
+        up_degree.append(len(above))
+        last_up.append(max(above, default=i))
+    del index
+    live: dict = {}
+    for t, word in enumerate(words):
+        lower, below[t] = below[t], None
+        mask = 1 << t
+        for s in lower:
+            mask |= live.pop(s) if last_up[s] == t else live[s]
+        if up_degree[t]:
+            live[t] = mask
+        yield t, _render(word), len(lower), up_degree[t], mask
 
 
 def _walk(m: int, n: int, budget, element) -> Iterator[tuple]:
@@ -281,14 +333,16 @@ def _walk(m: int, n: int, budget, element) -> Iterator[tuple]:
     scanned as its reversed binary string, so reading a set bit does not
     rebuild a C_n-bit integer.
     """
-    words, up_degree, down_degree, down_masks = _m_engine(m, n, budget)
-    values = [element(word) for word in words]
-    for ti, mask in enumerate(down_masks):
-        upper, up = values[ti], up_degree[ti]
+    values: list = []
+    lower: list = []
+    for ti, word, down, up, mask in _m_engine(m, n, budget):
+        values.append(element(word))
+        lower.append(down)
+        upper = values[ti]
         bits = bin(mask)[:1:-1]
         si = bits.find("1")
         while si >= 0:
-            yield values[si], upper, down_degree[si], up
+            yield values[si], upper, lower[si], up
             si = bits.find("1", si + 1)
 
 
@@ -298,19 +352,16 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     A key function sees an element as (word, lower covers, upper covers).
     The elements sharing a lower key share one mask, so every upper
     element costs one popcount per lower class, not one step per interval.
+    The engine streams every s <= t before t, so t joins its class first.
     """
-    words, up_degree, down_degree, down_masks = _m_engine(m, n, budget)
     class_mask: dict = {}
-    for i, word in enumerate(words):
-        key = lower_key(word, down_degree[i], up_degree[i])
-        class_mask[key] = class_mask.get(key, 0) | (1 << i)
-    classes = tuple(class_mask.items())
     cells: dict = {}
-    for ti, word in enumerate(words):
-        upper = upper_key(word, down_degree[ti], up_degree[ti])
-        down = down_masks[ti]
-        for key, mask in classes:
-            count = (down & mask).bit_count()
+    for ti, word, down, up, mask in _m_engine(m, n, budget):
+        key = lower_key(word, down, up)
+        class_mask[key] = class_mask.get(key, 0) | (1 << ti)
+        upper = upper_key(word, down, up)
+        for key, members in class_mask.items():
+            count = (mask & members).bit_count()
             if count:
                 cell = (key, upper)
                 cells[cell] = cells.get(cell, 0) + count
@@ -323,7 +374,8 @@ def _slope_one_ell(word: str) -> int:
 
 
 def m_tamari_interval_count(m: int, n: int, budget=None) -> int:
-    return sum(mask.bit_count() for mask in _m_engine(m, n, budget)[3])
+    return sum(mask.bit_count()
+               for _, _, _, _, mask in _m_engine(m, n, budget))
 
 
 def m_tamari_intervals(m: int, n: int, budget=None) -> Iterator[tuple]:

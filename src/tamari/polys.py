@@ -230,7 +230,7 @@ class MonomialPolynomial:
         return tuple(out)
 
     @classmethod
-    def constant(cls, nvars: int, value: int,
+    def constant(cls, nvars: int, value: Scalar,
                  truncation: Truncation = None) -> "MonomialPolynomial":
         return cls(nvars, {(0,) * nvars: value}, truncation)
 
@@ -244,7 +244,7 @@ class MonomialPolynomial:
         return inf if self.truncation is None else self.truncation[1]
 
     def _coerce(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return MonomialPolynomial.constant(self.nvars, other,
                                                self.truncation)
         if not isinstance(other, MonomialPolynomial):

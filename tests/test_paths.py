@@ -11,7 +11,10 @@ Core claims:
       counts and same cover-statistic histogram; cover_table counts the
       intervals by the trees' (des(s), asc(t))
     - the engine's element order is a linear extension: every cover of
-      a word comes after it
+      a word comes after it; the int cover move is the string cover move
+    - the engine streams its masks: one interval count holds well under
+      the bytes of all down-set masks at once; the n = 12 count
+      (extended) equals the closed formula
     - m-interval counts match the closed formula; the cover-statistic
       tables match rows frozen from independent tabulation
     - the interval walk reads every set bit of every down-set mask, in
@@ -19,6 +22,9 @@ Core claims:
       slope 1 it yields the intervals of lattice.intervals in its order
     - malformed words and blown budgets raise
 """
+
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -36,7 +42,10 @@ from tamari.lattice import (
     intervals,
 )
 from tamari.paths import (
+    _ballot_words,
+    _covers,
     _m_engine,
+    _render,
     _walk,
     contacts,
     cover_table,
@@ -236,7 +245,9 @@ class TestBallot:
         # the walk's string scan against a bit-by-bit test of each
         # down-set mask: same pairs, upper-major, lower indices ascending,
         # with the engine's cover counts; element runs once per word
-        words, up_degree, down_degree, masks = _m_engine(m, n)
+        indices, words, down_degree, up_degree, masks = map(
+            list, zip(*_m_engine(m, n)))
+        assert indices == list(range(len(words)))
         index = {w: i for i, w in enumerate(words)}
         calls = []
 
@@ -265,11 +276,22 @@ class TestBallot:
     def test_engine_order_is_a_linear_extension(self, m, n):
         # the down-set masks are built in this order, so every cover of a
         # word must have a larger index
-        words = _m_engine(m, n)[0]
+        words = [word for _, word, _, _, _ in _m_engine(m, n)]
         assert sorted(words) == sorted(m_tamari_elements(m, n))
         index = {w: i for i, w in enumerate(words)}
         for i, w in enumerate(words):
             assert all(index[u] > i for u in m_tamari_covers(w))
+
+    @pytest.mark.parametrize("m,n", [(1, n) for n in range(1, 8)]
+                             + [(2, n) for n in range(1, 6)]
+                             + [(3, n) for n in range(1, 5)])
+    def test_int_covers_are_the_string_covers(self, m, n):
+        # the engine's bit-arithmetic move, rendered, against the
+        # validated string move, on every word
+        for word in _ballot_words(m, n):
+            above = [_render(c) for c in _covers(word, m)]
+            assert len(set(above)) == len(above)
+            assert set(above) == m_tamari_covers(_render(word))
 
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 3)])
     def test_covers_permute_and_raise(self, m, n):
@@ -306,3 +328,28 @@ class TestBallot:
         with pytest.raises(BudgetExceeded) as info:
             m_tamari_interval_count(2, 6, budget=1000)
         assert info.value.required == m_tamari_intervals_formula(2, 6)
+
+
+# == streaming ======================================================
+
+class TestStreaming:
+    def test_count_holds_under_the_bytes_of_all_masks(self):
+        # an engine that kept every down-set mask would peak above their
+        # total; dropping each after its last upper cover stays well under
+        budget = m_tamari_intervals_formula(1, 10)
+        total = sum(sys.getsizeof(mask)
+                    for _, _, _, _, mask in _m_engine(1, 10, budget))
+        tracemalloc.start()
+        try:
+            count = m_tamari_interval_count(1, 10, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == interval_count_formula(10)
+        assert peak < 0.7 * total
+
+    @pytest.mark.extended
+    def test_frontier_count_n12(self):
+        # 373,537,388 intervals over 208,012 trees, counted by the engine
+        count = m_tamari_interval_count(1, 12, budget=400_000_000)
+        assert count == m_tamari_intervals_formula(1, 12) == 373537388

@@ -140,6 +140,22 @@ class TestScalarPolicy:
         assert type(square.terms[(0, 0)]) is Fraction
         assert type(square.terms[(1, 0)]) is Fraction
 
+    def test_monomial_arithmetic_lifts_every_policy_scalar(self):
+        # int and Fraction operands mix with a polynomial on either side
+        x, y = MonomialPolynomial.variables(2, ((1, 1), 3))
+        half = Fraction(1, 2)
+        p = x + y
+        for scaled in (p * half, half * p):
+            assert scaled.terms == {(1, 0): half, (0, 1): half}
+            assert scaled.truncation == p.truncation
+        shifted = p + half
+        assert shifted.terms == {(0, 0): half, (1, 0): 1, (0, 1): 1}
+        assert half + p == shifted
+        assert (half - p).terms == {(0, 0): half, (1, 0): -1, (0, 1): -1}
+        assert p - half == -(half - p)
+        assert MonomialPolynomial.constant(2, half, p.truncation) == half
+        assert type((p * 2).terms[(1, 0)]) is int
+
     def test_non_unit_head_divides_through_fraction(self):
         order = 6
         two_minus_t = (TruncatedSeries.one(order).scale(2)
