@@ -19,10 +19,15 @@ ballot word is an int (N = 1, first letter most significant) and its
 covers come from bit arithmetic; ascending int order, the reversed
 generation order of m_tamari_elements, is the extension.  Each mask is
 dropped once its last upper cover has been built, so only the masks
-still owed to a later word stay alive.  Every statistics table is a
-popcount tally over the stream; cover_table counts intervals by the
-lower covers of the lower word and the upper covers of the upper one,
-(des(s), asc(t)) at slope 1.  Every walk over the intervals themselves,
+still owed to a later word stay alive.  Every statistics table is the
+one tally _tally over the stream: per upper key, a binary counter per
+element held as bit planes, into which each down-set mask is added with
+a ripple carry; a cell is read at the end by one popcount per plane and
+lower class.  The planes are padded to one width, so a new plane reuses
+the block of the one it replaces and peak memory stays flat.
+cover_table counts intervals by the lower covers of the lower word and
+the upper covers of the upper one, (des(s), asc(t)) at slope 1.  Every
+walk over the intervals themselves,
 the tree walk of tamari.lattice included, is the one mask scan _walk.
 The validated string move m_tamari_covers is the cover oracle.
 
@@ -350,21 +355,42 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     """{(lower_key(s), upper_key(t)): number of intervals s <= t}.
 
     A key function sees an element as (word, lower covers, upper covers).
-    The elements sharing a lower key share one mask, so every upper
-    element costs one popcount per lower class, not one step per interval.
-    The engine streams every s <= t before t, so t joins its class first.
+    Each upper key keeps a binary counter per element s, stored as bit
+    planes: plane j holds bit j of the number of that key's down-set
+    masks that contain s.  A mask is added with a ripple carry, so an
+    upper element costs a few ^ and & operations, not one step per
+    interval or one popcount per lower class.  The cells are read once
+    at the end, one popcount per plane and lower class.
+
+    Every plane carries a top bit at index C (the element count, read off
+    fuss_catalan once the engine has passed its budget check) that no
+    mask or carry sets, so each plane keeps one width and the plane that
+    replaces it fits the block it frees.
     """
-    class_mask: dict = {}
-    cells: dict = {}
+    lower_class: dict = {}
+    counters: dict = {}
+    top = 0
     for ti, word, down, up, mask in _m_engine(m, n, budget):
+        if not ti:
+            top = 1 << fuss_catalan(m, n)
         key = lower_key(word, down, up)
-        class_mask[key] = class_mask.get(key, 0) | (1 << ti)
-        upper = upper_key(word, down, up)
-        for key, members in class_mask.items():
-            count = (mask & members).bit_count()
+        lower_class[key] = lower_class.get(key, 0) | (1 << ti)
+        planes = counters.setdefault(upper_key(word, down, up), [])
+        carry = mask
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry | top)
+    cells: dict = {}
+    for upper, planes in counters.items():
+        for key, members in lower_class.items():
+            count = sum((plane & members).bit_count() << j
+                        for j, plane in enumerate(planes))
             if count:
-                cell = (key, upper)
-                cells[cell] = cells.get(cell, 0) + count
+                cells[(key, upper)] = count
     return cells
 
 

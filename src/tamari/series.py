@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .equations import load_quartic, pde_operators
-from .formulas import binomial
-from .paths import _slope_one_ell, _tally, cover_table
+from .formulas import binomial, m_tamari_intervals_formula
+from .paths import _slope_one_ell, _tally, cover_table, within_budget
 from .polys import MonomialPolynomial, ZPolynomial
 
 
@@ -322,6 +322,9 @@ def catalytic_equation_check(order: int, budget=None) -> bool:
     """
     if order < 1:
         raise ValueError("order must be positive")
+    # the largest of the engines, refused before the smaller ones run
+    within_budget(f"m_tamari intervals(1, {order})",
+                  m_tamari_intervals_formula(1, order), budget)
     a_u: dict = {}
     a_1: dict = {}
     a_star: dict = {}

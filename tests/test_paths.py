@@ -20,7 +20,12 @@ Core claims:
     - the interval walk reads every set bit of every down-set mask, in
       upper-major, ascending order, with the engine's cover counts; at
       slope 1 it yields the intervals of lattice.intervals in its order
-    - malformed words and blown budgets raise
+    - the bit-plane tally counts the intervals pair by pair: per-word
+      cells, one counter carried through log2 C planes, and the cover
+      counts; one table holds under the bytes of all masks; at the
+      benchmark's sizes (extended) it matches the closed formulas
+    - malformed words and blown budgets raise, every tally view before
+      any word is generated
 """
 
 import sys
@@ -31,14 +36,17 @@ from hypothesis import given
 
 from conftest import nonempty_binary_trees, tree_pool
 from tamari.formulas import (
+    a_formula,
     catalan,
     fuss_catalan,
     interval_count_formula,
     m_tamari_intervals_formula,
+    separated_formula,
 )
 from tamari.lattice import (
     BudgetExceeded,
     interval_histogram,
+    interval_stats_refined,
     intervals,
 )
 from tamari.paths import (
@@ -46,6 +54,7 @@ from tamari.paths import (
     _covers,
     _m_engine,
     _render,
+    _tally,
     _walk,
     contacts,
     cover_table,
@@ -59,6 +68,7 @@ from tamari.paths import (
     tree_to_dyck,
     valleys,
 )
+from tamari.series import catalytic_equation_check
 from tamari.trees import (
     asc,
     des,
@@ -329,6 +339,77 @@ class TestBallot:
             m_tamari_interval_count(2, 6, budget=1000)
         assert info.value.required == m_tamari_intervals_formula(2, 6)
 
+    @pytest.mark.parametrize("view,m,n", [
+        (lambda budget: cover_table(2, 6, budget), 2, 6),
+        (lambda budget: m_tamari_interval_stats(3, 5, budget), 3, 5),
+        (lambda budget: interval_stats_refined(8, budget), 1, 8),
+        (lambda budget: catalytic_equation_check(8, budget), 1, 8),
+    ], ids=["cover_table", "m_tamari_interval_stats",
+            "interval_stats_refined", "catalytic_equation_check"])
+    def test_tally_views_refuse_before_any_word(self, no_engine, view, m, n):
+        # every tally view is refused on the closed-form interval count
+        with pytest.raises(BudgetExceeded) as info:
+            view(1000)
+        assert info.value.required == m_tamari_intervals_formula(m, n)
+
+
+# == tallies ========================================================
+
+def _pairwise_cells(m, n, lower_key, upper_key):
+    # oracle: one step per interval, cover counts from the string move
+    words = m_tamari_elements(m, n)
+    above = {w: len(m_tamari_covers(w)) for w in words}
+    below = dict.fromkeys(words, 0)
+    for w in words:
+        for u in m_tamari_covers(w):
+            below[u] += 1
+    cells: dict = {}
+    for s, t in m_tamari_intervals(m, n):
+        cell = (lower_key(s, below[s], above[s]),
+                upper_key(t, below[t], above[t]))
+        cells[cell] = cells.get(cell, 0) + 1
+    return cells
+
+
+TALLY_GRID = ([(1, n) for n in range(1, 7)]
+              + [(2, n) for n in range(1, 5)]
+              + [(3, n) for n in range(1, 4)])
+
+TALLY_KEYS = {
+    # every cell is one interval
+    "per_word": (lambda word, down, up: word, lambda word, down, up: word),
+    # one counter per lower word, up to C, carried through log2 C planes
+    "constant_upper": (lambda word, down, up: word,
+                       lambda word, down, up: None),
+    # the keys of cover_table
+    "cover_counts": (lambda word, down, up: down,
+                     lambda word, down, up: up),
+}
+
+
+class TestTally:
+    @pytest.mark.parametrize("keys", sorted(TALLY_KEYS))
+    @pytest.mark.parametrize("m,n", TALLY_GRID)
+    def test_tally_counts_the_pairs(self, m, n, keys):
+        lower_key, upper_key = TALLY_KEYS[keys]
+        assert (_tally(m, n, None, lower_key, upper_key)
+                == _pairwise_cells(m, n, lower_key, upper_key))
+
+    @pytest.mark.extended
+    def test_benchmark_sizes(self):
+        # the lattice-tally workload's tables against the closed formulas
+        n = 11
+        table = cover_table(1, n, budget=interval_count_formula(n))
+        for k in range(2 * n):
+            assert sum(table.value(p, k - p)
+                       for p in range(k + 1)) == a_formula(n, k)
+        for p in range(n):
+            assert table.value(p, n - 1 - p) == separated_formula(n, p)
+        assert all(table.value(q, p) == count
+                   for (p, q), count in table.cells.items())
+        budget = m_tamari_intervals_formula(3, 7)
+        assert m_tamari_interval_stats(3, 7, budget).total == budget
+
 
 # == streaming ======================================================
 
@@ -346,6 +427,21 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert count == interval_count_formula(10)
+        assert peak < 0.7 * total
+
+    def test_tally_holds_under_the_bytes_of_all_masks(self):
+        # a tally that held the masks, or grew one plane per element,
+        # would peak above their total
+        budget = m_tamari_intervals_formula(1, 10)
+        total = sum(sys.getsizeof(mask)
+                    for _, _, _, _, mask in _m_engine(1, 10, budget))
+        tracemalloc.start()
+        try:
+            table = cover_table(1, 10, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.total == interval_count_formula(10)
         assert peak < 0.7 * total
 
     @pytest.mark.extended
