@@ -413,6 +413,9 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     """
     if total_degree < 0:
         raise ValueError("total_degree must be nonnegative")
+    # the largest of the engines, refused before the system is solved
+    within_budget(f"m_tamari intervals(1, {total_degree + 1})",
+                  m_tamari_intervals_formula(1, total_degree + 1), budget)
     cap = total_degree + 2
     truncation = ((1, 1, 1), cap)
     u, v, w = MonomialPolynomial.variables(3, truncation)

@@ -19,9 +19,6 @@ Claims implemented here (each one is exercised by the test suite):
   letter is '-' exactly when the jth node (inorder) has an empty right
   subtree.  It has asc(t) minus signs and des(t) plus signs, and is
   monotone along the Tamari order.
-* Grafting at the leftmost leaf decomposes every Tamari interval (s, t)
-  into ell(t) + 1 componentwise-comparable intervals whose upper trees
-  have empty left branches.
 * A Schröder tree f stands for a face of the associahedron of dimension
   leaves(f) - 1 - internal_nodes(f); min_tree/max_tree (left/right comb
   expansions) are the Tamari-minimal/maximal binary refinements of f.
@@ -94,29 +91,6 @@ def dimension(f: SchroederTree) -> int:
     return leaf_count(f) - 1 - internal_node_count(f)
 
 
-def left_comb(n: int) -> BinaryTree:
-    """The Tamari minimum: every node is a left child."""
-    t: BinaryTree = None
-    for _ in range(n):
-        t = (t, None)
-    return t
-
-
-def right_comb(n: int) -> BinaryTree:
-    """The Tamari maximum: every node is a right child."""
-    t: BinaryTree = None
-    for _ in range(n):
-        t = (None, t)
-    return t
-
-
-def corolla(n: int) -> SchroederTree:
-    """The Schröder tree with a single internal node and n+1 leaves."""
-    if n == 0:
-        return None
-    return tuple([None] * (n + 1))
-
-
 # ===================================================================
 # descent / ascent statistics and rotations
 # ===================================================================
@@ -151,38 +125,28 @@ def _asc(t: BinaryTree) -> int:
 
 def rotations_up(t: BinaryTree) -> frozenset:
     """Trees covering t: one right rotation (l, m)·r -> l·(m, r) per ascent."""
-    out = []
-    _rotations(t, True, out)
-    return frozenset(out)
+    return frozenset(_rotations(t, True))
 
 
 def rotations_down(t: BinaryTree) -> frozenset:
     """Trees covered by t: one left rotation l·(m, r) -> (l, m)·r per descent."""
-    out = []
-    _rotations(t, False, out)
-    return frozenset(out)
+    return frozenset(_rotations(t, False))
 
 
-def _rotations(t: BinaryTree, up: bool, out: list) -> None:
+def _rotations(t: BinaryTree, up: bool):
     if t is None:
         return
     left, right = t
     if up and left is not None:
         a, b = left
-        out.append((a, (b, right)))
+        yield (a, (b, right))
     if not up and right is not None:
         rl, rr = right
-        out.append(((left, rl), rr))
-    for sub in _rotations_sub(left, up):
-        out.append((sub, right))
-    for sub in _rotations_sub(right, up):
-        out.append((left, sub))
-
-
-def _rotations_sub(t: BinaryTree, up: bool) -> list:
-    out: list = []
-    _rotations(t, up, out)
-    return out
+        yield ((left, rl), rr)
+    for sub in _rotations(left, up):
+        yield (sub, right)
+    for sub in _rotations(right, up):
+        yield (left, sub)
 
 
 # ===================================================================
@@ -268,7 +232,7 @@ def agree(s: BinaryTree, t: BinaryTree) -> int:
 
 
 # ===================================================================
-# left branch, grafting, and interval decomposition
+# left branch
 # ===================================================================
 
 def ell(t: BinaryTree) -> int:
@@ -280,83 +244,6 @@ def ell(t: BinaryTree) -> int:
         t = t[0]
         k += 1
     return k
-
-
-def graft_left(s: BinaryTree, s2: BinaryTree) -> BinaryTree:
-    """Graft the root of s onto the leftmost leaf of s2."""
-    if s is None or s2 is None:
-        raise ValueError("graft_left() requires nonempty operands")
-    return _graft_left(s, s2)
-
-
-def _graft_left(s: BinaryTree, s2: BinaryTree) -> BinaryTree:
-    if s2 is None:
-        return s
-    left, right = s2
-    return (_graft_left(s, left), right)
-
-
-def graft_right(s: BinaryTree, s2: BinaryTree) -> BinaryTree:
-    """Graft the root of s onto the rightmost leaf of s2."""
-    if s is None or s2 is None:
-        raise ValueError("graft_right() requires nonempty operands")
-    return _graft_right(s, s2)
-
-
-def _graft_right(s: BinaryTree, s2: BinaryTree) -> BinaryTree:
-    if s2 is None:
-        return s
-    left, right = s2
-    return (left, _graft_right(s, right))
-
-
-def left_branch_pieces(t: BinaryTree) -> list:
-    """Cut every edge of the left branch; pieces bottom-up.
-
-    Each piece has an empty left subtree, and grafting them back in order
-    (piece 0 into piece 1 into ...) reconstructs t.  The list has
-    ell(t) + 1 entries.
-    """
-    if t is None:
-        raise ValueError("left_branch_pieces() requires a nonempty tree")
-    pieces = []
-    while t is not None:
-        left, right = t
-        pieces.append((None, right))
-        t = left
-    pieces.reverse()
-    return pieces
-
-
-def decompose_interval(s: BinaryTree, t: BinaryTree) -> list:
-    """Split a Tamari interval s <= t into its maximal grafting components.
-
-    Returns pairs (s_i, t_i), i = 0..ell(t), bottom piece first, where the
-    t_i are the left-branch pieces of t and each s_i regroups consecutive
-    left-branch pieces of s of total size n(t_i).  Each pair is itself a
-    Tamari interval, and ell(t_i) = 0 for all i.
-    """
-    if not tamari_leq(s, t):
-        raise ValueError("not a Tamari interval: s is not below t")
-    t_pieces = left_branch_pieces(t)
-    s_pieces = left_branch_pieces(s)
-    components = []
-    idx = 0
-    for t_piece in t_pieces:
-        want = node_count(t_piece)
-        acc: BinaryTree = None
-        got = 0
-        while got < want and idx < len(s_pieces):
-            piece = s_pieces[idx]
-            acc = piece if acc is None else _graft_left(acc, piece)
-            got += node_count(piece)
-            idx += 1
-        if got != want:
-            raise ValueError("interval does not decompose; order test broken")
-        components.append((acc, t_piece))
-    if idx != len(s_pieces):
-        raise ValueError("interval does not decompose; order test broken")
-    return components
 
 
 # ===================================================================

@@ -1,9 +1,11 @@
-"""Shared test helpers: hypothesis strategies and exhaustive pools."""
+"""Shared test helpers: hypothesis strategies, exhaustive pools, tree
+builders, and the grafting decomposition of a Tamari interval."""
 
 import pytest
 from hypothesis import strategies as st
 
 from tamari.lattice import all_trees, intervals
+from tamari.trees import node_count, tamari_leq
 
 
 def binary_trees(max_nodes: int = 9):
@@ -26,6 +28,56 @@ def schroeder_trees(max_leaves: int = 10):
         lambda kids: st.lists(kids, min_size=2, max_size=4).map(tuple),
         max_leaves=max_leaves,
     ).filter(lambda f: f is not None)
+
+
+def left_comb(n: int):
+    """The Tamari minimum: every node is a left child."""
+    return None if n == 0 else (left_comb(n - 1), None)
+
+
+def right_comb(n: int):
+    """The Tamari maximum: every node is a right child."""
+    return None if n == 0 else (None, right_comb(n - 1))
+
+
+def corolla(n: int) -> tuple:
+    """The Schröder tree with a single internal node and n+1 leaves."""
+    return (None,) * (n + 1)
+
+
+def graft_left(s, s2):
+    """Graft the root of s onto the leftmost leaf of s2."""
+    return s if s2 is None else (graft_left(s, s2[0]), s2[1])
+
+
+def left_branch_pieces(t) -> list:
+    """Cut every edge of the left branch: ell(t) + 1 pieces, bottom-up,
+    each with an empty left subtree; grafting each onto the next gives t."""
+    pieces = []
+    while t is not None:
+        pieces.insert(0, (None, t[1]))
+        t = t[0]
+    return pieces
+
+
+def decompose_interval(s, t) -> list:
+    """Split a Tamari interval s <= t into its grafting components.
+
+    Pairs (s_i, t_i), bottom first: the t_i are the left-branch pieces of
+    t, and each s_i regrafts the next left-branch pieces of s, of total
+    size n(t_i).
+    """
+    if not tamari_leq(s, t):
+        raise ValueError("not a Tamari interval: s is not below t")
+    s_pieces = left_branch_pieces(s)
+    components = []
+    for t_piece in left_branch_pieces(t):
+        s_i = s_pieces.pop(0)
+        while node_count(s_i) < node_count(t_piece):
+            s_i = graft_left(s_i, s_pieces.pop(0))
+        components.append((s_i, t_piece))
+    assert not s_pieces
+    return components
 
 
 def tree_pool(n: int) -> list:

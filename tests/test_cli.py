@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import right_comb
 from tamari.cli import (
     EXIT_BUDGET,
     EXIT_USAGE,
@@ -38,7 +39,7 @@ from tamari.cli import (
 )
 from tamari.diagonal import decomposition_report
 from tamari.series import TruncatedSeries, newton_solve
-from tamari.trees import canopy, right_comb, serialize
+from tamari.trees import canopy, serialize
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 

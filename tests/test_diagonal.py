@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_pairs
+from conftest import interval_pairs, left_comb, right_comb
 from tamari.diagonal import (
     DECOMPOSITION_MODES,
     DiagonalFace,
@@ -230,7 +230,6 @@ class TestClassification:
                 == des(s) + asc(t)
 
     def test_extreme_intervals(self):
-        from tamari.trees import left_comb, right_comb
         # full interval: the lower tree has no descents and the upper no
         # ascents, so its fiber is a single vertex
         assert classify_edges(left_comb(4), right_comb(4)) == \

@@ -16,7 +16,7 @@ Core claims:
 
 import pytest
 
-from conftest import interval_pairs, tree_pool
+from conftest import interval_pairs, left_comb, tree_pool
 from tamari.formulas import a_formula, catalan, interval_count_formula
 from tamari.lattice import (
     BudgetExceeded,
@@ -31,7 +31,7 @@ from tamari.lattice import (
     schroeder_count,
 )
 from tamari.paths import cover_table, resolve_budget
-from tamari.trees import asc, des, ell, left_comb, tamari_leq
+from tamari.trees import asc, des, ell, tamari_leq
 
 # [1, 1, 3, 13, 68, 399, 2530, 16965, 118668, 857956] -- interval counts
 INTERVAL_COUNTS = [1, 1, 3, 13, 68, 399, 2530, 16965, 118668, 857956]

@@ -1,0 +1,22 @@
+"""The public names of the package: tamari.__all__ is exactly the frozen
+list of 38 names, and each one resolves on the package."""
+
+import tamari
+
+PUBLIC_NAMES = """
+    BudgetExceeded DiagonalFace EdgeClassification StatTable TruncatedSeries
+    ZPolynomial __version__ a_formula all_trees asc b_formula canopy catalan
+    classify_edges decomposition_report des diagonal_faces diagonal_fvector
+    dyck_to_tree ell fuss_catalan interval_count interval_count_formula
+    interval_histogram intervals internal_fvector is_internal_face
+    m_tamari_elements m_tamari_intervals m_tamari_intervals_formula
+    new_interval_formula newton_solve parse_tree quartic_equation serialize
+    synchronized_formula tamari_leq tree_to_dyck
+""".split()
+
+
+def test_public_names_are_frozen():
+    assert len(PUBLIC_NAMES) == 38
+    assert tamari.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(tamari, name), name

@@ -34,7 +34,7 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from conftest import nonempty_binary_trees, tree_pool
+from conftest import left_comb, nonempty_binary_trees, right_comb, tree_pool
 from tamari.formulas import (
     a_formula,
     catalan,
@@ -68,13 +68,11 @@ from tamari.paths import (
     tree_to_dyck,
     valleys,
 )
-from tamari.series import catalytic_equation_check
+from tamari.series import catalytic_equation_check, fusy_humbert_check
 from tamari.trees import (
     asc,
     des,
     ell,
-    left_comb,
-    right_comb,
     rotations_up,
     serialize,
 )
@@ -344,8 +342,10 @@ class TestBallot:
         (lambda budget: m_tamari_interval_stats(3, 5, budget), 3, 5),
         (lambda budget: interval_stats_refined(8, budget), 1, 8),
         (lambda budget: catalytic_equation_check(8, budget), 1, 8),
+        (lambda budget: fusy_humbert_check(7, budget), 1, 8),
     ], ids=["cover_table", "m_tamari_interval_stats",
-            "interval_stats_refined", "catalytic_equation_check"])
+            "interval_stats_refined", "catalytic_equation_check",
+            "fusy_humbert_check"])
     def test_tally_views_refuse_before_any_word(self, no_engine, view, m, n):
         # every tally view is refused on the closed-form interval count
         with pytest.raises(BudgetExceeded) as info:

@@ -11,7 +11,9 @@ Core claims:
     - canopies are monotone along the order and shared entries count
       asc(t) / des(s) on intervals
     - ell counts left-branch edges; left_branch_pieces/graft round-trip;
-      interval decomposition splits into ell(t)+1 component intervals
+      interval decomposition splits into ell(t)+1 component intervals;
+      splitting off the root component is a bijection behind the
+      catalytic identity A_u = A*_u + uz·A*_u·A_u (n <= 6)
     - leaf spans: descent/ascent span counts equal des/asc; contraction
       by spans is dimension-additive; contracting every internal edge
       but one leaves the two-node tree named by the kept edge's span
@@ -24,8 +26,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     binary_trees,
+    corolla,
+    decompose_interval,
+    graft_left,
     interval_pairs,
+    left_branch_pieces,
+    left_comb,
     nonempty_binary_trees,
+    right_comb,
     schroeder_trees,
     tree_pool,
 )
@@ -41,27 +49,20 @@ from tamari.trees import (
     canopy,
     canopy_leq,
     contract_spans,
-    corolla,
-    decompose_interval,
     des,
     descent_spans,
     dimension,
     edge_spans,
     ell,
-    graft_left,
-    graft_right,
     internal_edge_spans,
     internal_node_count,
     is_binary_tree,
     is_schroeder_tree,
     leaf_count,
-    left_branch_pieces,
-    left_comb,
     max_tree,
     min_tree,
     node_count,
     parse_tree,
-    right_comb,
     rotations_down,
     rotations_up,
     serialize,
@@ -255,10 +256,6 @@ class TestGrafting:
         assert graft_left(SINGLE_NODE, (None, (None, None))) == \
             ((None, None), (None, None))
 
-    def test_graft_right_example(self):
-        assert graft_right(SINGLE_NODE, ((None, None), None)) == \
-            ((None, None), (None, None))
-
     @given(nonempty_binary_trees(5), nonempty_binary_trees(5))
     def test_graft_counts(self, a, b):
         assert node_count(graft_left(a, b)) == node_count(a) + node_count(b)
@@ -287,6 +284,35 @@ class TestGrafting:
                 acc_s = s_i if acc_s is None else graft_left(acc_s, s_i)
                 acc_t = t_i if acc_t is None else graft_left(acc_t, t_i)
             assert acc_s == s and acc_t == t
+
+    @pytest.mark.parametrize("n,size", [
+        (2, 1), (3, 5), (4, 27), (5, 159), (6, 1002)])
+    def test_catalytic_identity_bijectively(self, n, size):
+        # A_u = A*_u + uz·A*_u·A_u, u marking ell(s), z marking
+        # des(s) + asc(t): an interval with ell(t) >= 1 splits one-to-one
+        # into its root component (ell = 0 on top, counted by A*_u) and
+        # the regrafted rest (any interval, counted by A_u); the graft
+        # adds one to each statistic
+        image = set()
+        for s, t in interval_pairs(n):
+            if ell(t) == 0:
+                continue
+            *rest, (root_s, root_t) = decompose_interval(s, t)
+            rest_s, rest_t = rest[0]
+            for s_i, t_i in rest[1:]:
+                rest_s = graft_left(rest_s, s_i)
+                rest_t = graft_left(rest_t, t_i)
+            assert ell(s) == ell(root_s) + ell(rest_s) + 1
+            assert des(s) + asc(t) == \
+                des(root_s) + asc(root_t) + des(rest_s) + asc(rest_t) + 1
+            image.add(((root_s, root_t), (rest_s, rest_t)))
+        assert len(image) == size == \
+            sum(1 for _, t in interval_pairs(n) if ell(t) > 0)
+        assert image == {
+            (root, rest)
+            for a in range(1, n)
+            for root in interval_pairs(a) if ell(root[1]) == 0
+            for rest in interval_pairs(n - a)}
 
     def test_decompose_rejects_non_interval(self):
         with pytest.raises(ValueError):
