@@ -18,9 +18,10 @@ SUITES declares for it, with their defaults and smallest meaningful
 values; another option, or a value below that minimum, is a usage error.
 
 Exit status: 0 success, 2 usage error (an --out path that cannot be
-written included), 3 budget exceeded, 4 verification or internal
-self-check failure.  Every command is deterministic; progress
-goes to stderr only.
+written included), 3 budget exceeded (a command over n = 1..nmax is
+refused on its largest row, before the first), 4 verification or
+internal self-check failure.  Every command is deterministic; progress
+goes to stderr only, one line per row from n = 7.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .formulas import (
     catalan,
     chu_vandermonde_check,
     chu_vandermonde_sides,
+    face_count_formula,
     interval_count_formula,
     interval_row_polynomial,
     m_tamari_intervals_formula,
@@ -65,11 +67,12 @@ from .paths import (
     cover_table,
     double_falls,
     dyck_to_tree,
+    intervals_of,
     m_tamari_covers,
     m_tamari_interval_stats,
     tree_to_dyck,
+    up_to,
     valleys,
-    within_budget,
 )
 from .series import (
     catalytic_equation_check,
@@ -97,8 +100,12 @@ EXIT_VERIFY = 4
 CHU_SEED = 271828  # fixed so the randomized grid is reproducible
 
 
-def _progress(message: str) -> None:
-    print(f"tamari: {message}", file=sys.stderr, flush=True)
+def _rows(command: str, nmax: int, what: str, size, budget):
+    """up_to's rows, each announced on stderr from n = 7."""
+    for n in up_to(nmax, what, size, budget):
+        if n >= 7:
+            print(f"tamari: {command} n={n}", file=sys.stderr, flush=True)
+        yield n
 
 
 # ===================================================================
@@ -134,9 +141,7 @@ def _table_b(nmax: int) -> tuple:
 def _table_internal(nmax: int, budget) -> tuple:
     header = ["n"] + [f"k={k}" for k in range(nmax)] + ["total"]
     rows = []
-    for n in range(1, nmax + 1):
-        if n >= 6:
-            _progress(f"table internal n={n}")
+    for n in _rows("table internal", nmax, *intervals_of(1), budget):
         vector = internal_fvector(n, budget)
         rows.append(_staircase([n], dict(enumerate(vector)), n - 1, nmax)
                     + [sum(vector)])
@@ -155,7 +160,8 @@ def _table_m_stats(nmax: int, mmax: int, budget) -> tuple:
     blocks = []
     kcols = 0
     for m in range(1, mmax + 1):
-        for n in range(1, nmax + 1):
+        for n in _rows(f"table m-stats m={m}", nmax,
+                       *intervals_of(mmax), budget):
             table = m_tamari_interval_stats(m, n, budget)
             counts = {k: count for (k,), count in table.cells.items()}
             row_max = max(counts)
@@ -170,7 +176,7 @@ def _table_m_stats(nmax: int, mmax: int, budget) -> tuple:
 def _table_refined_ell(nmax: int, budget) -> tuple:
     header = ["n", "i"] + [f"k={k}" for k in range(nmax)] + ["total"]
     rows = []
-    for n in range(1, nmax + 1):
+    for n in _rows("table refined-ell", nmax, *intervals_of(1), budget):
         by_ell = interval_stats_refined(n, budget)
         column_sums: dict = {}
         for i in range(n):
@@ -185,12 +191,12 @@ def _table_refined_ell(nmax: int, budget) -> tuple:
     return header, rows
 
 
-def _pq_triangle(nmax: int, table_for_n) -> tuple:
+def _pq_triangle(name: str, nmax: int, budget, table_for_n) -> tuple:
     """Rows (n, p), columns q, filled for p+q <= n-1 (staircase shape)."""
     header = ["n", "p"] + [f"q={q}" for q in range(nmax)]
     rows = []
-    for n in range(1, nmax + 1):
-        table = table_for_n(n)
+    for n in _rows(f"table {name}", nmax, *intervals_of(1), budget):
+        table = table_for_n(n, budget)
         for p in range(n):
             counts = {q: table.value(p, q) for q in range(n - p)}
             rows.append(_staircase([n, p], counts, n - 1 - p, nmax))
@@ -198,12 +204,12 @@ def _pq_triangle(nmax: int, table_for_n) -> tuple:
 
 
 def _table_refined_pq(nmax: int, budget) -> tuple:
-    return _pq_triangle(nmax, lambda n: cover_table(1, n, budget))
+    return _pq_triangle("refined-pq", nmax, budget,
+                        lambda n, budget: cover_table(1, n, budget))
 
 
 def _table_face_dims(nmax: int, budget) -> tuple:
-    return _pq_triangle(
-        nmax, lambda n: diagonal_fvector_by_dims(n, budget))
+    return _pq_triangle("face-dims", nmax, budget, diagonal_fvector_by_dims)
 
 
 # name -> (builder, {option it reads: (default, smallest meaningful value
@@ -307,17 +313,10 @@ def _emit(text: str, out) -> None:
 # ===================================================================
 
 def _suite_order_oracle(nmax: int, budget):
-    """Bitmask interval engine against the rotation-BFS down-set oracle.
-
-    The largest row is refused up front on its C_n^2 ordered comparisons,
-    which also bound its BFS down-set entries (one per interval, and an
-    interval is one of those pairs).
-    """
-    within_budget(f"order-oracle comparisons n={nmax}", catalan(nmax) ** 2,
-                  budget)
-    for n in range(1, nmax + 1):
-        if n >= 7:
-            _progress(f"order-oracle n={n}")
+    """Bitmask interval engine against the rotation-BFS down-set oracle."""
+    for n in _rows("verify order-oracle", nmax,
+                   "order-oracle comparisons n={}",
+                   lambda n: catalan(n) ** 2, budget):
         expected = {t: rotation_down_set(t) for t in all_trees(n, budget)}
         actual: dict = {t: set() for t in expected}
         for s, t, _, _ in intervals(n, budget):
@@ -355,9 +354,7 @@ def _suite_canopy(nmax: int, budget):
     Each tree's canopy is read once, as the bitmask of its '+' positions;
     the per-interval checks are bit operations on two such masks.
     """
-    for n in range(1, nmax + 1):
-        if n >= 7:
-            _progress(f"canopy n={n}")
+    for n in _rows("verify canopy", nmax, *intervals_of(1), budget):
         entry_bad = None
         for t in all_trees(n, budget):
             word = canopy(t)
@@ -395,7 +392,7 @@ def _suite_dyck(nmax: int, budget):
     """Path bijection: statistics transport, round trip, cover transport."""
     to_ballot = str.maketrans("UD", "NE")
     to_dyck = str.maketrans("NE", "UD")
-    for n in range(1, nmax + 1):
+    for n in _rows("verify dyck", nmax, "all_trees({})", catalan, budget):
         stat_bad = None
         round_bad = None
         cover_bad = None
@@ -483,9 +480,7 @@ def _alternating_sum(values) -> int:
 
 def _suite_euler(nmax: int, budget):
     """Alternating sums of the diagonal and internal face counts."""
-    for n in range(1, nmax + 1):
-        if n >= 7:
-            _progress(f"euler n={n}")
+    for n in _rows("verify euler", nmax, *intervals_of(1), budget):
         enumerated = _alternating_sum(diagonal_fvector(n, budget))
         formula = _alternating_sum(b_formula(n, k) for k in range(n))
         yield (f"diagonal-alternating-sum n={n}",
@@ -504,7 +499,8 @@ def _suite_fusy_humbert(order: int, budget):
 def _suite_decompositions(nmax: int, mode, budget):
     for mode in [mode] if mode else DECOMPOSITION_MODES:
         witness = None
-        for n in range(1, nmax + 1):
+        for n in _rows(f"verify decompositions mode={mode}", nmax,
+                       "diagonal_faces({})", face_count_formula, budget):
             report = decomposition_report(n, mode, budget)
             yield (f"fvector-agrees mode={mode} n={n}",
                    report["fvector"] == diagonal_fvector(n, budget), None)
@@ -530,7 +526,8 @@ def _suite_decompositions(nmax: int, mode, budget):
 
 
 def _suite_internal_cross(nmax: int, budget):
-    for n in range(1, nmax + 1):
+    for n in _rows("verify internal-cross", nmax, "diagonal_faces({})",
+                   face_count_formula, budget):
         by_formula = internal_fvector(n, budget)
         by_faces = internal_fvector_direct(n, budget)
         yield (f"classification-vs-contractions n={n}",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .formulas import b_formula
+from .formulas import face_count_formula
 from .lattice import _interval_walk, interval_histogram
 from .paths import StatTable, cover_table, within_budget
 from .trees import (
@@ -100,8 +100,7 @@ def diagonal_faces(n: int, budget=None) -> Iterator[DiagonalFace]:
     """
     if n < 1:
         raise ValueError("diagonal_faces() requires n >= 1")
-    within_budget(f"diagonal_faces({n})",
-                  sum(b_formula(n, k) for k in range(n)), budget)
+    within_budget(f"diagonal_faces({n})", face_count_formula(n), budget)
     for (lower, _), (_, upper), _, _ in _interval_walk(n, budget,
                                                        _fiber_sides):
         for f, f_dim in lower:

@@ -69,6 +69,11 @@ def b_formula(n: int, k: int) -> int:
                       (3 * n + 1) * (3 * n + 2), "b_formula")
 
 
+def face_count_formula(n: int) -> int:
+    """All faces of the diagonal on n+1 leaves: sum over k of b(n, k)."""
+    return sum(b_formula(n, k) for k in range(n))
+
+
 def interval_count_formula(n: int) -> int:
     """Total interval count 2 C(4n+1, n+1) / ((3n+1)(3n+2))."""
     return b_formula(n, 0)

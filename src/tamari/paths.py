@@ -34,8 +34,9 @@ The validated string move m_tamari_covers is the cover oracle.
 One budget rule covers every exhaustive operation: within_budget compares
 the exact size of an enumeration (elements, trees, intervals, faces, tree
 pairs), read off its closed formula, with the budget and raises
-BudgetExceeded before any of the work.  The default budget comes from the
-TAMARI_BUDGET environment variable (fallback 2_000_000).  Nothing is
+BudgetExceeded before any of the work, and up_to checks the largest row
+of a command over n = 1..nmax before the first.  The default budget is
+TAMARI_BUDGET from the environment (fallback 2_000_000).  Nothing is
 cached: each view runs its own engine, which holds no mask once it ends.
 """
 from __future__ import annotations
@@ -83,6 +84,18 @@ def within_budget(what: str, size: int, budget=None) -> None:
     bud = resolve_budget(budget)
     if size > bud:
         raise BudgetExceeded(what, size, bud)
+
+
+def up_to(nmax: int, what: str, size, budget=None) -> range:
+    """Rows 1..nmax, after refusing row nmax, of size(nmax), on the budget."""
+    within_budget(what.format(nmax), size(nmax), budget)
+    return range(1, nmax + 1)
+
+
+def intervals_of(m: int) -> tuple:
+    """(what, size) of the slope-m engine's intervals, as up_to takes them."""
+    return (f"m_tamari intervals({m}, {{}})",
+            lambda n: m_tamari_intervals_formula(m, n))
 
 
 @dataclass(frozen=True)
@@ -305,8 +318,8 @@ def _m_engine(m: int, n: int, budget=None) -> Iterator[tuple]:
     by t; the mask of s is dropped once its last upper cover, the largest
     index among its covers, has OR-ed it in.
     """
-    within_budget(f"m_tamari intervals({m}, {n})",
-                  m_tamari_intervals_formula(m, n), budget)
+    what, size = intervals_of(m)
+    within_budget(what.format(n), size(n), budget)
     words = _ballot_words(m, n)
     index = {w: i for i, w in enumerate(words)}
     below: list = [[] for _ in words]

@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .equations import load_quartic, pde_operators
-from .formulas import binomial, m_tamari_intervals_formula
-from .paths import _slope_one_ell, _tally, cover_table, within_budget
+from .formulas import binomial
+from .paths import _slope_one_ell, _tally, cover_table, intervals_of, up_to
 from .polys import MonomialPolynomial, ZPolynomial
 
 
@@ -322,13 +322,10 @@ def catalytic_equation_check(order: int, budget=None) -> bool:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    # the largest of the engines, refused before the smaller ones run
-    within_budget(f"m_tamari intervals(1, {order})",
-                  m_tamari_intervals_formula(1, order), budget)
     a_u: dict = {}
     a_1: dict = {}
     a_star: dict = {}
-    for n in range(1, order + 1):
+    for n in up_to(order, *intervals_of(1), budget):
         cells = _tally(
             1, n, budget,
             lambda word, des, asc: (_slope_one_ell(word), des),
@@ -413,9 +410,7 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     """
     if total_degree < 0:
         raise ValueError("total_degree must be nonnegative")
-    # the largest of the engines, refused before the system is solved
-    within_budget(f"m_tamari intervals(1, {total_degree + 1})",
-                  m_tamari_intervals_formula(1, total_degree + 1), budget)
+    rows = up_to(total_degree + 1, *intervals_of(1), budget)
     cap = total_degree + 2
     truncation = ((1, 1, 1), cap)
     u, v, w = MonomialPolynomial.variables(3, truncation)
@@ -444,7 +439,7 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     # the canopies of s <= t agree in '-' at asc(t) places and in '+' at
     # des(s) places (checked directly by the canopy suite)
     f_enumerated: dict = {}
-    for n in range(1, total_degree + 2):
+    for n in rows:
         for (des_s, asc_t), count in cover_table(1, n, budget).cells.items():
             f_enumerated[(asc_t, des_s, n - 1 - asc_t - des_s)] = count
     if f_algebraic != f_enumerated:

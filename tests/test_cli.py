@@ -15,10 +15,12 @@ Core claims:
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
       minimum, an --out path that cannot be written, refused before the
-      work), 3 budget exceeded (order-oracle on its tree pairs, before
-      the first row), 4 verification or self-check failure; exits 3 and
-      4 leave an existing --out file as it was; every table and suite
-      exits 0 with each declared option at its minimum
+      work), 3 budget exceeded (every multi-n table and suite on its
+      largest row, before the first row; order-oracle on its tree
+      pairs), 4 verification or self-check failure (an inexact division
+      included); exits 3 and 4 leave an existing --out file as it was;
+      every table and suite exits 0 with each declared option at its
+      minimum
     - output is deterministic: repeated runs are byte-identical, and
       --out writes exactly what stdout would have carried
 """
@@ -29,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from conftest import right_comb
+from tamari import formulas
 from tamari.cli import (
     EXIT_BUDGET,
     EXIT_USAGE,
@@ -407,6 +410,28 @@ class TestVerify:
 # exit statuses
 # ===================================================================
 
+# a multi-n command and the largest row it is refused on; under
+# --budget 10 row 1 (one tree, interval or face) fits and row 4 does not
+REFUSED_LARGEST_ROWS = [
+    # 58,786^2 ordered comparisons at n = 11 against the default budget
+    ("verify order-oracle --nmax 11", "order-oracle comparisons n=11"),
+    ("table internal --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("table m-stats --nmax 4 --mmax 2 --budget 10",
+     "m_tamari intervals(2, 4)"),
+    ("table refined-ell --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("table refined-pq --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("table face-dims --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("verify canopy --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("verify dyck --nmax 4 --budget 10", "all_trees(4)"),
+    ("verify euler --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("verify decompositions --nmax 4 --budget 10", "diagonal_faces(4)"),
+    ("verify internal-cross --nmax 4 --budget 10", "diagonal_faces(4)"),
+    ("verify catalytic --order 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("verify fusy-humbert --order 3 --budget 10",
+     "m_tamari intervals(1, 4)"),
+]
+
+
 class TestExitStatuses:
     def test_budget_exhaustion_exits_three(self, capsys):
         status, out, err = run_cli(capsys, "table", "internal",
@@ -415,19 +440,21 @@ class TestExitStatuses:
         assert out == ""
         assert "TAMARI_BUDGET" in err
 
-    def test_order_oracle_is_refused_before_the_first_row(self, capsys,
-                                                           monkeypatch):
-        # 58,786^2 ordered comparisons at n = 11 against the default budget
+    @pytest.mark.parametrize("command, largest", REFUSED_LARGEST_ROWS,
+                             ids=["-".join(command.split()[:2])
+                                  for command, _ in REFUSED_LARGEST_ROWS])
+    def test_largest_row_is_refused_first(
+            self, capsys, monkeypatch, no_engine, command, largest):
         def refuse(*args):
-            raise AssertionError("the oracle started a row")
+            raise AssertionError("a row started")
 
         monkeypatch.delenv("TAMARI_BUDGET", raising=False)
         monkeypatch.setattr("tamari.cli.all_trees", refuse)
-        status, out, err = run_cli(capsys, "verify", "order-oracle",
-                                   "--nmax", "11")
+        status, out, err = run_cli(capsys, *command.split())
         assert status == EXIT_BUDGET
         assert out == ""
-        assert "comparisons n=11" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"tamari: {largest} needs ")
 
     @pytest.mark.parametrize("budget, status", [("195", EXIT_BUDGET),
                                                 ("196", 0)])
@@ -436,6 +463,16 @@ class TestExitStatuses:
         # C_4 = 14 trees make 196 ordered pairs
         assert run_cli(capsys, "verify", "order-oracle", "--nmax", "4",
                        "--budget", budget)[0] == status
+
+    def test_inexact_division_exits_four(self, capsys, monkeypatch):
+        binomial = formulas.binomial
+        monkeypatch.setattr("tamari.formulas.binomial",
+                            lambda p, q: binomial(p, q) + 1)
+        status, out, err = run_cli(capsys, "table", "a", "--nmax", "3")
+        assert status == EXIT_VERIFY
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("tamari: self-check failed: non-exact division")
 
     def test_failed_self_check_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr("tamari.equations.QUARTIC_SHA256", "0" * 64)

@@ -49,6 +49,7 @@ from tamari.diagonal import (
 )
 from tamari.formulas import (
     b_formula,
+    face_count_formula,
     interval_count_formula,
     new_interval_formula,
 )
@@ -158,7 +159,9 @@ class TestFvector:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_fast_equals_direct(self, n):
-        assert diagonal_fvector(n) == diagonal_fvector_direct(n)
+        direct = diagonal_fvector_direct(n)
+        assert diagonal_fvector(n) == direct
+        assert face_count_formula(n) == sum(direct)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_euler_characteristic(self, n):
