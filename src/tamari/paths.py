@@ -17,19 +17,24 @@ streams down-sets as bitmasks in a linear extension: down(t) is {t} with
 the union of down(c) over the words c covered by t.  Inside the engine a
 ballot word is an int (N = 1, first letter most significant) and its
 covers come from bit arithmetic; ascending int order, the reversed
-generation order of m_tamari_elements, is the extension.  Each mask is
-dropped once its last upper cover has been built, so only the masks
-still owed to a later word stay alive.  Every statistics table is the
-one tally _tally over the stream: per upper key, a binary counter per
-element held as bit planes, into which each down-set mask is added with
-a ripple carry; a cell is read at the end by one popcount per plane and
-lower class.  The planes are padded to one width, so a new plane reuses
-the block of the one it replaces and peak memory stays flat.
+generation order of m_tamari_elements, is the extension.  OR works bit by
+bit, so the masks cut to a window of lower indices [lo, hi) obey the same
+recurrence: the engine builds the words and cover lists once, then runs
+the recurrence once per window of at most WINDOW_BITS indices, holding
+window-wide masks only.  Each mask is dropped once its last upper cover
+has been built, so only the masks still owed to a later word stay alive.
+Every statistics table is the one tally _tally over the windows: per
+upper key, a binary counter per element of the window held as bit
+planes, into which each down-set mask is added with a ripple carry; a
+window's cells are read at its end by one popcount per plane and lower
+class, and summed over the windows.  The planes are padded to the window
+width, so a new plane reuses the block of the one it replaces and peak
+memory stays flat.
 cover_table counts intervals by the lower covers of the lower word and
 the upper covers of the upper one, (des(s), asc(t)) at slope 1.  Every
-walk over the intervals themselves,
-the tree walk of tamari.lattice included, is the one mask scan _walk.
-The validated string move m_tamari_covers is the cover oracle.
+walk over the intervals themselves, the tree walk of tamari.lattice
+included, is the one mask scan _walk, over a single window of all the
+words.  The validated string move m_tamari_covers is the cover oracle.
 
 One budget rule covers every exhaustive operation: within_budget compares
 the exact size of an enumeration (elements, trees, intervals, faces, tree
@@ -50,6 +55,9 @@ from .trees import BinaryTree
 
 FALLBACK_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "TAMARI_BUDGET"
+# the most lower indices one down-set mask of the engine spans; narrower
+# windows cost more passes over the covers (8 Kbit was slower at slope 3)
+WINDOW_BITS = 1 << 14
 
 
 # ===================================================================
@@ -310,13 +318,24 @@ def _covers(word: int, m: int) -> list:
     return out
 
 
-def _m_engine(m: int, n: int, budget=None) -> Iterator[tuple]:
-    """Stream (index, word, lower covers, upper covers, down-set mask) in
-    a linear extension, refused on the interval count up front.
+def _m_engine(m: int, n: int, budget=None, windowed=True) -> Iterator[tuple]:
+    """Stream the down-set masks window by window, refused on the interval
+    count up front.
 
+    The C words, in a linear extension, are split into equal windows
+    [lo, hi) of at most WINDOW_BITS indices (one window of all C when
+    windowed is false), and each window yields (lo, hi, rows).  rows
+    streams (index t, int word, lower covers, upper covers, mask) for
+    every t >= lo whose down-set meets the window: bit s - lo of the mask
+    is set for each s <= t in [lo, hi).  The first window yields every
+    word, since each down-set holds the bottom word, index 0.
+
+    OR works bit by bit, so a window's masks obey the whole recurrence:
     down(t) is bit t with the union of down(s) over the words s covered
-    by t; the mask of s is dropped once its last upper cover, the largest
-    index among its covers, has OR-ed it in.
+    by t, and a word below the window has the zero mask there.  The mask
+    of s is dropped once its last upper cover, the largest index among
+    its covers, has OR-ed it in.  The words and the cover lists are built
+    once, for every window; the peak holds the live masks of one window.
     """
     what, size = intervals_of(m)
     within_budget(what.format(n), size(n), budget)
@@ -325,85 +344,116 @@ def _m_engine(m: int, n: int, budget=None) -> Iterator[tuple]:
     below: list = [[] for _ in words]
     up_degree: list = []
     last_up: list = []
-    for i, word in enumerate(words):
+    # the dict's own ints, so each index is one object however often held
+    for word, i in index.items():
         above = [index[c] for c in _covers(word, m)]
         for j in above:
             below[j].append(i)
         up_degree.append(len(above))
         last_up.append(max(above, default=i))
     del index
-    live: dict = {}
-    for t, word in enumerate(words):
-        lower, below[t] = below[t], None
-        mask = 1 << t
+    # a tuple holds the covers in less memory than the list that grew them
+    for t, lower in enumerate(below):
+        below[t] = tuple(lower)
+    count = len(words)
+    windows = -(-count // WINDOW_BITS) if windowed else 1
+    for i in range(windows):
+        lo, hi = count * i // windows, count * (i + 1) // windows
+        yield lo, hi, _window(words, below, up_degree, last_up, lo, hi)
+
+
+def _window(words, below, up_degree, last_up, lo, hi) -> Iterator[tuple]:
+    """The rows of window [lo, hi) of _m_engine.
+
+    Later windows start at hi, so the lower-cover list of a word inside
+    this window is released once read.
+    """
+    live = [0] * len(words)
+    for t in range(lo, len(words)):
+        lower = below[t]
+        if t < hi:
+            below[t] = None
+            mask = 1 << (t - lo)
+        else:
+            mask = 0
         for s in lower:
-            mask |= live.pop(s) if last_up[s] == t else live[s]
-        if up_degree[t]:
+            mask |= live[s]
+            if last_up[s] == t:
+                live[s] = 0
+        if mask:
             live[t] = mask
-        yield t, _render(word), len(lower), up_degree[t], mask
+            yield t, words[t], len(lower), up_degree[t], mask
 
 
 def _walk(m: int, n: int, budget, element) -> Iterator[tuple]:
     """Every interval once, upper-major, lower indices ascending, as
     (element(s), element(t), lower covers of s, upper covers of t).
 
-    element is called once per word, not once per interval.  A mask is
-    scanned as its reversed binary string, so reading a set bit does not
-    rebuild a C_n-bit integer.
+    element is called once per word, not once per interval.  The engine
+    runs as one window, so each mask is the whole down-set; it is scanned
+    as its reversed binary string, so reading a set bit does not rebuild
+    a C_n-bit integer.
     """
     values: list = []
     lower: list = []
-    for ti, word, down, up, mask in _m_engine(m, n, budget):
-        values.append(element(word))
-        lower.append(down)
-        upper = values[ti]
-        bits = bin(mask)[:1:-1]
-        si = bits.find("1")
-        while si >= 0:
-            yield values[si], upper, lower[si], up
-            si = bits.find("1", si + 1)
+    for _, _, rows in _m_engine(m, n, budget, windowed=False):
+        for ti, word, down, up, mask in rows:
+            values.append(element(_render(word)))
+            lower.append(down)
+            upper = values[ti]
+            bits = bin(mask)[:1:-1]
+            si = bits.find("1")
+            while si >= 0:
+                yield values[si], upper, lower[si], up
+                si = bits.find("1", si + 1)
 
 
 def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     """{(lower_key(s), upper_key(t)): number of intervals s <= t}.
 
-    A key function sees an element as (word, lower covers, upper covers).
-    Each upper key keeps a binary counter per element s, stored as bit
+    A key function sees an element as (word, lower covers, upper covers),
+    and runs once per word, in the engine's first window.  Each upper key
+    keeps a binary counter per element s of the window, stored as bit
     planes: plane j holds bit j of the number of that key's down-set
     masks that contain s.  A mask is added with a ripple carry, so an
     upper element costs a few ^ and & operations, not one step per
-    interval or one popcount per lower class.  The cells are read once
-    at the end, one popcount per plane and lower class.
+    interval or one popcount per lower class.  At the end of a window
+    each lower class, a mask over all words, is shifted into the window,
+    and a cell gains one popcount per plane and lower class.
 
-    Every plane carries a top bit at index C (the element count, read off
-    fuss_catalan once the engine has passed its budget check) that no
-    mask or carry sets, so each plane keeps one width and the plane that
-    replaces it fits the block it frees.
+    Every plane carries a top bit at index hi - lo that no mask or carry
+    sets, so each plane keeps one width and the plane that replaces it
+    fits the block it frees.
     """
     lower_class: dict = {}
-    counters: dict = {}
-    top = 0
-    for ti, word, down, up, mask in _m_engine(m, n, budget):
-        if not ti:
-            top = 1 << fuss_catalan(m, n)
-        key = lower_key(word, down, up)
-        lower_class[key] = lower_class.get(key, 0) | (1 << ti)
-        planes = counters.setdefault(upper_key(word, down, up), [])
-        carry = mask
-        for j, plane in enumerate(planes):
-            planes[j] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        else:
-            planes.append(carry | top)
+    upper_keys: list = []
     cells: dict = {}
-    for upper, planes in counters.items():
-        for key, members in lower_class.items():
-            count = sum((plane & members).bit_count() << j
-                        for j, plane in enumerate(planes))
-            if count:
-                cells[(key, upper)] = count
+    for lo, hi, rows in _m_engine(m, n, budget):
+        top = 1 << (hi - lo)
+        counters: dict = {}
+        for ti, word, down, up, mask in rows:
+            if not lo:
+                word = _render(word)
+                key = lower_key(word, down, up)
+                lower_class[key] = lower_class.get(key, 0) | (1 << ti)
+                upper_keys.append(upper_key(word, down, up))
+            planes = counters.setdefault(upper_keys[ti], [])
+            carry = mask
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry | top)
+        window = [(key, members >> lo & (top - 1))
+                  for key, members in lower_class.items()]
+        for upper, planes in counters.items():
+            for key, members in window:
+                count = sum((plane & members).bit_count() << j
+                            for j, plane in enumerate(planes))
+                if count:
+                    cells[key, upper] = cells.get((key, upper), 0) + count
     return cells
 
 
@@ -413,8 +463,8 @@ def _slope_one_ell(word: str) -> int:
 
 
 def m_tamari_interval_count(m: int, n: int, budget=None) -> int:
-    return sum(mask.bit_count()
-               for _, _, _, _, mask in _m_engine(m, n, budget))
+    return sum(mask.bit_count() for _, _, rows in _m_engine(m, n, budget)
+               for _, _, _, _, mask in rows)
 
 
 def m_tamari_intervals(m: int, n: int, budget=None) -> Iterator[tuple]:

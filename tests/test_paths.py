@@ -13,27 +13,38 @@ Core claims:
     - the engine's element order is a linear extension: every cover of
       a word comes after it; the int cover move is the string cover move
     - the engine streams its masks: one interval count holds well under
-      the bytes of all down-set masks at once; the n = 12 count
-      (extended) equals the closed formula
+      the bytes of all down-set masks at once, and with eight windows a
+      table holds under a quarter of them; the n = 12 count (extended)
+      equals the closed formula in a child process under 300 MB
+    - the engine splits the words into equal windows of at most
+      WINDOW_BITS; with the width patched down to a few bits, every tally
+      and count equals the one-window oracle and the formula
     - m-interval counts match the closed formula; the cover-statistic
-      tables match rows frozen from independent tabulation
+      tables match rows frozen from independent tabulation, and every
+      slope-m row up to 3e6 intervals (m = 2..4) runs over k = 0..2n-2
+      with m·n(n-1) at k = 1 and the slope-(m-2) count at the top
     - the interval walk reads every set bit of every down-set mask, in
       upper-major, ascending order, with the engine's cover counts; at
       slope 1 it yields the intervals of lattice.intervals in its order
     - the bit-plane tally counts the intervals pair by pair: per-word
       cells, one counter carried through log2 C planes, and the cover
       counts; one table holds under the bytes of all masks; at the
-      benchmark's sizes (extended) it matches the closed formulas
+      benchmark's sizes and at n = 12 (extended) it matches the closed
+      formulas
     - malformed words and blown budgets raise, every tally view before
       any word is generated
 """
 
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import tamari
 from conftest import left_comb, nonempty_binary_trees, right_comb, tree_pool
 from tamari.formulas import (
     a_formula,
@@ -49,7 +60,9 @@ from tamari.lattice import (
     interval_stats_refined,
     intervals,
 )
+from tamari import paths
 from tamari.paths import (
+    WINDOW_BITS,
     _ballot_words,
     _covers,
     _m_engine,
@@ -79,6 +92,14 @@ from tamari.trees import (
 
 TO_BALLOT = str.maketrans("UD", "NE")
 
+# the (m, n) on which the engine is checked word by word
+ENGINE_GRID = ([(1, n) for n in range(1, 8)]
+               + [(2, n) for n in range(1, 6)]
+               + [(3, n) for n in range(1, 5)])
+
+# window widths that split every engine above into several windows
+NARROW_WIDTHS = [1, 5, 64]
+
 # interval counts by (m, n), frozen from independent tabulation
 M_INTERVAL_COUNTS = {
     (1, 4): 68, (2, 4): 703, (3, 4): 3685, (4, 4): 13390,
@@ -99,6 +120,17 @@ M_STATS_ROWS = {
     (5, 3): [1, 30, 210, 380, 170],
     (6, 4): [1, 72, 1458, 10942, 32115, 36760, 13390],
 }
+
+
+def _whole_masks(m, n, budget=None):
+    # the engine's rows as one window: each mask is a whole down-set
+    for _, _, rows in _m_engine(m, n, budget, windowed=False):
+        yield from rows
+
+
+def _mask_bytes(m, n, budget):
+    # the bytes of every whole down-set mask, as if all were held at once
+    return sum(sys.getsizeof(mask) for *_, mask in _whole_masks(m, n, budget))
 
 
 # == the bijection ==================================================
@@ -231,6 +263,20 @@ class TestBallot:
         assert table.total == M_INTERVAL_COUNTS.get(
             (m, n), m_tamari_intervals_formula(m, n))
 
+    @pytest.mark.parametrize("m,n", [
+        (m, n) for m in range(2, 5) for n in range(1, 8)
+        if m_tamari_intervals_formula(m, n) <= 3 * 10**6])
+    def test_stats_row_shape(self, m, n):
+        # the cover statistic of every slope-m row up to 3e6 intervals:
+        # k runs over 0..2n-2, m·n(n-1) intervals have k = 1, and the top
+        # row entry counts the slope-(m-2) intervals (one at m = 2)
+        table = m_tamari_interval_stats(
+            m, n, budget=m_tamari_intervals_formula(m, n))
+        assert sorted(table.cells) == [(k,) for k in range(2 * n - 1)]
+        assert table.value(1) == m * n * (n - 1)
+        assert table.value(2 * n - 2) == (
+            1 if m == 2 else m_tamari_intervals_formula(m - 2, n))
+
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 4)])
     def test_intervals_are_order_intervals(self, m, n):
         # oracle route: BFS the cover relation and compare pair sets
@@ -254,9 +300,9 @@ class TestBallot:
         # down-set mask: same pairs, upper-major, lower indices ascending,
         # with the engine's cover counts; element runs once per word
         indices, words, down_degree, up_degree, masks = map(
-            list, zip(*_m_engine(m, n)))
+            list, zip(*_whole_masks(m, n)))
         assert indices == list(range(len(words)))
-        index = {w: i for i, w in enumerate(words)}
+        index = {_render(w): i for i, w in enumerate(words)}
         calls = []
 
         def element(word):
@@ -267,7 +313,7 @@ class TestBallot:
                     for t, mask in enumerate(masks)
                     for s in range(len(masks)) if mask >> s & 1]
         assert list(_walk(m, n, None, element)) == expected
-        assert sorted(calls) == sorted(words)
+        assert sorted(calls) == sorted(index)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_slope_one_intervals_in_tree_walk_order(self, n):
@@ -284,15 +330,13 @@ class TestBallot:
     def test_engine_order_is_a_linear_extension(self, m, n):
         # the down-set masks are built in this order, so every cover of a
         # word must have a larger index
-        words = [word for _, word, _, _, _ in _m_engine(m, n)]
+        words = [_render(word) for _, word, _, _, _ in _whole_masks(m, n)]
         assert sorted(words) == sorted(m_tamari_elements(m, n))
         index = {w: i for i, w in enumerate(words)}
         for i, w in enumerate(words):
             assert all(index[u] > i for u in m_tamari_covers(w))
 
-    @pytest.mark.parametrize("m,n", [(1, n) for n in range(1, 8)]
-                             + [(2, n) for n in range(1, 6)]
-                             + [(3, n) for n in range(1, 5)])
+    @pytest.mark.parametrize("m,n", ENGINE_GRID)
     def test_int_covers_are_the_string_covers(self, m, n):
         # the engine's bit-arithmetic move, rendered, against the
         # validated string move, on every word
@@ -410,6 +454,69 @@ class TestTally:
         budget = m_tamari_intervals_formula(3, 7)
         assert m_tamari_interval_stats(3, 7, budget).total == budget
 
+    @pytest.mark.extended
+    def test_paper_table_n12(self, monkeypatch):
+        # the paper's first table at n = 12 from one engine run: the
+        # histogram through interval_histogram, and the separated diagonal
+        # p + q = 11 of the cover_table that it sums
+        tables = []
+
+        def kept(*args):
+            tables.append(cover_table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(paths, "cover_table", kept)
+        n = 12
+        hist = interval_histogram(n, budget=interval_count_formula(n))
+        assert hist == [a_formula(n, k) for k in range(n)]
+        assert sum(hist) == interval_count_formula(n)
+        [table] = tables
+        for p in range(n):
+            assert table.value(p, n - 1 - p) == separated_formula(n, p)
+
+
+# == windows ========================================================
+
+class TestWindows:
+    # a narrow WINDOW_BITS splits each engine into many windows; every
+    # table and count must equal the one-window engine's
+    @pytest.mark.parametrize("width", NARROW_WIDTHS + [WINDOW_BITS])
+    @pytest.mark.parametrize("m,n", [(1, 7), (2, 5), (3, 1)])
+    def test_windows_split_the_words_evenly(self, monkeypatch, width, m, n):
+        monkeypatch.setattr(paths, "WINDOW_BITS", width)
+        count = fuss_catalan(m, n)
+        windows = [(lo, hi, list(rows)) for lo, hi, rows in _m_engine(m, n)]
+        assert len(windows) == -(-count // width)
+        assert [lo for lo, _, _ in windows] == [0] + [
+            hi for _, hi, _ in windows[:-1]]
+        assert windows[-1][1] == count
+        sizes = {hi - lo for lo, hi, _ in windows}
+        assert max(sizes) <= width and max(sizes) - min(sizes) <= 1
+        # the first window yields every word, each later one only the
+        # words whose down-set meets it
+        first = windows[0][2]
+        assert [t for t, *_ in first] == list(range(count))
+        for lo, hi, rows in windows:
+            assert all(t >= lo and 0 < mask < 1 << (hi - lo)
+                       for t, *_, mask in rows)
+
+    @pytest.mark.parametrize("width", NARROW_WIDTHS)
+    @pytest.mark.parametrize("keys", sorted(TALLY_KEYS))
+    @pytest.mark.parametrize("m,n", TALLY_GRID)
+    def test_windowed_tally_counts_the_pairs(
+            self, monkeypatch, width, m, n, keys):
+        monkeypatch.setattr(paths, "WINDOW_BITS", width)
+        lower_key, upper_key = TALLY_KEYS[keys]
+        assert (_tally(m, n, None, lower_key, upper_key)
+                == _pairwise_cells(m, n, lower_key, upper_key))
+
+    @pytest.mark.parametrize("width", NARROW_WIDTHS)
+    @pytest.mark.parametrize("m,n", ENGINE_GRID)
+    def test_windowed_count_is_the_formula(self, monkeypatch, width, m, n):
+        monkeypatch.setattr(paths, "WINDOW_BITS", width)
+        assert (m_tamari_interval_count(m, n)
+                == m_tamari_intervals_formula(m, n))
+
 
 # == streaming ======================================================
 
@@ -418,8 +525,7 @@ class TestStreaming:
         # an engine that kept every down-set mask would peak above their
         # total; dropping each after its last upper cover stays well under
         budget = m_tamari_intervals_formula(1, 10)
-        total = sum(sys.getsizeof(mask)
-                    for _, _, _, _, mask in _m_engine(1, 10, budget))
+        total = _mask_bytes(1, 10, budget)
         tracemalloc.start()
         try:
             count = m_tamari_interval_count(1, 10, budget)
@@ -433,8 +539,7 @@ class TestStreaming:
         # a tally that held the masks, or grew one plane per element,
         # would peak above their total
         budget = m_tamari_intervals_formula(1, 10)
-        total = sum(sys.getsizeof(mask)
-                    for _, _, _, _, mask in _m_engine(1, 10, budget))
+        total = _mask_bytes(1, 10, budget)
         tracemalloc.start()
         try:
             table = cover_table(1, 10, budget)
@@ -444,8 +549,33 @@ class TestStreaming:
         assert table.total == interval_count_formula(10)
         assert peak < 0.7 * total
 
+    def test_narrow_windows_hold_a_quarter_of_the_mask_bytes(
+            self, monkeypatch):
+        # eight windows: each live mask spans an eighth of the words
+        budget = m_tamari_intervals_formula(1, 10)
+        total = _mask_bytes(1, 10, budget)
+        monkeypatch.setattr(paths, "WINDOW_BITS", -(-catalan(10) // 8))
+        tracemalloc.start()
+        try:
+            table = cover_table(1, 10, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.total == interval_count_formula(10)
+        assert peak < 0.25 * total
+
     @pytest.mark.extended
     def test_frontier_count_n12(self):
         # 373,537,388 intervals over 208,012 trees, counted by the engine
-        count = m_tamari_interval_count(1, 12, budget=400_000_000)
+        # in a child process that reports its own peak RSS (KiB on Linux)
+        code = ("import resource\n"
+                "from tamari.paths import m_tamari_interval_count\n"
+                "print(m_tamari_interval_count(1, 12, budget=400_000_000),"
+                " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        src = str(Path(tamari.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        count, peak_kib = map(int, out.split())
         assert count == m_tamari_intervals_formula(1, 12) == 373537388
+        assert peak_kib < 300 * 1024
