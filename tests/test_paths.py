@@ -44,8 +44,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-import tamari
 from conftest import left_comb, nonempty_binary_trees, right_comb, tree_pool
+from tamari import paths
 from tamari.formulas import (
     a_formula,
     catalan,
@@ -60,7 +60,6 @@ from tamari.lattice import (
     interval_stats_refined,
     intervals,
 )
-from tamari import paths
 from tamari.paths import (
     WINDOW_BITS,
     _ballot_words,
@@ -572,7 +571,7 @@ class TestStreaming:
                 "from tamari.paths import m_tamari_interval_count\n"
                 "print(m_tamari_interval_count(1, 12, budget=400_000_000),"
                 " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-        src = str(Path(tamari.__file__).resolve().parents[1])
+        src = str(Path(paths.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code], check=True, capture_output=True,
             text=True, env={**os.environ, "PYTHONPATH": src}).stdout
