@@ -318,24 +318,25 @@ def _covers(word: int, m: int) -> list:
     return out
 
 
-def _m_engine(m: int, n: int, budget=None, windowed=True) -> Iterator[tuple]:
-    """Stream the down-set masks window by window, refused on the interval
-    count up front.
+def _m_engine(m: int, n: int, budget=None, windowed=True) -> tuple:
+    """The slope-m lattice on n up-steps as (words, lower, upper, windows),
+    refused on the interval count before any word is generated.
 
-    The C words, in a linear extension, are split into equal windows
-    [lo, hi) of at most WINDOW_BITS indices (one window of all C when
-    windowed is false), and each window yields (lo, hi, rows).  rows
-    streams (index t, int word, lower covers, upper covers, mask) for
-    every t >= lo whose down-set meets the window: bit s - lo of the mask
-    is set for each s <= t in [lo, hi).  The first window yields every
-    word, since each down-set holds the bottom word, index 0.
+    words lists the int ballot words in a linear extension, and lower[t]
+    and upper[t] count the covers below and above words[t].  The indices
+    are split into equal windows [lo, hi) of at most WINDOW_BITS (one
+    window of all C when windowed is false), and windows yields
+    (lo, hi, rows) for each in turn.  rows streams (t, mask) in index
+    order for every t >= lo whose down-set meets the window: bit s - lo
+    of the mask is set for each s <= t in [lo, hi).  One window yields
+    every t, with its whole down-set.
 
     OR works bit by bit, so a window's masks obey the whole recurrence:
     down(t) is bit t with the union of down(s) over the words s covered
     by t, and a word below the window has the zero mask there.  The mask
     of s is dropped once its last upper cover, the largest index among
-    its covers, has OR-ed it in.  The words and the cover lists are built
-    once, for every window; the peak holds the live masks of one window.
+    its covers, has OR-ed it in.  The cover lists are built once, for
+    every window; the peak holds the live masks of one window.
     """
     what, size = intervals_of(m)
     within_budget(what.format(n), size(n), budget)
@@ -356,20 +357,21 @@ def _m_engine(m: int, n: int, budget=None, windowed=True) -> Iterator[tuple]:
     for t, lower in enumerate(below):
         below[t] = tuple(lower)
     count = len(words)
-    windows = -(-count // WINDOW_BITS) if windowed else 1
-    for i in range(windows):
-        lo, hi = count * i // windows, count * (i + 1) // windows
-        yield lo, hi, _window(words, below, up_degree, last_up, lo, hi)
+    parts = -(-count // WINDOW_BITS) if windowed else 1
+    bounds = [(count * i // parts, count * (i + 1) // parts)
+              for i in range(parts)]
+    return (words, [len(lower) for lower in below], up_degree,
+            ((lo, hi, _window(below, last_up, lo, hi)) for lo, hi in bounds))
 
 
-def _window(words, below, up_degree, last_up, lo, hi) -> Iterator[tuple]:
+def _window(below, last_up, lo, hi) -> Iterator[tuple]:
     """The rows of window [lo, hi) of _m_engine.
 
     Later windows start at hi, so the lower-cover list of a word inside
     this window is released once read.
     """
-    live = [0] * len(words)
-    for t in range(lo, len(words)):
+    live = [0] * len(below)
+    for t in range(lo, len(below)):
         lower = below[t]
         if t < hi:
             below[t] = None
@@ -382,7 +384,7 @@ def _window(words, below, up_degree, last_up, lo, hi) -> Iterator[tuple]:
                 live[s] = 0
         if mask:
             live[t] = mask
-            yield t, words[t], len(lower), up_degree[t], mask
+            yield t, mask
 
 
 def _walk(m: int, n: int, budget, element) -> Iterator[tuple]:
@@ -394,25 +396,24 @@ def _walk(m: int, n: int, budget, element) -> Iterator[tuple]:
     as its reversed binary string, so reading a set bit does not rebuild
     a C_n-bit integer.
     """
+    words, lower, upper, windows = _m_engine(m, n, budget, windowed=False)
+    [(_, _, rows)] = windows
     values: list = []
-    lower: list = []
-    for _, _, rows in _m_engine(m, n, budget, windowed=False):
-        for ti, word, down, up, mask in rows:
-            values.append(element(_render(word)))
-            lower.append(down)
-            upper = values[ti]
-            bits = bin(mask)[:1:-1]
-            si = bits.find("1")
-            while si >= 0:
-                yield values[si], upper, lower[si], up
-                si = bits.find("1", si + 1)
+    for ti, mask in rows:
+        values.append(element(_render(words[ti])))
+        value, up = values[ti], upper[ti]
+        bits = bin(mask)[:1:-1]
+        si = bits.find("1")
+        while si >= 0:
+            yield values[si], value, lower[si], up
+            si = bits.find("1", si + 1)
 
 
 def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     """{(lower_key(s), upper_key(t)): number of intervals s <= t}.
 
     A key function sees an element as (word, lower covers, upper covers),
-    and runs once per word, in the engine's first window.  Each upper key
+    and runs once per word, before the first window.  Each upper key
     keeps a binary counter per element s of the window, stored as bit
     planes: plane j holds bit j of the number of that key's down-set
     masks that contain s.  A mask is added with a ripple carry, so an
@@ -425,19 +426,22 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     sets, so each plane keeps one width and the plane that replaces it
     fits the block it frees.
     """
+    words, lower, upper, windows = _m_engine(m, n, budget)
     lower_class: dict = {}
-    upper_keys: list = []
+    upper_ids: dict = {}
+    slot: list = []
+    for t, word in enumerate(words):
+        word = _render(word)
+        key = lower_key(word, lower[t], upper[t])
+        lower_class[key] = lower_class.get(key, 0) | (1 << t)
+        slot.append(upper_ids.setdefault(
+            upper_key(word, lower[t], upper[t]), len(upper_ids)))
     cells: dict = {}
-    for lo, hi, rows in _m_engine(m, n, budget):
+    for lo, hi, rows in windows:
         top = 1 << (hi - lo)
-        counters: dict = {}
-        for ti, word, down, up, mask in rows:
-            if not lo:
-                word = _render(word)
-                key = lower_key(word, down, up)
-                lower_class[key] = lower_class.get(key, 0) | (1 << ti)
-                upper_keys.append(upper_key(word, down, up))
-            planes = counters.setdefault(upper_keys[ti], [])
+        counters: list = [[] for _ in upper_ids]
+        for t, mask in rows:
+            planes = counters[slot[t]]
             carry = mask
             for j, plane in enumerate(planes):
                 planes[j] = plane ^ carry
@@ -448,12 +452,13 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
                 planes.append(carry | top)
         window = [(key, members >> lo & (top - 1))
                   for key, members in lower_class.items()]
-        for upper, planes in counters.items():
+        for upper_class, i in upper_ids.items():
             for key, members in window:
                 count = sum((plane & members).bit_count() << j
-                            for j, plane in enumerate(planes))
+                            for j, plane in enumerate(counters[i]))
                 if count:
-                    cells[key, upper] = cells.get((key, upper), 0) + count
+                    cells[key, upper_class] = (
+                        cells.get((key, upper_class), 0) + count)
     return cells
 
 
@@ -463,8 +468,8 @@ def _slope_one_ell(word: str) -> int:
 
 
 def m_tamari_interval_count(m: int, n: int, budget=None) -> int:
-    return sum(mask.bit_count() for _, _, rows in _m_engine(m, n, budget)
-               for _, _, _, _, mask in rows)
+    *_, windows = _m_engine(m, n, budget)
+    return sum(mask.bit_count() for _, _, rows in windows for _, mask in rows)
 
 
 def m_tamari_intervals(m: int, n: int, budget=None) -> Iterator[tuple]:

@@ -122,9 +122,12 @@ M_STATS_ROWS = {
 
 
 def _whole_masks(m, n, budget=None):
-    # the engine's rows as one window: each mask is a whole down-set
-    for _, _, rows in _m_engine(m, n, budget, windowed=False):
-        yield from rows
+    # the engine as one window, (t, word, lower covers, upper covers,
+    # mask) per word: each mask is a whole down-set
+    words, lower, upper, windows = _m_engine(m, n, budget, windowed=False)
+    for _, _, rows in windows:
+        for t, mask in rows:
+            yield t, words[t], lower[t], upper[t], mask
 
 
 def _mask_bytes(m, n, budget):
@@ -484,20 +487,21 @@ class TestWindows:
     def test_windows_split_the_words_evenly(self, monkeypatch, width, m, n):
         monkeypatch.setattr(paths, "WINDOW_BITS", width)
         count = fuss_catalan(m, n)
-        windows = [(lo, hi, list(rows)) for lo, hi, rows in _m_engine(m, n)]
+        *_, windows = _m_engine(m, n)
+        windows = [(lo, hi, list(rows)) for lo, hi, rows in windows]
         assert len(windows) == -(-count // width)
         assert [lo for lo, _, _ in windows] == [0] + [
             hi for _, hi, _ in windows[:-1]]
         assert windows[-1][1] == count
         sizes = {hi - lo for lo, hi, _ in windows}
         assert max(sizes) <= width and max(sizes) - min(sizes) <= 1
-        # the first window yields every word, each later one only the
-        # words whose down-set meets it
-        first = windows[0][2]
-        assert [t for t, *_ in first] == list(range(count))
+        # the first window yields every word, since each down-set holds
+        # the bottom word; each later one only the words whose down-set
+        # meets it
+        assert [t for t, _ in windows[0][2]] == list(range(count))
         for lo, hi, rows in windows:
             assert all(t >= lo and 0 < mask < 1 << (hi - lo)
-                       for t, *_, mask in rows)
+                       for t, mask in rows)
 
     @pytest.mark.parametrize("width", NARROW_WIDTHS)
     @pytest.mark.parametrize("keys", sorted(TALLY_KEYS))
