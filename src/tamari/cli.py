@@ -13,7 +13,8 @@ m-intervals, m-stats, refined-ell, refined-pq, face-dims.
 Verification suites cross-check independent computation routes and print a
 JSON report: order-oracle, canopy, dyck, catalytic, polynomial, pde,
 telescoped, chu-vandermonde, euler, fusy-humbert, decompositions,
-internal-cross.  Every table and suite reads only the options TABLES or
+internal-cross.  Each check scans all of its inputs and reports its own
+first failure.  Every table and suite reads only the options TABLES or
 SUITES declares for it, with their defaults and smallest meaningful
 values; another option, or a value below that minimum, is a usage error.
 
@@ -30,6 +31,7 @@ import json
 import os
 import random
 import sys
+from itertools import product
 
 from .diagonal import (
     DECOMPOSITION_MODES,
@@ -112,40 +114,40 @@ def _rows(command: str, nmax: int, what: str, size, budget):
 # tables
 #
 # A table is (header, rows); a row is a list of cells where None
-# renders as an empty cell.  Cells right of a row's last entry stay
-# empty, matching the staircase shape of the reference tables.
+# renders as an empty cell.
 # ===================================================================
 
-def _staircase(prefix: list, counts: dict, row_max: int, kcols: int) -> list:
-    cells = [counts.get(k, 0) if k <= row_max else None
-             for k in range(kcols)]
-    return prefix + cells
+def _grid(names: list, column: str, rows, total: bool = True) -> tuple:
+    """The table of (prefix, cells, total) rows: one column=k column per
+    cell of the longest row, then a total column if total is set.  Each
+    shorter row is padded with None, the staircase shape of the
+    reference tables."""
+    rows = list(rows)
+    width = max(len(cells) for _, cells, _ in rows)
+    header = names + [f"{column}={k}" for k in range(width)]
+    return header + ["total"] * total, [
+        prefix + cells + [None] * (width - len(cells)) + [end] * total
+        for prefix, cells, end in rows]
 
 
 def _table_a(nmax: int) -> tuple:
-    header = ["n"] + [f"k={k}" for k in range(nmax)] + ["total"]
-    rows = [_staircase([n], {k: a_formula(n, k) for k in range(n)},
-                       n - 1, nmax) + [interval_count_formula(n)]
-            for n in range(1, nmax + 1)]
-    return header, rows
+    return _grid(["n"], "k", (
+        ([n], [a_formula(n, k) for k in range(n)], interval_count_formula(n))
+        for n in range(1, nmax + 1)))
 
 
 def _table_b(nmax: int) -> tuple:
-    header = ["n"] + [f"k={k}" for k in range(nmax)]
-    rows = [_staircase([n], {k: b_formula(n, k) for k in range(n)},
-                       n - 1, nmax)
-            for n in range(1, nmax + 1)]
-    return header, rows
+    return _grid(["n"], "k", (
+        ([n], [b_formula(n, k) for k in range(n)], None)
+        for n in range(1, nmax + 1)), total=False)
 
 
 def _table_internal(nmax: int, budget) -> tuple:
-    header = ["n"] + [f"k={k}" for k in range(nmax)] + ["total"]
-    rows = []
-    for n in _rows("table internal", nmax, *intervals_of(1), budget):
-        vector = internal_fvector(n, budget)
-        rows.append(_staircase([n], dict(enumerate(vector)), n - 1, nmax)
-                    + [sum(vector)])
-    return header, rows
+    def rows():
+        for n in _rows("table internal", nmax, *intervals_of(1), budget):
+            vector = internal_fvector(n, budget)
+            yield [n], vector, sum(vector)
+    return _grid(["n"], "k", rows())
 
 
 def _table_m_intervals(nmax: int, mmax: int) -> tuple:
@@ -157,50 +159,36 @@ def _table_m_intervals(nmax: int, mmax: int) -> tuple:
 
 
 def _table_m_stats(nmax: int, mmax: int, budget) -> tuple:
-    blocks = []
-    kcols = 0
-    for m in range(1, mmax + 1):
-        for n in _rows(f"table m-stats m={m}", nmax,
-                       *intervals_of(mmax), budget):
-            table = m_tamari_interval_stats(m, n, budget)
-            counts = {k: count for (k,), count in table.cells.items()}
-            row_max = max(counts)
-            kcols = max(kcols, row_max + 1)
-            blocks.append(([m, n], counts, row_max, table.total))
-    header = ["m", "n"] + [f"k={k}" for k in range(kcols)] + ["total"]
-    rows = [_staircase(prefix, counts, row_max, kcols) + [total]
-            for prefix, counts, row_max, total in blocks]
-    return header, rows
+    def rows():
+        for m in range(1, mmax + 1):
+            for n in _rows(f"table m-stats m={m}", nmax,
+                           *intervals_of(mmax), budget):
+                table = m_tamari_interval_stats(m, n, budget)
+                yield ([m, n], [table.value(k) for k in table.axis_range(0)],
+                       table.total)
+    return _grid(["m", "n"], "k", rows())
 
 
 def _table_refined_ell(nmax: int, budget) -> tuple:
-    header = ["n", "i"] + [f"k={k}" for k in range(nmax)] + ["total"]
-    rows = []
-    for n in _rows("table refined-ell", nmax, *intervals_of(1), budget):
-        by_ell = interval_stats_refined(n, budget)
-        column_sums: dict = {}
-        for i in range(n):
-            counts = {k: by_ell.value(i, k) for k in range(n)}
-            for k, count in counts.items():
-                column_sums[k] = column_sums.get(k, 0) + count
-            rows.append(_staircase([n, i], counts, n - 1, nmax)
-                        + [sum(counts.values())])
-        # the reference layout leaves the sum row's total corner empty
-        rows.append(_staircase([n, "total"], column_sums, n - 1, nmax)
-                    + [None])
-    return header, rows
+    def rows():
+        for n in _rows("table refined-ell", nmax, *intervals_of(1), budget):
+            by_ell = interval_stats_refined(n, budget)
+            grid = [[by_ell.value(i, k) for k in range(n)] for i in range(n)]
+            for i, cells in enumerate(grid):
+                yield [n, i], cells, sum(cells)
+            # the reference layout leaves the sum row's total corner empty
+            yield [n, "total"], [sum(column) for column in zip(*grid)], None
+    return _grid(["n", "i"], "k", rows())
 
 
 def _pq_triangle(name: str, nmax: int, budget, table_for_n) -> tuple:
     """Rows (n, p), columns q, filled for p+q <= n-1 (staircase shape)."""
-    header = ["n", "p"] + [f"q={q}" for q in range(nmax)]
-    rows = []
-    for n in _rows(f"table {name}", nmax, *intervals_of(1), budget):
-        table = table_for_n(n, budget)
-        for p in range(n):
-            counts = {q: table.value(p, q) for q in range(n - p)}
-            rows.append(_staircase([n, p], counts, n - 1 - p, nmax))
-    return header, rows
+    def rows():
+        for n in _rows(f"table {name}", nmax, *intervals_of(1), budget):
+            table = table_for_n(n, budget)
+            for p in range(n):
+                yield [n, p], [table.value(p, q) for q in range(n - p)], None
+    return _grid(["n", "p"], "q", rows(), total=False)
 
 
 def _table_refined_pq(nmax: int, budget) -> tuple:
@@ -309,8 +297,14 @@ def _emit(text: str, out) -> None:
 # ===================================================================
 # verification suites
 #
-# A suite yields its checks as (name, ok, detail or None).
+# A suite yields its checks as (name, ok, detail or None); a check reads
+# ok only if every one of its inputs passed it.
 # ===================================================================
+
+def _first(items, failed):
+    """The first item for which failed(item) is true, or None."""
+    return next((item for item in items if failed(item)), None)
+
 
 def _suite_order_oracle(nmax: int, budget):
     """Bitmask interval engine against the rotation-BFS down-set oracle."""
@@ -321,20 +315,14 @@ def _suite_order_oracle(nmax: int, budget):
         actual: dict = {t: set() for t in expected}
         for s, t, _, _ in intervals(n, budget):
             actual[t].add(s)
-        bad = [t for t in expected if expected[t] != actual[t]]
-        yield (f"down-sets-match-bfs n={n}", not bad,
-               None if not bad else f"first mismatch at {serialize(bad[0])}")
-        pair_bad = None
-        trees = list(expected)
-        for s in trees:
-            for t in trees:
-                if tamari_leq(s, t) != (s in expected[t]):
-                    pair_bad = (serialize(s), serialize(t))
-                    break
-            if pair_bad:
-                break
+        bad = _first(expected, lambda t: expected[t] != actual[t])
+        yield (f"down-sets-match-bfs n={n}", bad is None,
+               None if bad is None else f"first mismatch at {serialize(bad)}")
+        pair_bad = _first(product(expected, repeat=2), lambda pair:
+                          tamari_leq(*pair) != (pair[0] in expected[pair[1]]))
         yield (f"comparison-matches-reachability n={n}", pair_bad is None,
-               None if pair_bad is None else {"pair": list(pair_bad)})
+               None if pair_bad is None
+               else {"pair": [serialize(t) for t in pair_bad]})
         total = sum(len(v) for v in expected.values())
         yield (f"interval-count-closed-form n={n}",
                total == interval_count_formula(n),
@@ -352,16 +340,15 @@ def _suite_canopy(nmax: int, budget):
     """Canopy statistics: entry counts, monotonicity, agreement counts.
 
     Each tree's canopy is read once, as the bitmask of its '+' positions;
-    the per-interval checks are bit operations on two such masks.
+    the per-interval checks are bit operations on two such masks, made
+    in one pass over the intervals.
     """
     for n in _rows("verify canopy", nmax, *intervals_of(1), budget):
-        entry_bad = None
-        for t in all_trees(n, budget):
-            word = canopy(t)
-            if word.count("-") != asc(t) or word.count("+") != des(t):
-                entry_bad = serialize(t)
-                break
-        yield f"entry-counts-are-asc-des n={n}", entry_bad is None, entry_bad
+        words = {t: canopy(t) for t in all_trees(n, budget)}
+        entry_bad = _first(words, lambda t: words[t].count("-") != asc(t)
+                           or words[t].count("+") != des(t))
+        yield (f"entry-counts-are-asc-des n={n}", entry_bad is None,
+               None if entry_bad is None else serialize(entry_bad))
         mono_bad = None
         both_bad = None
         histogram = [0] * n
@@ -369,19 +356,15 @@ def _suite_canopy(nmax: int, budget):
         for (cs, s), (ct, t), des_s, asc_t in _interval_walk(
                 n, budget, _canopy_plus_mask):
             # monotone: every '+' of s is a '+' of t
-            if cs & ~ct:
-                mono_bad = (serialize(s), serialize(t))
-                break
+            if cs & ~ct and mono_bad is None:
+                mono_bad = {"pair": [serialize(s), serialize(t)]}
             # a shared '-' is in neither mask, a shared '+' in both
-            if (width - (cs | ct).bit_count() != asc_t
-                    or (cs & ct).bit_count() != des_s):
-                both_bad = (serialize(s), serialize(t))
-                break
+            if ((width - (cs | ct).bit_count() != asc_t
+                    or (cs & ct).bit_count() != des_s) and both_bad is None):
+                both_bad = {"pair": [serialize(s), serialize(t)]}
             histogram[width - (cs ^ ct).bit_count()] += 1
-        yield (f"canopies-monotone n={n}", mono_bad is None,
-               None if mono_bad is None else {"pair": list(mono_bad)})
-        yield (f"shared-entries-count-asc-des n={n}", both_bad is None,
-               None if both_bad is None else {"pair": list(both_bad)})
+        yield f"canopies-monotone n={n}", mono_bad is None, mono_bad
+        yield f"shared-entries-count-asc-des n={n}", both_bad is None, both_bad
         if mono_bad is None and both_bad is None:
             expected = [a_formula(n, k) for k in range(n)]
             yield (f"agreement-histogram n={n}", histogram == expected,
@@ -393,26 +376,21 @@ def _suite_dyck(nmax: int, budget):
     to_ballot = str.maketrans("UD", "NE")
     to_dyck = str.maketrans("NE", "UD")
     for n in _rows("verify dyck", nmax, "all_trees({})", catalan, budget):
-        stat_bad = None
-        round_bad = None
-        cover_bad = None
-        for t in all_trees(n, budget):
-            word = tree_to_dyck(t)
-            if (valleys(word) != asc(t) or double_falls(word) != des(t)
-                    or contacts(word) != ell(t)):
-                stat_bad = serialize(t)
-                break
-            if dyck_to_tree(word) != t:
-                round_bad = serialize(t)
-                break
-            image = {w.translate(to_dyck)
-                     for w in m_tamari_covers(word.translate(to_ballot))}
-            if image != {tree_to_dyck(u) for u in rotations_up(t)}:
-                cover_bad = serialize(t)
-                break
-        yield f"statistics-transport n={n}", stat_bad is None, stat_bad
-        yield f"round-trip n={n}", round_bad is None, round_bad
-        yield f"cover-transport n={n}", cover_bad is None, cover_bad
+        words = {t: tree_to_dyck(t) for t in all_trees(n, budget)}
+        checks = {
+            "statistics-transport": lambda t: (
+                (valleys(words[t]), double_falls(words[t]), contacts(words[t]))
+                != (asc(t), des(t), ell(t))),
+            "round-trip": lambda t: dyck_to_tree(words[t]) != t,
+            "cover-transport": lambda t: (
+                {w.translate(to_dyck)
+                 for w in m_tamari_covers(words[t].translate(to_ballot))}
+                != {tree_to_dyck(u) for u in rotations_up(t)}),
+        }
+        for name, failed in checks.items():
+            bad = _first(words, failed)
+            yield (f"{name} n={n}", bad is None,
+                   None if bad is None else serialize(bad))
 
 
 def _suite_catalytic(order: int, budget):
@@ -425,11 +403,8 @@ def _suite_polynomial(order: int):
     yield (f"quartic-root-residual-mod-t^{order + 1}",
            substitute(quartic_equation(), root).is_zero,
            "the quartic re-evaluated at the root")
-    coeff_bad = None
-    for n in range(1, order + 1):
-        if root.coefficient(n) != interval_row_polynomial(n):
-            coeff_bad = n
-            break
+    coeff_bad = _first(range(1, order + 1), lambda n:
+                       root.coefficient(n) != interval_row_polynomial(n))
     yield (f"coefficients-match-closed-form n<={order}", coeff_bad is None,
            coeff_bad)
     shifted = newton_solve(quartic_equation().shift(1, 1), order)
@@ -462,14 +437,9 @@ def _suite_chu_vandermonde():
         yield (f"frozen n={n} k={k} r={r}", lhs == rhs == value,
                {"lhs": str(lhs), "rhs": str(rhs), "expected": str(value)})
     rng = random.Random(CHU_SEED)
-    bad = None
-    for _ in range(40):
-        n = rng.randint(1, 30)
-        k = rng.randint(0, 30)
-        r = rng.randint(0, 30)
-        if not chu_vandermonde_check(n, k, r):
-            bad = (n, k, r)
-            break
+    triples = [(rng.randint(1, 30), rng.randint(0, 30), rng.randint(0, 30))
+               for _ in range(40)]
+    bad = _first(triples, lambda triple: not chu_vandermonde_check(*triple))
     yield ("randomized-grid n,k,r<=30 (fixed seed)", bad is None,
            None if bad is None else {"triple": list(bad)})
 

@@ -33,8 +33,8 @@ memory stays flat.
 cover_table counts intervals by the lower covers of the lower word and
 the upper covers of the upper one, (des(s), asc(t)) at slope 1.  Every
 walk over the intervals themselves, the tree walk of tamari.lattice
-included, is the one mask scan _walk, over a single window of all the
-words.  The validated string move m_tamari_covers is the cover oracle.
+included, is the one mask scan _walk over the same windows.  The
+validated string move m_tamari_covers is the cover oracle.
 
 One budget rule covers every exhaustive operation: within_budget compares
 the exact size of an enumeration (elements, trees, intervals, faces, tree
@@ -79,7 +79,12 @@ class BudgetExceeded(RuntimeError):
 def resolve_budget(budget=None) -> int:
     """Explicit argument, else TAMARI_BUDGET, else the built-in fallback."""
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, FALLBACK_BUDGET))
+        value = os.environ.get(BUDGET_ENV_VAR, FALLBACK_BUDGET)
+        try:
+            budget = int(value)
+        except ValueError:
+            message = f"{BUDGET_ENV_VAR}={value!r} is not an integer"
+            raise ValueError(message) from None
     budget = int(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -318,18 +323,17 @@ def _covers(word: int, m: int) -> list:
     return out
 
 
-def _m_engine(m: int, n: int, budget=None, windowed=True) -> tuple:
+def _m_engine(m: int, n: int, budget=None) -> tuple:
     """The slope-m lattice on n up-steps as (words, lower, upper, windows),
     refused on the interval count before any word is generated.
 
     words lists the int ballot words in a linear extension, and lower[t]
     and upper[t] count the covers below and above words[t].  The indices
-    are split into equal windows [lo, hi) of at most WINDOW_BITS (one
-    window of all C when windowed is false), and windows yields
-    (lo, hi, rows) for each in turn.  rows streams (t, mask) in index
-    order for every t >= lo whose down-set meets the window: bit s - lo
-    of the mask is set for each s <= t in [lo, hi).  One window yields
-    every t, with its whole down-set.
+    are split into equal windows [lo, hi) of at most WINDOW_BITS, and
+    windows yields (lo, hi, rows) for each in turn.  rows streams
+    (t, mask) in index order for every t >= lo whose down-set meets the
+    window: bit s - lo of the mask is set for each s <= t in [lo, hi).
+    One window yields every t, with its whole down-set.
 
     OR works bit by bit, so a window's masks obey the whole recurrence:
     down(t) is bit t with the union of down(s) over the words s covered
@@ -357,7 +361,7 @@ def _m_engine(m: int, n: int, budget=None, windowed=True) -> tuple:
     for t, lower in enumerate(below):
         below[t] = tuple(lower)
     count = len(words)
-    parts = -(-count // WINDOW_BITS) if windowed else 1
+    parts = -(-count // WINDOW_BITS)
     bounds = [(count * i // parts, count * (i + 1) // parts)
               for i in range(parts)]
     return (words, [len(lower) for lower in below], up_degree,
@@ -388,25 +392,27 @@ def _window(below, last_up, lo, hi) -> Iterator[tuple]:
 
 
 def _walk(m: int, n: int, budget, element) -> Iterator[tuple]:
-    """Every interval once, upper-major, lower indices ascending, as
-    (element(s), element(t), lower covers of s, upper covers of t).
+    """Every interval once, as (element(s), element(t), lower covers of s,
+    upper covers of t): window by window, upper-major within a window,
+    lower indices ascending.  With one window (C <= WINDOW_BITS) this is
+    upper-major over all the intervals.
 
-    element is called once per word, not once per interval.  The engine
-    runs as one window, so each mask is the whole down-set; it is scanned
-    as its reversed binary string, so reading a set bit does not rebuild
-    a C_n-bit integer.
+    element is called once per word, before the first window, not once
+    per interval.  Each window mask is scanned as its reversed binary
+    string, so reading a set bit does not rebuild a wide integer.
     """
-    words, lower, upper, windows = _m_engine(m, n, budget, windowed=False)
-    [(_, _, rows)] = windows
-    values: list = []
-    for ti, mask in rows:
-        values.append(element(_render(words[ti])))
-        value, up = values[ti], upper[ti]
-        bits = bin(mask)[:1:-1]
-        si = bits.find("1")
-        while si >= 0:
-            yield values[si], value, lower[si], up
-            si = bits.find("1", si + 1)
+    words, lower, upper, windows = _m_engine(m, n, budget)
+    values = [element(_render(word)) for word in words]
+    for lo, _, rows in windows:
+        # bit si of a window mask is the word lo + si
+        below, down = values[lo:], lower[lo:]
+        for ti, mask in rows:
+            value, up = values[ti], upper[ti]
+            bits = bin(mask)[:1:-1]
+            si = bits.find("1")
+            while si >= 0:
+                yield below[si], value, down[si], up
+                si = bits.find("1", si + 1)
 
 
 def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:

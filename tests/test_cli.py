@@ -368,14 +368,31 @@ class TestVerify:
         assert report["ok"] is False
         checks = {entry["name"]: entry for entry in report["checks"]}
         assert checks["entry-counts-are-asc-des n=3"]["ok"] is False
-        pair_checks = [checks["canopies-monotone n=3"],
-                       checks["shared-entries-count-asc-des n=3"]]
-        failed = [entry for entry in pair_checks if not entry["ok"]]
-        assert len(failed) == 1
-        assert serialize(top) in failed[0]["detail"]["pair"]
+        # each pair check scans every interval, so both turn red, each
+        # on a pair through that tree
+        for name in ("canopies-monotone n=3",
+                     "shared-entries-count-asc-des n=3"):
+            assert checks[name]["ok"] is False
+            assert serialize(top) in checks[name]["detail"]["pair"]
         assert "agreement-histogram n=3" not in checks
         assert all(entry["ok"] for name, entry in checks.items()
                    if not name.endswith("n=3"))
+
+    def test_dyck_checks_each_scan_every_tree(self, capsys, monkeypatch):
+        # break the valley count and every tree's upper covers: every
+        # tree fails the statistics check, and the cover check must
+        # still scan the trees and turn red on its own
+        monkeypatch.setattr("tamari.cli.valleys", lambda word: -1)
+        monkeypatch.setattr("tamari.cli.rotations_up",
+                            lambda t: frozenset())
+        status, out, _ = run_cli(capsys, "verify", "dyck", "--nmax", "3")
+        assert status == EXIT_VERIFY
+        checks = {entry["name"]: entry["ok"]
+                  for entry in json.loads(out)["checks"]}
+        for n in (2, 3):
+            assert checks[f"statistics-transport n={n}"] is False
+            assert checks[f"cover-transport n={n}"] is False
+            assert checks[f"round-trip n={n}"] is True
 
     @pytest.mark.parametrize("argv", [
         ("canopy", "--nmax", "3", "--budget", "100000000"),
@@ -463,6 +480,13 @@ class TestExitStatuses:
         # C_4 = 14 trees make 196 ordered pairs
         assert run_cli(capsys, "verify", "order-oracle", "--nmax", "4",
                        "--budget", budget)[0] == status
+
+    def test_bad_budget_variable_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TAMARI_BUDGET", "abc")
+        status, out, err = run_cli(capsys, "table", "internal", "--nmax", "2")
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert err == "tamari: TAMARI_BUDGET='abc' is not an integer\n"
 
     def test_inexact_division_exits_four(self, capsys, monkeypatch):
         binomial = formulas.binomial

@@ -18,7 +18,8 @@ Core claims:
       equals the closed formula in a child process under 300 MB
     - the engine splits the words into equal windows of at most
       WINDOW_BITS; with the width patched down to a few bits, every tally
-      and count equals the one-window oracle and the formula
+      equals the pairwise oracle walked in one window, every count the
+      formula, and the walk yields the intervals of the default width
     - m-interval counts match the closed formula; the cover-statistic
       tables match rows frozen from independent tabulation, and every
       slope-m row up to 3e6 intervals (m = 2..4) runs over k = 0..2n-2
@@ -122,12 +123,15 @@ M_STATS_ROWS = {
 
 
 def _whole_masks(m, n, budget=None):
-    # the engine as one window, (t, word, lower covers, upper covers,
-    # mask) per word: each mask is a whole down-set
-    words, lower, upper, windows = _m_engine(m, n, budget, windowed=False)
-    for _, _, rows in windows:
+    # (t, word, lower covers, upper covers, mask) per word, where each
+    # whole down-set mask is the OR of its window masks shifted into place
+    words, lower, upper, windows = _m_engine(m, n, budget)
+    masks = [0] * len(words)
+    for lo, _, rows in windows:
         for t, mask in rows:
-            yield t, words[t], lower[t], upper[t], mask
+            masks[t] |= mask << lo
+    for t, mask in enumerate(masks):
+        yield t, words[t], lower[t], upper[t], mask
 
 
 def _mask_bytes(m, n, budget):
@@ -508,10 +512,12 @@ class TestWindows:
     @pytest.mark.parametrize("m,n", TALLY_GRID)
     def test_windowed_tally_counts_the_pairs(
             self, monkeypatch, width, m, n, keys):
-        monkeypatch.setattr(paths, "WINDOW_BITS", width)
+        # the oracle walks the intervals at the default width, one
+        # window on this grid, before the width is patched
         lower_key, upper_key = TALLY_KEYS[keys]
-        assert (_tally(m, n, None, lower_key, upper_key)
-                == _pairwise_cells(m, n, lower_key, upper_key))
+        expected = _pairwise_cells(m, n, lower_key, upper_key)
+        monkeypatch.setattr(paths, "WINDOW_BITS", width)
+        assert _tally(m, n, None, lower_key, upper_key) == expected
 
     @pytest.mark.parametrize("width", NARROW_WIDTHS)
     @pytest.mark.parametrize("m,n", ENGINE_GRID)
@@ -519,6 +525,18 @@ class TestWindows:
         monkeypatch.setattr(paths, "WINDOW_BITS", width)
         assert (m_tamari_interval_count(m, n)
                 == m_tamari_intervals_formula(m, n))
+
+    @pytest.mark.parametrize("width", NARROW_WIDTHS)
+    @pytest.mark.parametrize("m,n", ENGINE_GRID)
+    def test_windowed_walk_yields_the_same_intervals(
+            self, monkeypatch, width, m, n):
+        # window-major order, the same set of intervals with the same
+        # cover counts as at the default width, each once
+        whole = list(_walk(m, n, None, lambda word: word))
+        monkeypatch.setattr(paths, "WINDOW_BITS", width)
+        windowed = list(_walk(m, n, None, lambda word: word))
+        assert len(windowed) == len(set(windowed)) == len(whole)
+        assert set(windowed) == set(whole)
 
 
 # == streaming ======================================================
