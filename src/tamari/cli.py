@@ -19,10 +19,10 @@ SUITES declares for it, with their defaults and smallest meaningful
 values; another option, or a value below that minimum, is a usage error.
 
 Exit status: 0 success, 2 usage error (an --out path that cannot be
-written included), 3 budget exceeded (a command over n = 1..nmax is
-refused on its largest row, before the first), 4 verification or
+written included), 3 budget exceeded (refused before any work; a
+command over n = 1..nmax on its largest row), 4 verification or
 internal self-check failure.  Every command is deterministic; progress
-goes to stderr only, one line per row from n = 7.
+goes to stderr only, one line per enumerated row from n = 7.
 """
 from __future__ import annotations
 
@@ -49,6 +49,8 @@ from .formulas import (
     chu_vandermonde_sides,
     face_count_formula,
     interval_count_formula,
+    internal_row_products,
+    internal_rows,
     interval_row_polynomial,
     m_tamari_intervals_formula,
     new_interval_formula,
@@ -75,6 +77,7 @@ from .paths import (
     tree_to_dyck,
     up_to,
     valleys,
+    within_budget,
 )
 from .series import (
     catalytic_equation_check,
@@ -143,11 +146,10 @@ def _table_b(nmax: int) -> tuple:
 
 
 def _table_internal(nmax: int, budget) -> tuple:
-    def rows():
-        for n in _rows("table internal", nmax, *intervals_of(1), budget):
-            vector = internal_fvector(n, budget)
-            yield [n], vector, sum(vector)
-    return _grid(["n"], "k", rows())
+    within_budget(f"internal_rows({nmax}) products",
+                  internal_row_products(nmax), budget)
+    return _grid(["n"], "k", (([n], row, sum(row))
+                              for n, row in enumerate(internal_rows(nmax), 1)))
 
 
 def _table_m_intervals(nmax: int, mmax: int) -> tuple:
@@ -203,16 +205,17 @@ def _table_face_dims(nmax: int, budget) -> tuple:
 # name -> (builder, {option it reads: (default, smallest meaningful value
 # or None)}); every table reads --format and --out
 ANY = (None, None)  # no default, no minimum
+BUDGET = (None, 1)  # default: TAMARI_BUDGET, else the built-in fallback
 TABLES = {
     "a": (_table_a, {"nmax": (9, 1)}),
     "b": (_table_b, {"nmax": (9, 1)}),
-    "internal": (_table_internal, {"nmax": (7, 1), "budget": ANY}),
+    "internal": (_table_internal, {"nmax": (7, 1), "budget": BUDGET}),
     "m-intervals": (_table_m_intervals, {"nmax": (9, 1), "mmax": (6, 1)}),
     "m-stats": (_table_m_stats,
-                {"nmax": (4, 1), "mmax": (6, 1), "budget": ANY}),
-    "refined-ell": (_table_refined_ell, {"nmax": (5, 1), "budget": ANY}),
-    "refined-pq": (_table_refined_pq, {"nmax": (5, 1), "budget": ANY}),
-    "face-dims": (_table_face_dims, {"nmax": (5, 1), "budget": ANY}),
+                {"nmax": (4, 1), "mmax": (6, 1), "budget": BUDGET}),
+    "refined-ell": (_table_refined_ell, {"nmax": (5, 1), "budget": BUDGET}),
+    "refined-pq": (_table_refined_pq, {"nmax": (5, 1), "budget": BUDGET}),
+    "face-dims": (_table_face_dims, {"nmax": (5, 1), "budget": BUDGET}),
 }
 
 # the options a command may declare, in the order of a report's params
@@ -233,18 +236,20 @@ def _read_options(command: str, reads: dict, args) -> tuple:
             raise ValueError(f"{command} does not read --{option}")
         minimum = reads[option][1]
         if minimum is not None and value < minimum:
-            raise ValueError(f"--{option} must be at least {minimum}")
+            raise ValueError(f"--{option} must be at least {minimum}, "
+                             f"not {value}")
         kwargs[option] = given[option] = value
     return kwargs, given
 
 
-def _render_csv(header: list, rows: list) -> str:
+def _render_csv(header: list, rows: list):
+    """The CSV lines, each yielded as it is rendered."""
     def cell(value) -> str:
         return "" if value is None else str(value)
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(value) for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(cell(value) for value in row) + "\n"
 
 
 def _render_json(name: str, header: list, rows: list) -> str:
@@ -267,16 +272,16 @@ def cmd_table(args) -> int:
     _check_out(args.out)
     header, rows = builder(**kwargs)
     if args.format == "csv":
-        text = _render_csv(header, rows)
+        chunks = _render_csv(header, rows)
     else:
-        text = _render_json(args.name, header, rows)
-    _emit(text, args.out)
+        chunks = [_render_json(args.name, header, rows)]
+    _emit(chunks, args.out)
     return 0
 
 
 def _check_out(out) -> None:
     """Refuse an --out path that cannot be written before any of the work;
-    the target itself is opened only once the text is complete."""
+    the target itself is opened only once the work is done."""
     if not out:
         return
     if os.path.isdir(out):
@@ -286,12 +291,13 @@ def _check_out(out) -> None:
         raise FileNotFoundError(f"--out {out}: no directory {directory}")
 
 
-def _emit(text: str, out) -> None:
+def _emit(chunks, out) -> None:
+    """Write the chunks as they come, to --out if given, else stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ===================================================================
@@ -512,19 +518,20 @@ def _suite_internal_cross(nmax: int, budget):
 
 # name -> (suite, options declared as in TABLES); every suite reads --out
 SUITES = {
-    "order-oracle": (_suite_order_oracle, {"nmax": (6, 1), "budget": ANY}),
-    "canopy": (_suite_canopy, {"nmax": (6, 1), "budget": ANY}),
-    "dyck": (_suite_dyck, {"nmax": (6, 1), "budget": ANY}),
-    "catalytic": (_suite_catalytic, {"order": (8, 1), "budget": ANY}),
+    "order-oracle": (_suite_order_oracle, {"nmax": (6, 1), "budget": BUDGET}),
+    "canopy": (_suite_canopy, {"nmax": (6, 1), "budget": BUDGET}),
+    "dyck": (_suite_dyck, {"nmax": (6, 1), "budget": BUDGET}),
+    "catalytic": (_suite_catalytic, {"order": (8, 1), "budget": BUDGET}),
     "polynomial": (_suite_polynomial, {"order": (10, 1)}),
     "pde": (_suite_pde, {"order": (10, 3)}),
     "telescoped": (_suite_telescoped, {"nmax": (12, 1)}),
     "chu-vandermonde": (_suite_chu_vandermonde, {}),
-    "euler": (_suite_euler, {"nmax": (7, 1), "budget": ANY}),
-    "fusy-humbert": (_suite_fusy_humbert, {"order": (6, 0), "budget": ANY}),
+    "euler": (_suite_euler, {"nmax": (7, 1), "budget": BUDGET}),
+    "fusy-humbert": (_suite_fusy_humbert, {"order": (6, 0), "budget": BUDGET}),
     "decompositions": (_suite_decompositions,
-                       {"nmax": (4, 1), "mode": ANY, "budget": ANY}),
-    "internal-cross": (_suite_internal_cross, {"nmax": (5, 1), "budget": ANY}),
+                       {"nmax": (4, 1), "mode": ANY, "budget": BUDGET}),
+    "internal-cross": (_suite_internal_cross,
+                       {"nmax": (5, 1), "budget": BUDGET}),
 }
 
 
@@ -541,7 +548,7 @@ def cmd_verify(args) -> int:
     ok = all(entry["ok"] for entry in checks)
     report = {"suite": args.suite, "params": params, "checks": checks,
               "ok": ok}
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit([json.dumps(report, indent=2) + "\n"], args.out)
     return 0 if ok else EXIT_VERIFY
 
 

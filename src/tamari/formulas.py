@@ -1,5 +1,8 @@
 """Closed product formulas for interval and face counts, with identity checks.
 
+internal_rows reads the internal f-vector off the face rows b(n, k) by a
+recursion over integer coefficient lists; it enumerates nothing.
+
 Everything here is exact big-integer arithmetic: formulas multiply first and
 divide last, and every division asserts exactness — a remainder anywhere is
 a bug, never a rounding concern.
@@ -155,6 +158,59 @@ def separated_formula(n: int, p: int) -> int:
 def interval_row_polynomial(n: int) -> ZPolynomial:
     """Row n of the interval table as a polynomial in z."""
     return ZPolynomial(tuple(a_formula(n, k) for k in range(n)))
+
+
+# ===================================================================
+# internal faces from the face rows
+# ===================================================================
+
+def internal_row_products(nmax: int) -> int:
+    """The coefficient products internal_rows(nmax) makes, exactly:
+    (nmax-1)·nmax·(nmax+1)·(nmax²+5·nmax+26)/120."""
+    return _exact_div((nmax - 1) * nmax * (nmax + 1)
+                      * (nmax * nmax + 5 * nmax + 26), 120,
+                      "internal_row_products")
+
+
+def _add_product(target: list, p: list, q: list, sign: int = 1) -> None:
+    """target += sign·p·q over coefficient lists, in place."""
+    for i, c in enumerate(p):
+        c *= sign
+        for k, d in enumerate(q, i):
+            target[k] += c * d
+
+
+def internal_rows(nmax: int) -> list:
+    """Rows 1..nmax of the internal f-vector, from b(n, k) alone.
+
+    With B_n(y) = sum_k b(n, k) y^k and T(x) = x + sum_{n>=1} B_n(y) x^(n+1),
+    the internal rows are the unique I_n(y) with
+    x = T - sum_{a>=2} I_{a-1}(y) T^a: a face lies in the relative interior
+    of one face of the associahedron, on which the diagonal is the product
+    of the diagonals of its factors (the face property of the operadic
+    diagonal; at y = 0, Chapoton's relation between intervals and new
+    intervals).  Reading off [x^(n+1)],
+
+        I_n = B_n - sum_{a=2}^{n} I_{a-1} · [x^(n+1-a)] (T/x)^a.
+
+    power holds [x^j] (T/x)^a for j <= nmax+1-a, one coefficient list in y
+    each, and is multiplied by T/x = 1 + sum_i B_i x^i once per a.  Row
+    a-1 is final when a is reached, since a only subtracts from rows n >= a.
+    """
+    face = [[1]] + [[b_formula(n, k) for k in range(n)]
+                    for n in range(1, nmax + 1)]
+    rows = [list(row) for row in face[1:]]
+    power = face[:nmax]
+    for a in range(2, nmax + 1):
+        top = nmax + 1 - a
+        raised = [[1]] + [list(power[j]) for j in range(1, top + 1)]
+        for j in range(1, top + 1):
+            for i in range(1, j + 1):
+                _add_product(raised[j], power[j - i], face[i])
+        power = raised
+        for n in range(a, nmax + 1):
+            _add_product(rows[n - 1], rows[a - 2], power[n + 1 - a], -1)
+    return rows
 
 
 # ===================================================================

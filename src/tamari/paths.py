@@ -77,17 +77,21 @@ class BudgetExceeded(RuntimeError):
 
 
 def resolve_budget(budget=None) -> int:
-    """Explicit argument, else TAMARI_BUDGET, else the built-in fallback."""
+    """Explicit argument, else TAMARI_BUDGET, else the built-in fallback.
+
+    A value that is not a positive integer is refused by its source and
+    value."""
+    source = f"budget {budget!r}"
     if budget is None:
         value = os.environ.get(BUDGET_ENV_VAR, FALLBACK_BUDGET)
+        source = f"{BUDGET_ENV_VAR}={value!r}"
         try:
             budget = int(value)
         except ValueError:
-            message = f"{BUDGET_ENV_VAR}={value!r} is not an integer"
-            raise ValueError(message) from None
+            raise ValueError(f"{source} is not an integer") from None
     budget = int(budget)
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise ValueError(f"{source} is not positive")
     return budget
 
 

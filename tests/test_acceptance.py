@@ -9,7 +9,8 @@ fails its test if any sub-check fails.
     2. face counts: b-formula = binomial transform of enumerated
        histogram (n <= 8) = direct face enumeration (n <= 6)
     3. internal faces: statistic formula = shared-facet criterion
-       (n <= 6), frozen rows up to n = 7
+       (n <= 6), frozen rows up to n = 7; the closed face-rows
+       recursion = frozen rows (n <= 7) = statistic formula (n = 8)
     4. functional equations: quartic root, catalytic system,
        parametrization, z-shift compatibility
     5. printed operators: differential annihilators, telescoped and
@@ -42,6 +43,7 @@ from tamari.formulas import (
     binomial,
     chu_vandermonde_check,
     fuss_catalan,
+    internal_rows,
     interval_count_formula,
     m_tamari_intervals_formula,
     specialization_suite,
@@ -194,6 +196,11 @@ def criterion_internal_faces():
     for n, row in INTERNAL_ROWS.items():
         if internal_fvector(n) != row:
             failures.append(f"frozen internal row at n={n}")
+    closed = internal_rows(8)
+    if (closed[:7] != [INTERNAL_ROWS[n] for n in range(1, 8)]
+            or closed[7] != internal_fvector(8)):
+        failures.append("closed recursion vs frozen rows n<=7 and the "
+                        "statistic formula at n=8")
     return failures
 
 
@@ -391,7 +398,8 @@ GATES = [
      criterion_histogram),
     ("2 diagonal face counts (transform n<=8, enumeration n<=6)",
      criterion_face_counts),
-    ("3 internal faces (two routes n<=6, frozen rows n<=7)",
+    ("3 internal faces (two routes n<=6, frozen rows n<=7, closed "
+     "recursion n<=8)",
      criterion_internal_faces),
     ("4 functional equations (quartic, catalytic, parametrization, "
      "z-shift)", criterion_functional_equations),

@@ -14,11 +14,14 @@ Core claims:
       byte
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
-      minimum, an --out path that cannot be written, refused before the
-      work), 3 budget exceeded (every multi-n table and suite on its
-      largest row, before the first row; order-oracle on its tree
-      pairs), 4 verification or self-check failure (an inexact division
-      included); exits 3 and 4 leave an existing --out file as it was;
+      minimum, a zero budget named by its source and value, an --out
+      path that cannot be written, refused before the work), 3 budget
+      exceeded (every multi-n table and suite on its largest row, before
+      the first row; order-oracle on its tree pairs; table internal on
+      the coefficient products of its recursion), 4 verification or
+      self-check failure (an inexact division included); exits 3 and 4,
+      and a build that fails part-way, leave an existing --out file as
+      it was;
       every table and suite exits 0 with each declared option at its
       minimum
     - output is deterministic: repeated runs are byte-identical, and
@@ -432,7 +435,7 @@ class TestVerify:
 REFUSED_LARGEST_ROWS = [
     # 58,786^2 ordered comparisons at n = 11 against the default budget
     ("verify order-oracle --nmax 11", "order-oracle comparisons n=11"),
-    ("table internal --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("table internal --nmax 4 --budget 10", "internal_rows(4) products"),
     ("table m-stats --nmax 4 --mmax 2 --budget 10",
      "m_tamari intervals(2, 4)"),
     ("table refined-ell --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
@@ -467,6 +470,7 @@ class TestExitStatuses:
 
         monkeypatch.delenv("TAMARI_BUDGET", raising=False)
         monkeypatch.setattr("tamari.cli.all_trees", refuse)
+        monkeypatch.setattr("tamari.cli.internal_rows", refuse)
         status, out, err = run_cli(capsys, *command.split())
         assert status == EXIT_BUDGET
         assert out == ""
@@ -487,6 +491,41 @@ class TestExitStatuses:
         assert status == EXIT_USAGE
         assert out == ""
         assert err == "tamari: TAMARI_BUDGET='abc' is not an integer\n"
+
+    def test_zero_budget_variable_is_a_usage_error(self, capsys,
+                                                   monkeypatch):
+        monkeypatch.setenv("TAMARI_BUDGET", "0")
+        status, out, err = run_cli(capsys, "table", "internal", "--nmax", "2")
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert err == "tamari: TAMARI_BUDGET='0' is not positive\n"
+
+    def test_zero_budget_option_is_a_usage_error(self, capsys):
+        status, out, err = run_cli(capsys, "table", "internal", "--nmax", "2",
+                                   "--budget", "0")
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert err == "tamari: --budget must be at least 1, not 0\n"
+
+    def test_internal_rows_to_forty_fit_the_default_budget(self, capsys,
+                                                           monkeypatch):
+        monkeypatch.delenv("TAMARI_BUDGET", raising=False)
+        status, out, _ = run_cli(capsys, "table", "internal", "--nmax", "40")
+        assert status == 0
+        _, rows = csv_grid(out)
+        assert [row[0] for row in rows] == [str(n) for n in range(1, 41)]
+
+    def test_huge_internal_nmax_is_refused_first(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the recursion started")
+
+        monkeypatch.delenv("TAMARI_BUDGET", raising=False)
+        monkeypatch.setattr("tamari.cli.internal_rows", refuse)
+        status, out, err = run_cli(capsys, "table", "internal",
+                                   "--nmax", "100000")
+        assert status == EXIT_BUDGET
+        assert out == ""
+        assert err.startswith("tamari: internal_rows(100000) products needs ")
 
     def test_inexact_division_exits_four(self, capsys, monkeypatch):
         binomial = formulas.binomial
@@ -617,6 +656,25 @@ class TestExitStatuses:
         target.write_bytes(b"earlier contents\n")
         assert run_cli(capsys, *argv, "--out", str(target))[:2] == (status,
                                                                    "")
+        assert target.read_bytes() == b"earlier contents\n"
+
+    def test_failed_build_keeps_an_existing_out_file(self, capsys,
+                                                     monkeypatch, tmp_path):
+        # the table is built before --out is opened: a row that fails
+        # part-way through the build leaves the earlier file as it was
+        a_formula = formulas.a_formula
+
+        def fail_at_row_three(n, k):
+            if n == 3:
+                raise ArithmeticError("non-exact division in a_formula")
+            return a_formula(n, k)
+
+        monkeypatch.setattr("tamari.cli.a_formula", fail_at_row_three)
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"earlier contents\n")
+        status, out, _ = run_cli(capsys, "table", "a", "--nmax", "4",
+                                 "--out", str(target))
+        assert (status, out) == (EXIT_VERIFY, "")
         assert target.read_bytes() == b"earlier contents\n"
 
     @pytest.mark.parametrize(

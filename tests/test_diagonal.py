@@ -20,12 +20,15 @@ Core claims:
       characteristic alternates; internal vertices are the new intervals;
       at n = 9, 10 (extended) the vertex count, the Euler characteristic
       and the top entry still hold
+    - the closed rows of formulas.internal_rows equal the golden table
+      for n <= 7 and the statistic formula at n = 8 (n = 9, 10 extended)
     - vertex-assignment decompositions: min-min, max-min, max-max have
       boolean fibers; max-min fibers are the interval fibers themselves;
       min-max fails booleanness first at n = 2 with a known witness
 """
 
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +53,7 @@ from tamari.diagonal import (
 from tamari.formulas import (
     b_formula,
     face_count_formula,
+    internal_rows,
     interval_count_formula,
     new_interval_formula,
 )
@@ -85,6 +89,9 @@ INTERNAL_ROWS = {
     7: [1584, 9648, 24606, 33680, 26145, 10944, 1938],
     8: [9152, 63712, 190564, 317670, 319044, 193292, 65527, 9614],
 }
+
+GOLDEN_INTERNAL = (Path(__file__).resolve().parent.parent / "golden"
+                   / "table_internal.csv")
 
 # enough for the 6,369,883 intervals at n = 10
 EXTENDED_BUDGET = 10_000_000
@@ -304,10 +311,20 @@ class TestInternal:
         # dimension n-1 faces: corolla pairs, never on the boundary
         assert internal_fvector(n)[n - 1] == diagonal_fvector(n)[n - 1]
 
+    def test_closed_rows_equal_enumeration(self):
+        # the face-rows recursion against the golden table (its k cells,
+        # without the n and total columns) and the statistic formula
+        golden = [[int(cell) for cell in line.split(",")[1:-1] if cell]
+                  for line in GOLDEN_INTERNAL.read_text().splitlines()[1:]]
+        rows = internal_rows(8)
+        assert rows[:7] == golden
+        assert rows[7] == internal_fvector(8)
+
     @pytest.mark.extended
     @pytest.mark.parametrize("n", [9, 10])
     def test_extended_rows(self, n):
         row = _internal_row(n)
+        assert row == internal_rows(10)[n - 1]
         assert row[0] == new_interval_formula(n)
         assert sum((-1) ** k * c for k, c in enumerate(row)) \
             == (-1) ** (n - 1)

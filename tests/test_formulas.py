@@ -15,15 +15,21 @@ Core claims:
       reads the b_formula rows and fails on one wrong face count; the
       telescoped eta2 shifted by one reproduces its printed face-side form
     - every formula divides exactly; _exact_div raises on a lie
+    - the internal rows from the face rows alone, to n = 40: n cells
+      each, the new intervals first, the synchronized count last, an
+      alternating sum of (-1)^(n-1); internal_row_products is the exact
+      number of coefficient products the recursion makes
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tamari import formulas
 from tamari.equations import eta_polynomials
 from tamari.formulas import (
     _exact_div,
@@ -34,6 +40,8 @@ from tamari.formulas import (
     chu_vandermonde_check,
     chu_vandermonde_sides,
     fuss_catalan,
+    internal_row_products,
+    internal_rows,
     interval_count_formula,
     interval_row_polynomial,
     m_tamari_intervals_formula,
@@ -46,6 +54,7 @@ from tamari.formulas import (
     telescoped_recurrence_check,
     two_term_recurrence_check,
 )
+from tamari.paths import FALLBACK_BUDGET
 from tamari.polys import ZPolynomial
 
 A_ROWS = {
@@ -294,3 +303,42 @@ class TestEtaPolynomials:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             eta_polynomials(0)
+
+
+# == internal rows from the face rows ===============================
+
+@lru_cache(maxsize=None)
+def _rows_to_forty():
+    return internal_rows(40)
+
+
+class TestInternalRows:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_row_edges_and_alternating_sum(self, n):
+        row = _rows_to_forty()[n - 1]
+        assert len(row) == n
+        assert row[0] == new_interval_formula(n)
+        assert row[n - 1] == synchronized_formula(n)
+        assert sum((-1) ** k * c for k, c in enumerate(row)) \
+            == (-1) ** (n - 1)
+
+    def test_shorter_run_is_a_prefix(self):
+        assert internal_rows(12) == _rows_to_forty()[:12]
+        assert internal_rows(0) == []
+
+    @pytest.mark.parametrize("nmax", range(13))
+    def test_product_count_is_exact(self, monkeypatch, nmax):
+        add_product = formulas._add_product
+        products = []
+
+        def counted(target, p, q, sign=1):
+            products.append(len(p) * len(q))
+            add_product(target, p, q, sign)
+
+        monkeypatch.setattr("tamari.formulas._add_product", counted)
+        internal_rows(nmax)
+        assert sum(products) == internal_row_products(nmax)
+
+    def test_default_budget_admits_forty(self):
+        assert internal_row_products(40) == 973_258 <= FALLBACK_BUDGET
+        assert internal_row_products(50) == 2_890_510 > FALLBACK_BUDGET
