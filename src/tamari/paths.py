@@ -21,15 +21,18 @@ generation order of m_tamari_elements, is the extension.  OR works bit by
 bit, so the masks cut to a window of lower indices [lo, hi) obey the same
 recurrence: the engine builds the words and cover lists once, then runs
 the recurrence once per window of at most WINDOW_BITS indices, holding
-window-wide masks only.  Each mask is dropped once its last upper cover
-has been built, so only the masks still owed to a later word stay alive.
-Every statistics table is the one tally _tally over the windows: per
-upper key, a binary counter per element of the window held as bit
-planes, into which each down-set mask is added with a ripple carry; a
-window's cells are read at its end by one popcount per plane and lower
-class, and summed over the windows.  The planes are padded to the window
-width, so a new plane reuses the block of the one it replaces and peak
-memory stays flat.
+window-wide masks only; the width halves while C masks of it would span
+more than WINDOW_BYTES, so the first window, where every mask may be
+live, stays bounded as C grows.  Each mask is dropped once its last upper
+cover has been built, so only the masks still owed to a later word stay
+alive.  Every statistics table is the one tally _tally over the windows:
+per upper key, a binary counter per element of the window held as bit
+planes, into which the down-set masks are added eight at a time by
+carry-save adders (Harley-Seal), only the weight-8 carry rippling into
+the higher planes; a window's cells are read at its end by one popcount
+per plane, waiting mask and lower class, and summed over the windows.
+The planes are padded to the window width, so a new plane reuses the
+block of the one it replaces and peak memory stays flat.
 cover_table counts intervals by the lower covers of the lower word and
 the upper covers of the upper one, (des(s), asc(t)) at slope 1.  Every
 walk over the intervals themselves, the tree walk of tamari.lattice
@@ -58,6 +61,10 @@ BUDGET_ENV_VAR = "TAMARI_BUDGET"
 # the most lower indices one down-set mask of the engine spans; narrower
 # windows cost more passes over the covers (8 Kbit was slower at slope 3)
 WINDOW_BITS = 1 << 14
+# the most bytes C masks of one window's width may span: every mask of the
+# first window is live at once at worst, as each holds the bottom word.
+# At slope 1, n <= 12 keeps WINDOW_BITS and n = 13 gets 8,192 bits.
+WINDOW_BYTES = 1 << 30
 
 
 # ===================================================================
@@ -327,17 +334,26 @@ def _covers(word: int, m: int) -> list:
     return out
 
 
+def _window_width(count: int) -> int:
+    """WINDOW_BITS, halved while count masks of that width would span
+    more than WINDOW_BYTES."""
+    width = WINDOW_BITS
+    while width > 1 and count * width > 8 * WINDOW_BYTES:
+        width //= 2
+    return width
+
+
 def _m_engine(m: int, n: int, budget=None) -> tuple:
     """The slope-m lattice on n up-steps as (words, lower, upper, windows),
     refused on the interval count before any word is generated.
 
     words lists the int ballot words in a linear extension, and lower[t]
     and upper[t] count the covers below and above words[t].  The indices
-    are split into equal windows [lo, hi) of at most WINDOW_BITS, and
-    windows yields (lo, hi, rows) for each in turn.  rows streams
-    (t, mask) in index order for every t >= lo whose down-set meets the
-    window: bit s - lo of the mask is set for each s <= t in [lo, hi).
-    One window yields every t, with its whole down-set.
+    are split into equal windows [lo, hi) of at most _window_width(C)
+    indices, and windows yields (lo, hi, rows) for each in turn.  rows
+    streams (t, mask) in index order for every t >= lo whose down-set
+    meets the window: bit s - lo of the mask is set for each s <= t in
+    [lo, hi).  One window yields every t, with its whole down-set.
 
     OR works bit by bit, so a window's masks obey the whole recurrence:
     down(t) is bit t with the union of down(s) over the words s covered
@@ -365,7 +381,7 @@ def _m_engine(m: int, n: int, budget=None) -> tuple:
     for t, lower in enumerate(below):
         below[t] = tuple(lower)
     count = len(words)
-    parts = -(-count // WINDOW_BITS)
+    parts = -(-count // _window_width(count))
     bounds = [(count * i // parts, count * (i + 1) // parts)
               for i in range(parts)]
     return (words, [len(lower) for lower in below], up_degree,
@@ -419,6 +435,12 @@ def _walk(m: int, n: int, budget, element) -> Iterator[tuple]:
                 si = bits.find("1", si + 1)
 
 
+def _csa(a: int, b: int, c: int) -> tuple:
+    """A carry-save adder, bit by bit: (carry, sum) of a + b + c."""
+    u = a ^ b
+    return (a & b) | (u & c), u ^ c
+
+
 def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     """{(lower_key(s), upper_key(t)): number of intervals s <= t}.
 
@@ -426,11 +448,14 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     and runs once per word, before the first window.  Each upper key
     keeps a binary counter per element s of the window, stored as bit
     planes: plane j holds bit j of the number of that key's down-set
-    masks that contain s.  A mask is added with a ripple carry, so an
-    upper element costs a few ^ and & operations, not one step per
-    interval or one popcount per lower class.  At the end of a window
-    each lower class, a mask over all words, is shifted into the window,
-    and a cell gains one popcount per plane and lower class.
+    masks that contain s.  The masks are added eight at a time, by
+    carry-save (Harley-Seal): seven carry-save adders fold a block of
+    eight masks into planes 0, 1 and 2, and only their weight-8 carry is
+    rippled into plane 3 and up.  So an upper element costs a few ^ and &
+    operations, not one step per interval or one popcount per lower
+    class.  At the end of a window each lower class, a mask over all
+    words, is shifted into the window, and a cell gains one popcount per
+    plane, and per mask still waiting for its block, and lower class.
 
     Every plane carries a top bit at index hi - lo that no mask or carry
     sets, so each plane keeps one width and the plane that replaces it
@@ -449,23 +474,43 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     cells: dict = {}
     for lo, hi, rows in windows:
         top = 1 << (hi - lo)
-        counters: list = [[] for _ in upper_ids]
+        counters: list = [[top, top, top] for _ in upper_ids]
+        waiting: list = [[] for _ in upper_ids]
         for t, mask in rows:
-            planes = counters[slot[t]]
-            carry = mask
-            for j, plane in enumerate(planes):
+            i = slot[t]
+            block = waiting[i]
+            block.append(mask)
+            if len(block) < 8:
+                continue
+            planes = counters[i]
+            d0, d1, d2, d3, d4, d5, d6, d7 = block
+            block.clear()
+            ones, twos, fours = planes[:3]
+            twos_a, ones = _csa(ones, d0, d1)
+            twos_b, ones = _csa(ones, d2, d3)
+            fours_a, twos = _csa(twos, twos_a, twos_b)
+            twos_a, ones = _csa(ones, d4, d5)
+            twos_b, ones = _csa(ones, d6, d7)
+            fours_b, twos = _csa(twos, twos_a, twos_b)
+            carry, fours = _csa(fours, fours_a, fours_b)
+            planes[:3] = ones, twos, fours
+            j = 3
+            while carry:
+                if j == len(planes):
+                    planes.append(carry | top)
+                    break
+                plane = planes[j]
                 planes[j] = plane ^ carry
                 carry &= plane
-                if not carry:
-                    break
-            else:
-                planes.append(carry | top)
+                j += 1
         window = [(key, members >> lo & (top - 1))
                   for key, members in lower_class.items()]
         for upper_class, i in upper_ids.items():
+            parts = [(plane, j) for j, plane in enumerate(counters[i])]
+            parts += [(mask, 0) for mask in waiting[i]]
             for key, members in window:
-                count = sum((plane & members).bit_count() << j
-                            for j, plane in enumerate(counters[i]))
+                count = sum((part & members).bit_count() << j
+                            for part, j in parts)
                 if count:
                     cells[key, upper_class] = (
                         cells.get((key, upper_class), 0) + count)

@@ -17,9 +17,11 @@ Core claims:
       table holds under a quarter of them; the n = 12 count (extended)
       equals the closed formula in a child process under 300 MB
     - the engine splits the words into equal windows of at most
-      WINDOW_BITS; with the width patched down to a few bits, every tally
-      equals the pairwise oracle walked in one window, every count the
-      formula, and the walk yields the intervals of the default width
+      WINDOW_BITS, halved while C masks of the width would pass
+      WINDOW_BYTES (16,384 bits through n = 12, 8,192 at n = 13); with
+      the width or the byte cap patched down, every tally equals the
+      pairwise oracle walked in one window, every count the formula, and
+      the walk yields the intervals of the default width
     - m-interval counts match the closed formula; the cover-statistic
       tables match rows frozen from independent tabulation, and every
       slope-m row up to 3e6 intervals (m = 2..4) runs over k = 0..2n-2
@@ -27,9 +29,11 @@ Core claims:
     - the interval walk reads every set bit of every down-set mask, in
       upper-major, ascending order, with the engine's cover counts; at
       slope 1 it yields the intervals of lattice.intervals in its order
-    - the bit-plane tally counts the intervals pair by pair: per-word
+    - the carry-save tally counts the intervals pair by pair: per-word
       cells, one counter carried through log2 C planes, and the cover
-      counts; one table holds under the bytes of all masks; at the
+      counts, with upper classes of 1-7 rows in a window (masks waiting
+      for a block of eight), exactly 8 and 16, and 17 or more, at every
+      width; one table holds under the bytes of all masks; at the
       benchmark's sizes and at n = 12 (extended) it matches the closed
       formulas
     - malformed words and blown budgets raise, every tally view before
@@ -40,6 +44,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,6 +74,7 @@ from tamari.paths import (
     _render,
     _tally,
     _walk,
+    _window_width,
     contacts,
     cover_table,
     double_falls,
@@ -99,6 +105,17 @@ ENGINE_GRID = ([(1, n) for n in range(1, 8)]
 
 # window widths that split every engine above into several windows
 NARROW_WIDTHS = [1, 5, 64]
+
+# a cap on one window's mask bytes low enough that the engine halves its
+# own width: to 4 bits at 429 words, 8 at 132, 128 at 14
+NARROW_CAP = 256
+
+# (setting, value) pairs that narrow the windows of _m_engine: each narrow
+# WINDOW_BITS, and WINDOW_BYTES at NARROW_CAP
+NARROW = ([pytest.param(("WINDOW_BITS", width), id=str(width))
+           for width in NARROW_WIDTHS]
+          + [pytest.param(("WINDOW_BYTES", NARROW_CAP),
+                          id=f"cap{NARROW_CAP}")])
 
 # interval counts by (m, n), frozen from independent tabulation
 M_INTERVAL_COUNTS = {
@@ -421,14 +438,18 @@ def _pairwise_cells(m, n, lower_key, upper_key):
     return cells
 
 
+# n = 2 has m + 1 words, so (7, 2) and (15, 2) put exactly 8 and 16 rows
+# into one window's one constant upper class
 TALLY_GRID = ([(1, n) for n in range(1, 7)]
               + [(2, n) for n in range(1, 5)]
-              + [(3, n) for n in range(1, 4)])
+              + [(3, n) for n in range(1, 4)]
+              + [(7, 2), (15, 2)])
 
 TALLY_KEYS = {
     # every cell is one interval
     "per_word": (lambda word, down, up: word, lambda word, down, up: word),
-    # one counter per lower word, up to C, carried through log2 C planes
+    # one counter per lower word, up to C: blocks of eight masks folded by
+    # carry-save, their weight-8 carries rippled through log2 C planes
     "constant_upper": (lambda word, down, up: word,
                        lambda word, down, up: None),
     # the keys of cover_table
@@ -444,6 +465,27 @@ class TestTally:
         lower_key, upper_key = TALLY_KEYS[keys]
         assert (_tally(m, n, None, lower_key, upper_key)
                 == _pairwise_cells(m, n, lower_key, upper_key))
+
+    @pytest.mark.parametrize("narrow", NARROW + [pytest.param(
+        ("WINDOW_BITS", WINDOW_BITS), id=str(WINDOW_BITS))])
+    def test_grid_meets_every_counter_case(self, monkeypatch, narrow):
+        # read from the engine's rows: in some window some upper class of
+        # the grid gets 1-7 rows (only masks waiting for a block of eight),
+        # exactly 8 and 16 (every mask folded into the planes), and 17 or
+        # more (two weight-8 carries rippled, one mask waiting)
+        monkeypatch.setattr(paths, *narrow)
+        sizes = set()
+        for m, n in TALLY_GRID:
+            words, lower, upper, windows = _m_engine(m, n)
+            windows = [[t for t, _ in rows] for _, _, rows in windows]
+            for _, upper_key in TALLY_KEYS.values():
+                keys = [upper_key(_render(word), lower[t], upper[t])
+                        for t, word in enumerate(words)]
+                for rows in windows:
+                    sizes |= set(Counter(keys[t] for t in rows).values())
+        assert sizes & set(range(1, 8))
+        assert {8, 16} <= sizes
+        assert max(sizes) >= 17
 
     @pytest.mark.extended
     def test_benchmark_sizes(self):
@@ -507,36 +549,47 @@ class TestWindows:
             assert all(t >= lo and 0 < mask < 1 << (hi - lo)
                        for t, mask in rows)
 
-    @pytest.mark.parametrize("width", NARROW_WIDTHS)
+    @pytest.mark.parametrize("narrow", NARROW)
     @pytest.mark.parametrize("keys", sorted(TALLY_KEYS))
     @pytest.mark.parametrize("m,n", TALLY_GRID)
     def test_windowed_tally_counts_the_pairs(
-            self, monkeypatch, width, m, n, keys):
+            self, monkeypatch, narrow, m, n, keys):
         # the oracle walks the intervals at the default width, one
-        # window on this grid, before the width is patched
+        # window on this grid, before the width is narrowed
         lower_key, upper_key = TALLY_KEYS[keys]
         expected = _pairwise_cells(m, n, lower_key, upper_key)
-        monkeypatch.setattr(paths, "WINDOW_BITS", width)
+        monkeypatch.setattr(paths, *narrow)
         assert _tally(m, n, None, lower_key, upper_key) == expected
 
-    @pytest.mark.parametrize("width", NARROW_WIDTHS)
+    @pytest.mark.parametrize("narrow", NARROW)
     @pytest.mark.parametrize("m,n", ENGINE_GRID)
-    def test_windowed_count_is_the_formula(self, monkeypatch, width, m, n):
-        monkeypatch.setattr(paths, "WINDOW_BITS", width)
+    def test_windowed_count_is_the_formula(self, monkeypatch, narrow, m, n):
+        monkeypatch.setattr(paths, *narrow)
         assert (m_tamari_interval_count(m, n)
                 == m_tamari_intervals_formula(m, n))
 
-    @pytest.mark.parametrize("width", NARROW_WIDTHS)
+    @pytest.mark.parametrize("narrow", NARROW)
     @pytest.mark.parametrize("m,n", ENGINE_GRID)
     def test_windowed_walk_yields_the_same_intervals(
-            self, monkeypatch, width, m, n):
+            self, monkeypatch, narrow, m, n):
         # window-major order, the same set of intervals with the same
         # cover counts as at the default width, each once
         whole = list(_walk(m, n, None, lambda word: word))
-        monkeypatch.setattr(paths, "WINDOW_BITS", width)
+        monkeypatch.setattr(paths, *narrow)
         windowed = list(_walk(m, n, None, lambda word: word))
         assert len(windowed) == len(set(windowed)) == len(whole)
         assert set(windowed) == set(whole)
+
+
+    def test_width_halves_under_the_mask_byte_cap(self):
+        # C masks of the first window at width w span C·w/8 bytes: 426 MB
+        # at n = 12 keeps 16,384 bits, and n = 13 (1.52 GB) halves once
+        assert [_window_width(catalan(n)) for n in (11, 12, 13)] == [
+            16384, 16384, 8192]
+        for n in range(13, 18):
+            count = catalan(n)
+            width = _window_width(count)
+            assert count * width <= 8 * paths.WINDOW_BYTES < 2 * count * width
 
 
 # == streaming ======================================================
