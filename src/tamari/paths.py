@@ -455,7 +455,7 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     operations, not one step per interval or one popcount per lower
     class.  At the end of a window each lower class, a mask over all
     words, is shifted into the window, and a cell gains one popcount per
-    plane, and per mask still waiting for its block, and lower class.
+    lower class and per plane or mask still waiting for its block.
 
     Every plane carries a top bit at index hi - lo that no mask or carry
     sets, so each plane keeps one width and the plane that replaces it

@@ -472,7 +472,7 @@ class TestTally:
         # read from the engine's rows: in some window some upper class of
         # the grid gets 1-7 rows (only masks waiting for a block of eight),
         # exactly 8 and 16 (every mask folded into the planes), and 17 or
-        # more (two weight-8 carries rippled, one mask waiting)
+        # more (at least two weight-8 carries rippled)
         monkeypatch.setattr(paths, *narrow)
         sizes = set()
         for m, n in TALLY_GRID:
@@ -579,7 +579,6 @@ class TestWindows:
         windowed = list(_walk(m, n, None, lambda word: word))
         assert len(windowed) == len(set(windowed)) == len(whole)
         assert set(windowed) == set(whole)
-
 
     def test_width_halves_under_the_mask_byte_cap(self):
         # C masks of the first window at width w span C·w/8 bytes: 426 MB
