@@ -67,6 +67,8 @@ from .lattice import (
     rotation_down_set,
 )
 from .paths import (
+    _TO_BALLOT,
+    _TO_DYCK,
     contacts,
     cover_table,
     double_falls,
@@ -79,6 +81,7 @@ from .paths import (
     valleys,
     within_budget,
 )
+from .polys import ZPolynomial
 from .series import (
     catalytic_equation_check,
     fusy_humbert_check,
@@ -379,8 +382,6 @@ def _suite_canopy(nmax: int, budget):
 
 def _suite_dyck(nmax: int, budget):
     """Path bijection: statistics transport, round trip, cover transport."""
-    to_ballot = str.maketrans("UD", "NE")
-    to_dyck = str.maketrans("NE", "UD")
     for n in _rows("verify dyck", nmax, "all_trees({})", catalan, budget):
         words = {t: tree_to_dyck(t) for t in all_trees(n, budget)}
         checks = {
@@ -389,8 +390,8 @@ def _suite_dyck(nmax: int, budget):
                 != (asc(t), des(t), ell(t))),
             "round-trip": lambda t: dyck_to_tree(words[t]) != t,
             "cover-transport": lambda t: (
-                {w.translate(to_dyck)
-                 for w in m_tamari_covers(words[t].translate(to_ballot))}
+                {w.translate(_TO_DYCK)
+                 for w in m_tamari_covers(words[t].translate(_TO_BALLOT))}
                 != {tree_to_dyck(u) for u in rotations_up(t)}),
         }
         for name, failed in checks.items():
@@ -450,19 +451,15 @@ def _suite_chu_vandermonde():
            None if bad is None else {"triple": list(bad)})
 
 
-def _alternating_sum(values) -> int:
-    return sum((-1) ** k * c for k, c in enumerate(values))
-
-
 def _suite_euler(nmax: int, budget):
     """Alternating sums of the diagonal and internal face counts."""
     for n in _rows("verify euler", nmax, *intervals_of(1), budget):
-        enumerated = _alternating_sum(diagonal_fvector(n, budget))
-        formula = _alternating_sum(b_formula(n, k) for k in range(n))
+        enumerated = ZPolynomial(diagonal_fvector(n, budget)).evaluate(-1)
+        formula = ZPolynomial(b_formula(n, k) for k in range(n)).evaluate(-1)
         yield (f"diagonal-alternating-sum n={n}",
                enumerated == 1 and formula == 1,
                {"enumerated": str(enumerated), "formula": str(formula)})
-        internal = _alternating_sum(internal_fvector(n, budget))
+        internal = ZPolynomial(internal_fvector(n, budget)).evaluate(-1)
         yield (f"internal-alternating-sum n={n}", internal == (-1) ** (n - 1),
                {"value": str(internal)})
 

@@ -32,6 +32,7 @@ from typing import Iterator
 from .formulas import face_count_formula
 from .lattice import _interval_walk, interval_histogram
 from .paths import StatTable, cover_table, within_budget
+from .polys import MonomialPolynomial, ZPolynomial
 from .trees import (
     SchroederTree,
     ascent_spans,
@@ -110,13 +111,12 @@ def diagonal_faces(n: int, budget=None) -> Iterator[DiagonalFace]:
 
 def diagonal_fvector(n: int, budget=None) -> list:
     """Face counts by dimension: entry k = sum over intervals of C(k', k)
-    with k' = des(s)+asc(t) — the binomial transform of the interval
-    histogram."""
+    with k' = des(s)+asc(t): the interval histogram as a polynomial in z,
+    shifted to z + 1."""
     if n < 1:
         raise ValueError("diagonal_fvector() requires n >= 1")
-    histogram = interval_histogram(n, budget)
-    return [sum(count * comb(j, k) for j, count in enumerate(histogram))
-            for k in range(n)]
+    fvector = ZPolynomial(interval_histogram(n, budget)).shift_z(1).coeffs
+    return list(fvector) + [0] * (n - len(fvector))
 
 
 def diagonal_fvector_direct(n: int, budget=None) -> list:
@@ -128,15 +128,10 @@ def diagonal_fvector_direct(n: int, budget=None) -> list:
 
 
 def diagonal_fvector_by_dims(n: int, budget=None) -> StatTable:
-    """Faces counted by the pair (dim f, dim g)."""
-    cells: dict = {}
-    for (d, a), count in cover_table(1, n, budget).cells.items():
-        for p in range(d + 1):
-            c_p = comb(d, p)
-            for q in range(a + 1):
-                key = (p, q)
-                cells[key] = cells.get(key, 0) + count * c_p * comb(a, q)
-    return StatTable(n, ("dim_f", "dim_g"), cells)
+    """Faces by (dim f, dim g): the (des, asc) table at (x + 1, y + 1)."""
+    table = MonomialPolynomial(2, cover_table(1, n, budget).cells)
+    return StatTable(n, ("dim_f", "dim_g"),
+                     table.shift(0, 1).shift(1, 1).terms)
 
 
 # ===================================================================
@@ -227,12 +222,10 @@ def _assign_vertices(face: DiagonalFace, mode: str) -> tuple:
 
 
 def _is_boolean_fiber(dims: list) -> bool:
-    """True iff the dimension multiset is d0, d0+1, ... with C(r, i) counts."""
+    """True iff the dimension polynomial sum_d z^d is z^d0 (1+z)^r."""
     base = min(dims)
-    rank = max(dims) - base
-    expected = sorted(base + i for i in range(rank + 1)
-                      for _ in range(comb(rank, i)))
-    return sorted(dims) == expected
+    return (ZPolynomial.from_pairs((d - base, 1) for d in dims)
+            == ZPolynomial.monomial(max(dims) - base).shift_z(1))
 
 
 def decomposition_report(n: int, mode: str, budget=None) -> dict:

@@ -1,7 +1,8 @@
 """Closed product formulas for interval and face counts, with identity checks.
 
 internal_rows reads the internal f-vector off the face rows b(n, k) by a
-recursion over integer coefficient lists; it enumerates nothing.
+recursion over coefficient lists in y, multiplied by the one dense kernel
+polys._add_product; it enumerates nothing.
 
 Everything here is exact big-integer arithmetic: formulas multiply first and
 divide last, and every division asserts exactness — a remainder anywhere is
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .equations import eta_polynomials
-from .polys import ZPolynomial
+from .polys import ZPolynomial, _add_product
 
 
 def binomial(p: int, q: int) -> int:
@@ -170,14 +171,6 @@ def internal_row_products(nmax: int) -> int:
     return _exact_div((nmax - 1) * nmax * (nmax + 1)
                       * (nmax * nmax + 5 * nmax + 26), 120,
                       "internal_row_products")
-
-
-def _add_product(target: list, p: list, q: list, sign: int = 1) -> None:
-    """target += sign·p·q over coefficient lists, in place."""
-    for i, c in enumerate(p):
-        c *= sign
-        for k, d in enumerate(q, i):
-            target[k] += c * d
 
 
 def internal_rows(nmax: int) -> list:

@@ -308,8 +308,9 @@ def m_tamari_covers(word: str) -> frozenset:
 # interval engine over ballot words
 # ===================================================================
 
-# a slope-1 ballot word read as the Dyck word of its tree
+# a slope-1 ballot word read as the Dyck word of its tree, and back
 _TO_DYCK = str.maketrans("NE", "UD")
+_TO_BALLOT = str.maketrans("UD", "NE")
 
 
 def _covers(word: int, m: int) -> list:

@@ -9,6 +9,10 @@ Two representations cover every polynomial in the package:
     degree sum_i w_i e_i is at most cap.  It carries the frozen equation
     data, the catalytic and canopy-pair systems, and Lagrange powers.
 
+One dense product loop, _add_product (target += sign·p·q on coefficient
+lists), serves ZPolynomial's product and z-shift, TruncatedSeries' product
+and division, and formulas.internal_rows.
+
 One scalar policy: integer coefficients stay int, so the common case is
 big-integer arithmetic; any other coefficient becomes a Fraction, which
 keeps every result exact when a rational really appears.
@@ -25,6 +29,17 @@ Scalar = Union[int, Fraction]
 
 def _scalar(c) -> Scalar:
     return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
+def _add_product(target: list, p, q, sign: int = 1) -> None:
+    """target += sign·p·q over dense coefficient lists, in place; target
+    grows to the length of the product."""
+    target.extend([0] * (len(p) + len(q) - 1 - len(target)))
+    for i, c in enumerate(p):
+        if c:
+            c *= sign
+            for k, d in enumerate(q, i):
+                target[k] += c * d
 
 
 def _trim(coeffs: list) -> tuple:
@@ -53,10 +68,6 @@ class ZPolynomial:
     @classmethod
     def constant(cls, c: Scalar) -> "ZPolynomial":
         return cls((c,))
-
-    @classmethod
-    def z(cls) -> "ZPolynomial":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c: Scalar = 1) -> "ZPolynomial":
@@ -114,13 +125,8 @@ class ZPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "ZPolynomial") -> "ZPolynomial":
-        if self.is_zero or other.is_zero:
-            return ZPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+        out: list = []
+        _add_product(out, self.coeffs, other.coeffs)
         return ZPolynomial(out)
 
     def scale(self, c: Scalar) -> "ZPolynomial":
@@ -130,18 +136,12 @@ class ZPolynomial:
         return ZPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def shift_z(self, c: Scalar) -> "ZPolynomial":
-        """Substitute z -> z + c (binomial expansion, exact)."""
-        if c == 0 or self.is_zero:
-            return self
-        c = _scalar(c)
-        out = [0] * len(self.coeffs)
-        for k, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            power = 1
-            for j in range(k, -1, -1):
-                out[j] += a * comb(k, j) * power
-                power *= c
+        """Substitute z -> z + c, by Horner's rule: out <- out·(z + c) + a."""
+        linear = (_scalar(c), 1)
+        out: list = []
+        for a in reversed(self.coeffs):
+            out, previous = [a], out
+            _add_product(out, previous, linear)
         return ZPolynomial(out)
 
     # ------------------------------------------------------------ protocol
@@ -153,7 +153,9 @@ class ZPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant hashes as the scalar it equals
+        return hash(self.coeffs if len(self.coeffs) > 1
+                    else self.constant_term)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -358,7 +360,10 @@ class MonomialPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # a constant hashes as the scalar it equals
+        origin = (0,) * self.nvars
+        return hash(self.terms.get(origin, 0) if self.terms.keys() <= {origin}
+                    else frozenset(self.terms.items()))
 
     def __repr__(self):
         return (f"MonomialPolynomial({self.nvars}, {self.terms!r}, "

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .equations import load_quartic, pde_operators
 from .formulas import binomial
 from .paths import _slope_one_ell, _tally, cover_table, intervals_of, up_to
-from .polys import MonomialPolynomial, ZPolynomial
+from .polys import MonomialPolynomial, ZPolynomial, _add_product
 
 
 def _as_zpoly(value) -> ZPolynomial:
@@ -144,16 +144,14 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         order = self._common(other)
-        out = [ZPolynomial.zero()] * (order + 1)
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if a.is_zero:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(tuple(out), order)
+        out: list = []
+        for n in range(order + 1):
+            acc: list = []
+            for i in range(n + 1):
+                _add_product(acc, self.coeffs[i].coeffs,
+                             other.coeffs[n - i].coeffs)
+            out.append(ZPolynomial(acc))
+        return TruncatedSeries(out, order)
 
     def scale(self, factor) -> "TruncatedSeries":
         """Multiply by a scalar or a z-polynomial (no t content)."""
@@ -183,11 +181,11 @@ class TruncatedSeries:
             inverse_head = Fraction(1) / inverse_head
         out: list = []
         for k in range(order + 1):
-            acc = self.coeffs[k]
+            acc = list(self.coeffs[k].coeffs)
             for i in range(k):
-                acc = acc - out[i] * den.coeffs[k - i]
-            out.append(acc.scale(inverse_head))
-        return TruncatedSeries(tuple(out), order)
+                _add_product(acc, out[i].coeffs, den.coeffs[k - i].coeffs, -1)
+            out.append(ZPolynomial([c * inverse_head for c in acc]))
+        return TruncatedSeries(out, order)
 
     # ------------------------------------------------ substitutions
     def substitute_z_shift(self, shift) -> "TruncatedSeries":

@@ -22,7 +22,8 @@ Core claims:
       and the top entry still hold
     - the closed rows of formulas.internal_rows equal the golden table
       for n <= 7 and the statistic formula at n = 8 (n = 9, 10 extended)
-    - vertex-assignment decompositions: min-min, max-min, max-max have
+    - a fiber is boolean iff its dimension polynomial is z^d0 (1+z)^r;
+      vertex-assignment decompositions: min-min, max-min, max-max have
       boolean fibers; max-min fibers are the interval fibers themselves;
       min-max fails booleanness first at n = 2 with a known witness
 """
@@ -40,6 +41,7 @@ from tamari.diagonal import (
     DiagonalFace,
     EdgeClassification,
     _classify_masks,
+    _is_boolean_fiber,
     classify_edges,
     decomposition_report,
     diagonal_faces,
@@ -405,6 +407,20 @@ class TestDecompositions:
         # the comb-pair fiber swallows 9 faces across three dimensions
         assert {"vertices": ["(((,),),)", "(,(,(,)))"],
                 "dims": {"0": 1, "1": 4, "2": 4}} in fibers
+
+    @pytest.mark.parametrize("dims, boolean", [
+        ([0], True),                        # 1
+        ([3], True),                        # z^3
+        ([0, 1], True),                     # 1 + z
+        ([2, 1, 1, 0], True),               # (1 + z)^2, in any order
+        ([2, 3, 3, 3, 4, 4, 4, 5], True),   # z^2 (1 + z)^3
+        ([0, 1, 1, 1, 2], False),           # 1 + 3z + z^2
+        ([0, 2], False),                    # 1 + z^2
+        ([0, 1, 1], False),                 # 1 + 2z: the min-max witness
+        ([1, 1], False),                    # 2z
+    ])
+    def test_boolean_fiber_cases(self, dims, boolean):
+        assert _is_boolean_fiber(dims) is boolean
 
     def test_min_max_boolean_at_one(self):
         assert decomposition_report(1, "min-max")["all_boolean"]

@@ -10,6 +10,9 @@ Core claims:
     - integer inputs stay int through ZPolynomial, TruncatedSeries and
       Newton; Fraction appears only where a rational does; any other
       coefficient given to either representation becomes a Fraction
+    - the dense and the sparse representation check each other: series
+      products, z-shifts, and division by a unit undone by a product
+    - a constant polynomial equals and hashes as its scalar
 """
 
 from fractions import Fraction
@@ -172,3 +175,63 @@ class TestScalarPolicy:
         quotient = one.div_by_unit(TruncatedSeries.t(order) - one)
         assert _scalars(quotient) == [-1] * (order + 1)
         assert all(type(c) is int for c in _scalars(quotient))
+
+
+# == the dense kernel against the sparse representation ============
+
+series_orders = st.integers(0, 5)
+tz_maps = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 3)),
+                          st.integers(-5, 5), max_size=8)
+
+
+class TestDenseAgainstSparse:
+    @given(tz_maps, tz_maps, series_orders)
+    def test_series_product_is_truncated_monomial_product(self, p, q, order):
+        truncation = ((1, 0), order)
+        sparse = (MonomialPolynomial(2, p, truncation)
+                  * MonomialPolynomial(2, q, truncation))
+        dense = (TruncatedSeries.from_polynomial(p, order)
+                 * TruncatedSeries.from_polynomial(q, order))
+        assert dense == TruncatedSeries.from_polynomial(sparse.terms, order)
+
+    @given(tz_maps, tz_maps, series_orders,
+           st.sampled_from([1, -1, Fraction(-3, 2)]))
+    def test_division_by_a_unit_is_undone_by_the_product(self, x, tail,
+                                                         order, head):
+        tail = {(i, j): c for (i, j), c in tail.items() if i > 0}
+        tail[(0, 0)] = head
+        x = TruncatedSeries.from_polynomial(x, order)
+        den = TruncatedSeries.from_polynomial(tail, order)
+        assert x.div_by_unit(den) * den == x
+
+    @given(st.lists(st.integers(-5, 5), max_size=6), st.integers(-3, 3))
+    def test_shift_z_is_the_one_variable_shift(self, coeffs, c):
+        sparse = MonomialPolynomial(
+            1, {(k,): a for k, a in enumerate(coeffs)}).shift(0, c)
+        assert ZPolynomial(coeffs).shift_z(c) == ZPolynomial.from_pairs(
+            (k, a) for (k,), a in sparse.terms.items())
+
+
+# == hashing =======================================================
+
+class TestHash:
+    @pytest.mark.parametrize("scalar", [3, -7, Fraction(2, 3), 0])
+    def test_constant_hashes_as_its_scalar(self, scalar):
+        for constant in (ZPolynomial.constant(scalar),
+                         MonomialPolynomial.constant(2, scalar),
+                         MonomialPolynomial.constant(3, scalar,
+                                                     ((1, 1, 1), 2))):
+            assert constant == scalar
+            assert hash(constant) == hash(scalar)
+            assert len({constant, scalar}) == 1
+
+    def test_zero_polynomials_hash_as_zero(self):
+        for zero in (ZPolynomial.zero(), ZPolynomial(), MonomialPolynomial(2),
+                     MonomialPolynomial(2, {(1, 0): 0})):
+            assert len({zero, 0}) == 1
+
+    def test_equal_polynomials_hash_equal(self):
+        x, y = MonomialPolynomial.variables(2)
+        assert hash((x + y) * (x - y)) == hash(x**2 - y**2)
+        assert hash(ZPolynomial((1, 2)) * ZPolynomial((1, 2))) \
+            == hash(ZPolynomial((1, 4, 4)))
