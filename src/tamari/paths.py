@@ -19,13 +19,15 @@ ballot word is an int (N = 1, first letter most significant) and its
 covers come from bit arithmetic; ascending int order, the reversed
 generation order of m_tamari_elements, is the extension.  OR works bit by
 bit, so the masks cut to a window of lower indices [lo, hi) obey the same
-recurrence: the engine builds the words and cover lists once, then runs
-the recurrence once per window of at most WINDOW_BITS indices, holding
-window-wide masks only; the width halves while C masks of it would span
-more than WINDOW_BYTES, so the first window, where every mask may be
-live, stays bounded as C grows.  Each mask is dropped once its last upper
-cover has been built, so only the masks still owed to a later word stay
-alive.  Every statistics table is the one tally _tally over the windows:
+recurrence: the engine builds the words and upper-cover lists once, then
+runs the recurrence once per window of at most WINDOW_BITS indices,
+holding window-wide masks only; the width halves while C masks of it
+would span more than WINDOW_BYTES, so the first window, where every word
+may be gathering a mask, stays bounded as C grows.  Each finished mask
+is OR-ed into the masks its upper covers are gathering, and a gathered
+mask is freed when its own word takes it, so only the masks owed to a
+later word stay alive.  Every statistics table is the one tally _tally
+over the windows:
 per upper key, a binary counter per element of the window held as bit
 planes, into which the down-set masks are added eight at a time by
 carry-save adders (Harley-Seal), only the weight-8 carry rippling into
@@ -61,8 +63,8 @@ BUDGET_ENV_VAR = "TAMARI_BUDGET"
 # the most lower indices one down-set mask of the engine spans; narrower
 # windows cost more passes over the covers (8 Kbit was slower at slope 3)
 WINDOW_BITS = 1 << 14
-# the most bytes C masks of one window's width may span: every mask of the
-# first window is live at once at worst, as each holds the bottom word.
+# the most bytes C masks of one window's width may span: in the first window
+# every word may gather a mask at once, as each holds the bottom word.
 # At slope 1, n <= 12 keeps WINDOW_BITS and n = 13 gets 8,192 bits.
 WINDOW_BYTES = 1 << 30
 
@@ -96,7 +98,8 @@ def resolve_budget(budget=None) -> int:
             budget = int(value)
         except ValueError:
             raise ValueError(f"{source} is not an integer") from None
-    budget = int(budget)
+    elif isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValueError(f"{source} is not an integer")
     if budget <= 0:
         raise ValueError(f"{source} is not positive")
     return budget
@@ -358,57 +361,49 @@ def _m_engine(m: int, n: int, budget=None) -> tuple:
 
     OR works bit by bit, so a window's masks obey the whole recurrence:
     down(t) is bit t with the union of down(s) over the words s covered
-    by t, and a word below the window has the zero mask there.  The mask
-    of s is dropped once its last upper cover, the largest index among
-    its covers, has OR-ed it in.  The cover lists are built once, for
-    every window; the peak holds the live masks of one window.
+    by t, and a word below the window has the zero mask there.  Each
+    finished mask is OR-ed into the masks its upper covers are gathering,
+    freed when its own word takes it.  The upper-cover tuples are built
+    once, for every window; the peak holds the gathered masks of one window.
     """
     what, size = intervals_of(m)
     within_budget(what.format(n), size(n), budget)
     words = _ballot_words(m, n)
     index = {w: i for i, w in enumerate(words)}
-    below: list = [[] for _ in words]
-    up_degree: list = []
-    last_up: list = []
     # the dict's own ints, so each index is one object however often held
-    for word, i in index.items():
-        above = [index[c] for c in _covers(word, m)]
-        for j in above:
-            below[j].append(i)
-        up_degree.append(len(above))
-        last_up.append(max(above, default=i))
+    above = [tuple(index[c] for c in _covers(word, m)) for word in index]
     del index
-    # a tuple holds the covers in less memory than the list that grew them
-    for t, lower in enumerate(below):
-        below[t] = tuple(lower)
+    lower = [0] * len(words)
+    for covers in above:
+        for c in covers:
+            lower[c] += 1
     count = len(words)
     parts = -(-count // _window_width(count))
     bounds = [(count * i // parts, count * (i + 1) // parts)
               for i in range(parts)]
-    return (words, [len(lower) for lower in below], up_degree,
-            ((lo, hi, _window(below, last_up, lo, hi)) for lo, hi in bounds))
+    return (words, lower, [len(covers) for covers in above],
+            ((lo, hi, _window(above, lo, hi)) for lo, hi in bounds))
 
 
-def _window(below, last_up, lo, hi) -> Iterator[tuple]:
+def _window(above, lo, hi) -> Iterator[tuple]:
     """The rows of window [lo, hi) of _m_engine.
 
-    Later windows start at hi, so the lower-cover list of a word inside
+    gathering[t] ORs the masks of the words t covers until t takes it.
+    Later windows start at hi, so the upper-cover tuple of a word inside
     this window is released once read.
     """
-    live = [0] * len(below)
-    for t in range(lo, len(below)):
-        lower = below[t]
+    gathering = [0] * len(above)
+    for t in range(lo, len(above)):
+        mask = gathering[t]
+        gathering[t] = 0
+        covers = above[t]
         if t < hi:
-            below[t] = None
-            mask = 1 << (t - lo)
-        else:
-            mask = 0
-        for s in lower:
-            mask |= live[s]
-            if last_up[s] == t:
-                live[s] = 0
+            above[t] = None
+            mask |= 1 << (t - lo)
         if mask:
-            live[t] = mask
+            for c in covers:
+                # a word's first gathered mask is shared, not copied
+                gathering[c] = mask | gathering[c] if gathering[c] else mask
             yield t, mask
 
 

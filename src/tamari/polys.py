@@ -16,6 +16,9 @@ and division, and formulas.internal_rows.
 One scalar policy: integer coefficients stay int, so the common case is
 big-integer arithmetic; any other coefficient becomes a Fraction, which
 keeps every result exact when a rational really appears.
+
+One equality rule: a constant polynomial equals and hashes as its scalar,
+whatever its class, arity or truncation, and == never raises.
 """
 from __future__ import annotations
 
@@ -40,6 +43,17 @@ def _add_product(target: list, p, q, sign: int = 1) -> None:
             c *= sign
             for k, d in enumerate(q, i):
                 target[k] += c * d
+
+
+def _same_constant(p, other):
+    """p == other for a pair of different class, arity or truncation: a
+    constant polynomial is its scalar, and nothing else is equal."""
+    if isinstance(other, (ZPolynomial, MonomialPolynomial)):
+        other = other._as_scalar()
+    elif not isinstance(other, (int, Fraction)):
+        return NotImplemented
+    constant = p._as_scalar()
+    return constant is not None and constant == other
 
 
 def _trim(coeffs: list) -> tuple:
@@ -110,6 +124,8 @@ class ZPolynomial:
 
     # ------------------------------------------------------------ algebra
     def __add__(self, other: "ZPolynomial") -> "ZPolynomial":
+        if not isinstance(other, ZPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -125,6 +141,8 @@ class ZPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "ZPolynomial") -> "ZPolynomial":
+        if not isinstance(other, ZPolynomial):
+            return NotImplemented
         out: list = []
         _add_product(out, self.coeffs, other.coeffs)
         return ZPolynomial(out)
@@ -145,17 +163,18 @@ class ZPolynomial:
         return ZPolynomial(out)
 
     # ------------------------------------------------------------ protocol
+    def _as_scalar(self) -> Optional[Scalar]:
+        return self.constant_term if len(self.coeffs) <= 1 else None
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ZPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == ZPolynomial.constant(other)
-        return NotImplemented
+        return _same_constant(self, other)
 
     def __hash__(self) -> int:
         # a constant hashes as the scalar it equals
-        return hash(self.coeffs if len(self.coeffs) > 1
-                    else self.constant_term)
+        constant = self._as_scalar()
+        return hash(self.coeffs if constant is None else constant)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -193,7 +212,8 @@ class MonomialPolynomial:
     (weights, cap) only terms of weighted degree sum_i w_i e_i <= cap are
     kept, and sums and products inherit it: the polynomial is then exact
     modulo every monomial of weighted degree above cap.  Operands under
-    different truncations (or one under none) do not mix: ValueError.
+    different truncations (or one under none) do not add or multiply:
+    ValueError.
     """
 
     __slots__ = ("nvars", "terms", "truncation")
@@ -353,17 +373,22 @@ class MonomialPolynomial:
         return out
 
     # ------------------------------------------------ protocol
+    def _as_scalar(self) -> Optional[Scalar]:
+        origin = (0,) * self.nvars
+        return (self.terms.get(origin, 0) if self.terms.keys() <= {origin}
+                else None)
+
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+        if (isinstance(other, MonomialPolynomial) and other.nvars == self.nvars
+                and other.truncation == self.truncation):
+            return self.terms == other.terms
+        return _same_constant(self, other)
 
     def __hash__(self):
         # a constant hashes as the scalar it equals
-        origin = (0,) * self.nvars
-        return hash(self.terms.get(origin, 0) if self.terms.keys() <= {origin}
-                    else frozenset(self.terms.items()))
+        constant = self._as_scalar()
+        return hash(frozenset(self.terms.items()) if constant is None
+                    else constant)
 
     def __repr__(self):
         return (f"MonomialPolynomial({self.nvars}, {self.terms!r}, "

@@ -281,6 +281,11 @@ class TestBudgets:
         assert resolve_budget() == 77
         with pytest.raises(ValueError):
             resolve_budget(0)
+        # only an int that is not a bool: no silent int() of the value
+        for bad in (2.9, True, "5"):
+            with pytest.raises(ValueError, match=f"budget {bad!r} is not "
+                               "an integer"):
+                resolve_budget(bad)
 
     def test_tree_budget(self):
         with pytest.raises(BudgetExceeded) as info:

@@ -362,11 +362,19 @@ class TestBallot:
     @pytest.mark.parametrize("m,n", ENGINE_GRID)
     def test_int_covers_are_the_string_covers(self, m, n):
         # the engine's bit-arithmetic move, rendered, against the
-        # validated string move, on every word
-        for word in _ballot_words(m, n):
-            above = [_render(c) for c in _covers(word, m)]
-            assert len(set(above)) == len(above)
-            assert set(above) == m_tamari_covers(_render(word))
+        # validated string move, on every word; the engine's cover
+        # counts, word by word, against the string move's
+        words, lower, upper, _ = _m_engine(m, n)
+        assert words == _ballot_words(m, n)
+        strings = [_render(word) for word in words]
+        covers = [m_tamari_covers(string) for string in strings]
+        for word, above in zip(words, covers):
+            ints = [_render(c) for c in _covers(word, m)]
+            assert len(set(ints)) == len(ints)
+            assert set(ints) == above
+        below = Counter(c for above in covers for c in above)
+        assert upper == [len(above) for above in covers]
+        assert lower == [below[string] for string in strings]
 
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 3)])
     def test_covers_permute_and_raise(self, m, n):
@@ -596,7 +604,8 @@ class TestWindows:
 class TestStreaming:
     def test_count_holds_under_the_bytes_of_all_masks(self):
         # an engine that kept every down-set mask would peak above their
-        # total; dropping each after its last upper cover stays well under
+        # total; gathering each into its upper covers, and freeing it when
+        # its word takes it, stays well under
         budget = m_tamari_intervals_formula(1, 10)
         total = _mask_bytes(1, 10, budget)
         tracemalloc.start()
@@ -624,7 +633,7 @@ class TestStreaming:
 
     def test_narrow_windows_hold_a_quarter_of_the_mask_bytes(
             self, monkeypatch):
-        # eight windows: each live mask spans an eighth of the words
+        # eight windows: each gathered mask spans an eighth of the words
         budget = m_tamari_intervals_formula(1, 10)
         total = _mask_bytes(1, 10, budget)
         monkeypatch.setattr(paths, "WINDOW_BITS", -(-catalan(10) // 8))

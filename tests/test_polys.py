@@ -12,7 +12,10 @@ Core claims:
       coefficient given to either representation becomes a Fraction
     - the dense and the sparse representation check each other: series
       products, z-shifts, and division by a unit undone by a product
-    - a constant polynomial equals and hashes as its scalar
+    - a constant polynomial equals and hashes as its scalar, across
+      class, arity and truncation; == never raises, and nothing else of
+      a different class, arity or truncation is equal
+    - ZPolynomial + and * refuse any other operand type with TypeError
 """
 
 from fractions import Fraction
@@ -123,6 +126,15 @@ class TestScalarPolicy:
         assert type(p.evaluate(5)) is int
         assert type(p.coefficient(7)) is int
 
+    def test_other_operand_types_are_refused(self):
+        # scalars go through scale; + and * of anything else is a
+        # TypeError, as for TruncatedSeries
+        p = ZPolynomial([1, 2])
+        for operation in (lambda: p + 1, lambda: p * 3, lambda: p - 1,
+                          lambda: p * MonomialPolynomial.variables(1)[0]):
+            with pytest.raises(TypeError):
+                operation()
+
     def test_newton_root_is_integral(self):
         root = newton_solve(quartic_equation(), 8)
         assert all(type(c) is int for c in _scalars(root))
@@ -229,6 +241,29 @@ class TestHash:
         for zero in (ZPolynomial.zero(), ZPolynomial(), MonomialPolynomial(2),
                      MonomialPolynomial(2, {(1, 0): 0})):
             assert len({zero, 0}) == 1
+
+    def test_equality_across_class_arity_and_truncation(self):
+        # a constant is its scalar whatever its class, arity or
+        # truncation; == never raises, and the relation is transitive
+        zero, two = ZPolynomial.zero(), MonomialPolynomial(2)
+        assert zero == 0 and 0 == two and zero == two
+        assert len({zero, two}) == 1
+        assert (MonomialPolynomial.constant(2, 5)
+                == MonomialPolynomial.constant(3, 5))
+        capped = MonomialPolynomial.constant(3, 5, ((1, 1, 1), 3))
+        assert capped == MonomialPolynomial.constant(3, 5, ((1, 0, 0), 3))
+        assert len({MonomialPolynomial.constant(2, 5),
+                    MonomialPolynomial.constant(3, 5), capped}) == 1
+        assert len({ZPolynomial.constant(3),
+                    MonomialPolynomial.constant(2, 3),
+                    MonomialPolynomial.constant(3, 3, ((1, 1, 1), 2)),
+                    3}) == 1
+        # anything else of a different class, arity or truncation differs
+        a = MonomialPolynomial.variables(NVARS, ((1, 1, 1), 3))[0]
+        b = MonomialPolynomial.variables(NVARS, ((1, 0, 0), 3))[0]
+        assert a != b and a != MonomialPolynomial.variables(NVARS)[0]
+        assert MonomialPolynomial.variables(1)[0] != ZPolynomial((0, 1))
+        assert MonomialPolynomial.constant(2, 5) != ZPolynomial.constant(4)
 
     def test_equal_polynomials_hash_equal(self):
         x, y = MonomialPolynomial.variables(2)
