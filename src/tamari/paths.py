@@ -15,11 +15,13 @@ words (an N gains m units of height, an E loses one).
 The interval engine of every slope, the Tamari lattice's included,
 streams down-sets as bitmasks in a linear extension: down(t) is {t} with
 the union of down(c) over the words c covered by t.  Inside the engine a
-ballot word is an int (N = 1, first letter most significant) and its
-covers come from bit arithmetic; ascending int order, the reversed
-generation order of m_tamari_elements, is the extension.  OR works bit by
-bit, so the masks cut to a window of lower indices [lo, hi) obey the same
-recurrence: the engine builds the words and upper-cover lists once, then
+ballot word is an int (N = 1, first letter most significant), and one
+depth-first pass generates the words with their upper covers, each cover
+resolved from the bits already placed as soon as the factor it moves
+closes; ascending int order, the reverse of that N-first generation order
+(m_tamari_elements' order), is the extension.  OR works bit by bit, so
+the masks cut to a window of lower indices [lo, hi) obey the same
+recurrence: the engine builds the words and upper-cover tuples once, then
 runs the recurrence once per window of at most WINDOW_BITS indices,
 holding window-wide masks only; the width halves while C masks of it
 would span more than WINDOW_BYTES, so the first window, where every word
@@ -247,26 +249,61 @@ def _ballot_slope(word: str) -> int:
     return m
 
 
-def _ballot_words(m: int, n: int) -> list:
-    """Every ballot word with n up-steps of slope m as an int, N = 1 and
-    the first letter most significant, in ascending order.
+def _ballot_lattice(m: int, n: int) -> tuple:
+    """(words, above): every ballot word with n up-steps of slope m as an
+    int, N = 1 and the first letter most significant, in ascending order,
+    and above[t] the indices of the words covering words[t].
 
     A cover turns the first letter it changes from E into N, so it is a
-    larger int: ascending order is a linear extension of the lattice.
+    larger int: ascending order is a linear extension of the lattice.  The
+    words are generated depth first, N before E, so in descending order,
+    and a word's covers are indexed before the word is reached.  Each EN
+    factor stays pending until a later E brings the height back down to
+    the base of its N.  Its cover moves the letters from that N to this E
+    one place up, over the E of the factor, which adds their own bits to
+    the word: the cover is known once this E is placed.
     """
+    count = fuss_catalan(m, n)
+    index: dict = {}
     words: list = []
+    above: list = []
 
-    def extend(word: int, ups: int, height: int) -> None:
-        # E before N: ascending; once every N is placed, only E's remain
-        if height:
-            extend(word << 1, ups, height - 1)
-        if ups:
-            extend(word << 1 | 1, ups - 1, height + m)
-        elif not height:
+    def extend(word, bit, height, ups, pending, deltas):
+        # word holds the letters so far in their final places, and bit is
+        # the place of the next one; pending stacks (base, places below
+        # the E) per open EN factor, the innermost on top
+        if not ups:
+            # only E's are left, and each open factor ends at its base
+            while pending:
+                deltas += (word & pending[1],)
+                pending = pending[2]
             words.append(word)
+            index[word] = count - len(words)
+            # the dict's own ints, so each index is one object however
+            # often held
+            above.append(tuple([index[word + delta] for delta in deltas]))
+            return
+        if word & bit << 1:
+            extend(word | bit, bit >> 1, height + m, ups - 1,
+                   pending, deltas)
+        else:
+            extend(word | bit, bit >> 1, height + m, ups - 1,
+                   (height, (bit << 1) - 1, pending), deltas)
+        if height:
+            height -= 1
+            if pending and pending[0] == height:
+                extend(word, bit >> 1, height, ups, pending[2],
+                       deltas + (word & pending[1],))
+            else:
+                extend(word, bit >> 1, height, ups, pending, deltas)
 
-    extend(0, n, 0)
-    return words
+    top = 1 << (n * (m + 1) - 1)
+    extend(top, top >> 1, m, n - 1, None, ())
+    # the closure holds itself; unbound, it frees the index on return
+    del extend
+    words.reverse()
+    above.reverse()
+    return words, above
 
 
 # an int ballot word's binary digits read as its letters
@@ -285,7 +322,8 @@ def m_tamari_elements(m: int, n: int, budget=None) -> list:
         raise ValueError("m and n must be positive")
     within_budget(f"m_tamari_elements({m}, {n})", fuss_catalan(m, n),
                   budget)
-    return [_render(word) for word in reversed(_ballot_words(m, n))]
+    words, _ = _ballot_lattice(m, n)
+    return [_render(word) for word in reversed(words)]
 
 
 def m_tamari_covers(word: str) -> frozenset:
@@ -316,28 +354,6 @@ _TO_DYCK = str.maketrans("NE", "UD")
 _TO_BALLOT = str.maketrans("UD", "NE")
 
 
-def _covers(word: int, m: int) -> list:
-    """The cover move of m_tamari_covers on an int ballot word of slope m.
-
-    A set bit of ~word & (word << 1) is an E followed by an N.  From that N the
-    scan runs down to the bit q where the height first returns to zero;
-    adding the factor below the E back in, one place up, swaps the E past
-    the factor.
-    """
-    out = []
-    marks = ~word & (word << 1) & ((1 << word.bit_length()) - 1)
-    while marks:
-        top = marks.bit_length() - 1
-        marks ^= 1 << top
-        q = top - 1
-        height = m
-        while height:
-            q -= 1
-            height += m if word >> q & 1 else -1
-        out.append(word + ((word >> q & ((1 << (top - q)) - 1)) << q))
-    return out
-
-
 def _window_width(count: int) -> int:
     """WINDOW_BITS, halved while count masks of that width would span
     more than WINDOW_BYTES."""
@@ -363,16 +379,13 @@ def _m_engine(m: int, n: int, budget=None) -> tuple:
     down(t) is bit t with the union of down(s) over the words s covered
     by t, and a word below the window has the zero mask there.  Each
     finished mask is OR-ed into the masks its upper covers are gathering,
-    freed when its own word takes it.  The upper-cover tuples are built
-    once, for every window; the peak holds the gathered masks of one window.
+    freed when its own word takes it.  The upper-cover tuples come with
+    the words, from the one generating pass, and serve every window; the
+    peak holds the gathered masks of one window.
     """
     what, size = intervals_of(m)
     within_budget(what.format(n), size(n), budget)
-    words = _ballot_words(m, n)
-    index = {w: i for i, w in enumerate(words)}
-    # the dict's own ints, so each index is one object however often held
-    above = [tuple(index[c] for c in _covers(word, m)) for word in index]
-    del index
+    words, above = _ballot_lattice(m, n)
     lower = [0] * len(words)
     for covers in above:
         for c in covers:
@@ -458,15 +471,24 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     fits the block it frees.
     """
     words, lower, upper, windows = _m_engine(m, n, budget)
-    lower_class: dict = {}
+    # each lower class as a bitmap of C bits, read as one int at the end:
+    # a word sets one bit in place, where an OR would rebuild a C-bit int
+    size = (len(words) + 7) >> 3
+    bitmaps: dict = {}
     upper_ids: dict = {}
     slot: list = []
     for t, word in enumerate(words):
         word = _render(word)
         key = lower_key(word, lower[t], upper[t])
-        lower_class[key] = lower_class.get(key, 0) | (1 << t)
+        bitmap = bitmaps.get(key)
+        if bitmap is None:
+            bitmap = bitmaps[key] = bytearray(size)
+        bitmap[t >> 3] |= 1 << (t & 7)
         slot.append(upper_ids.setdefault(
             upper_key(word, lower[t], upper[t]), len(upper_ids)))
+    lower_class = {key: int.from_bytes(bitmap, "little")
+                   for key, bitmap in bitmaps.items()}
+    del bitmaps
     cells: dict = {}
     for lo, hi, rows in windows:
         top = 1 << (hi - lo)

@@ -96,5 +96,4 @@ def no_engine(monkeypatch):
 
     monkeypatch.setattr("tamari.paths.m_tamari_elements", refuse)
     monkeypatch.setattr("tamari.paths.m_tamari_covers", refuse)
-    monkeypatch.setattr("tamari.paths._ballot_words", refuse)
-    monkeypatch.setattr("tamari.paths._covers", refuse)
+    monkeypatch.setattr("tamari.paths._ballot_lattice", refuse)

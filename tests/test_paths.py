@@ -11,7 +11,9 @@ Core claims:
       counts and same cover-statistic histogram; cover_table counts the
       intervals by the trees' (des(s), asc(t))
     - the engine's element order is a linear extension: every cover of
-      a word comes after it; the int cover move is the string cover move
+      a word comes after it; the covers resolved while the words are
+      generated are the string cover move
+    - the engine's build leaves no garbage cycle behind
     - the engine streams its masks: one interval count holds well under
       the bytes of all down-set masks at once, and with eight windows a
       table holds under a quarter of them; the n = 12 count (extended)
@@ -40,6 +42,7 @@ Core claims:
       any word is generated
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -68,8 +71,7 @@ from tamari.lattice import (
 )
 from tamari.paths import (
     WINDOW_BITS,
-    _ballot_words,
-    _covers,
+    _ballot_lattice,
     _m_engine,
     _render,
     _tally,
@@ -359,19 +361,22 @@ class TestBallot:
         for i, w in enumerate(words):
             assert all(index[u] > i for u in m_tamari_covers(w))
 
-    @pytest.mark.parametrize("m,n", ENGINE_GRID)
+    @pytest.mark.parametrize("m,n", ENGINE_GRID + [(1, 8), (1, 9)])
     def test_int_covers_are_the_string_covers(self, m, n):
-        # the engine's bit-arithmetic move, rendered, against the
-        # validated string move, on every word; the engine's cover
-        # counts, word by word, against the string move's
-        words, lower, upper, _ = _m_engine(m, n)
-        assert words == _ballot_words(m, n)
+        # the covers resolved while the words are generated, rendered,
+        # against the validated string move, on every word; the engine's
+        # words and cover counts, word by word, against the generator's
+        # words and the string move's counts
+        words, above = _ballot_lattice(m, n)
+        assert len(words) == fuss_catalan(m, n)
+        assert all(a < b for a, b in zip(words, words[1:]))
         strings = [_render(word) for word in words]
         covers = [m_tamari_covers(string) for string in strings]
-        for word, above in zip(words, covers):
-            ints = [_render(c) for c in _covers(word, m)]
-            assert len(set(ints)) == len(ints)
-            assert set(ints) == above
+        for indices, string_covers in zip(above, covers):
+            assert len(set(indices)) == len(indices)
+            assert {strings[c] for c in indices} == string_covers
+        engine_words, lower, upper, _ = _m_engine(m, n)
+        assert engine_words == words
         below = Counter(c for above in covers for c in above)
         assert upper == [len(above) for above in covers]
         assert lower == [below[string] for string in strings]
@@ -645,6 +650,20 @@ class TestStreaming:
             tracemalloc.stop()
         assert table.total == interval_count_formula(10)
         assert peak < 0.25 * total
+
+    def test_build_leaves_no_garbage_cycle(self):
+        # the generator's recursive closure holds itself; left bound, that
+        # cycle would keep the word index alive until a collection
+        gc.collect()
+        gc.disable()
+        try:
+            *_, windows = _m_engine(1, 9)
+            for _, _, rows in windows:
+                for _ in rows:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.extended
     def test_frontier_count_n12(self):
