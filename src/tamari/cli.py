@@ -43,7 +43,9 @@ from .diagonal import (
 )
 from .formulas import (
     a_formula,
+    a_row,
     b_formula,
+    b_row,
     catalan,
     chu_vandermonde_check,
     chu_vandermonde_sides,
@@ -138,13 +140,13 @@ def _grid(names: list, column: str, rows, total: bool = True) -> tuple:
 
 def _table_a(nmax: int) -> tuple:
     return _grid(["n"], "k", (
-        ([n], [a_formula(n, k) for k in range(n)], interval_count_formula(n))
+        ([n], a_row(n), interval_count_formula(n))
         for n in range(1, nmax + 1)))
 
 
 def _table_b(nmax: int) -> tuple:
     return _grid(["n"], "k", (
-        ([n], [b_formula(n, k) for k in range(n)], None)
+        ([n], b_row(n), None)
         for n in range(1, nmax + 1)), total=False)
 
 

@@ -1,5 +1,11 @@
 """Closed product formulas for interval and face counts, with identity checks.
 
+`table a` and `table b` print a_row and b_row, which step each row by its
+term ratio from the first cell, one small product and one exact division
+per cell.  a_formula and b_formula evaluate each cell on its own from two
+binomials; they are the public API and the oracle every verify route and
+the ratio-row tests read.
+
 internal_rows reads the internal f-vector off the face rows b(n, k) by a
 recursion over coefficient lists in y, multiplied by the one dense kernel
 polys._add_product; it enumerates nothing.
@@ -71,6 +77,28 @@ def b_formula(n: int, k: int) -> int:
         return 0
     return _exact_div(2 * binomial(n - 1, k) * binomial(4 * n + 1 - k, n + 1),
                       (3 * n + 1) * (3 * n + 2), "b_formula")
+
+
+def a_row(n: int) -> list:
+    """[a(n, k) for k < n] from a(n, 0) = 1 by the in-row term ratio
+    a(n, k+1)/a(n, k) = (n-k-1)(3n-k) / ((k+3)(k+1)), each step exact."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    row = [1]
+    for k in range(n - 1):
+        row.append(_exact_div(row[-1] * (n - k - 1) * (3 * n - k),
+                              (k + 3) * (k + 1), "a_row"))
+    return row
+
+
+def b_row(n: int) -> list:
+    """[b(n, k) for k < n] from b(n, 0) by the in-row term ratio
+    b(n, k+1)/b(n, k) = (n-1-k)(3n-k) / ((k+1)(4n+1-k)), each step exact."""
+    row = [b_formula(n, 0)]
+    for k in range(n - 1):
+        row.append(_exact_div(row[-1] * (n - 1 - k) * (3 * n - k),
+                              (k + 1) * (4 * n + 1 - k), "b_row"))
+    return row
 
 
 def face_count_formula(n: int) -> int:

@@ -245,14 +245,18 @@ def newton_solve(eq: MonomialPolynomial, order: int) -> TruncatedSeries:
 
     P must be regular: its only term free of t and of degree at most one
     in X is c·X.  Newton iteration X <- X - P(X)/P'(X) converges
-    quadratically; the root is re-substituted into P as a self-check.
+    quadratically: from a root correct mod t^c, one step is correct mod
+    t^(2c), so it runs at order min(2c - 1, order), starting from zero
+    (correct mod t^1); the last step runs at the full order.  The root is
+    re-substituted into P at the full order as a self-check.
     """
     if {(j, k) for (i, j, k) in eq.terms if i == 0 and k <= 1} != {(0, 1)}:
         raise ValueError("equation is singular at the origin: no regular root")
     derivative = eq.derivative(2)
-    x = TruncatedSeries.zero(order)
+    x = TruncatedSeries.zero(0)
     correct = 1
     while correct <= order:
+        x = TruncatedSeries(x.coeffs, min(2 * correct - 1, order))
         x = x - substitute(eq, x).div_by_unit(substitute(derivative, x))
         correct *= 2
     residual = substitute(eq, x)

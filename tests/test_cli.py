@@ -19,7 +19,8 @@ Core claims:
       exceeded (every multi-n table and suite on its largest row, before
       the first row; order-oracle on its tree pairs; table internal on
       the coefficient products of its recursion), 4 verification or
-      self-check failure (an inexact division included); exits 3 and 4,
+      self-check failure (an inexact division included, a ratio row
+      from a wrong start among them); exits 3 and 4,
       and a build that fails part-way, leave an existing --out file as
       it was;
       every table and suite exits 0 with each declared option at its
@@ -662,20 +663,31 @@ class TestExitStatuses:
                                                      monkeypatch, tmp_path):
         # the table is built before --out is opened: a row that fails
         # part-way through the build leaves the earlier file as it was
-        a_formula = formulas.a_formula
+        a_row = formulas.a_row
 
-        def fail_at_row_three(n, k):
+        def fail_at_row_three(n):
             if n == 3:
-                raise ArithmeticError("non-exact division in a_formula")
-            return a_formula(n, k)
+                raise ArithmeticError("non-exact division in a_row")
+            return a_row(n)
 
-        monkeypatch.setattr("tamari.cli.a_formula", fail_at_row_three)
+        monkeypatch.setattr("tamari.cli.a_row", fail_at_row_three)
         target = tmp_path / "out.csv"
         target.write_bytes(b"earlier contents\n")
         status, out, _ = run_cli(capsys, "table", "a", "--nmax", "4",
                                  "--out", str(target))
         assert (status, out) == (EXIT_VERIFY, "")
         assert target.read_bytes() == b"earlier contents\n"
+
+    def test_inexact_ratio_row_exits_four(self, capsys, monkeypatch):
+        # table b steps each row from b(n, 0) by its term ratio: a wrong
+        # start leaves a remainder at a later step, which exits 4
+        b_formula = formulas.b_formula
+
+        def bumped(n, k):
+            return b_formula(n, k) + ((n, k) == (5, 0))
+
+        monkeypatch.setattr("tamari.formulas.b_formula", bumped)
+        assert run_cli(capsys, "table", "b")[:2] == (EXIT_VERIFY, "")
 
     @pytest.mark.parametrize(
         "command", [("table", name) for name in TABLES]

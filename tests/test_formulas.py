@@ -4,6 +4,8 @@ Core claims:
     - catalan / fuss_catalan / schroeder agree with frozen values
     - a_formula rows and b_formula rows match frozen tabulations,
       b is the binomial transform of a, and row sums close up
+    - a_row and b_row, stepped by their term ratios, are the formula
+      rows for n <= 200; a b row from a wrong b(n, 0) hits a remainder
     - the four printed forms of the synchronized count agree
     - refined (by ell) and separated (by des) formulas match frozen
       rows, close to the right marginals, and hit Catalan at the edges
@@ -34,7 +36,9 @@ from tamari.equations import eta_polynomials
 from tamari.formulas import (
     _exact_div,
     a_formula,
+    a_row,
     b_formula,
+    b_row,
     binomial,
     catalan,
     chu_vandermonde_check,
@@ -162,6 +166,22 @@ class TestRows:
     def test_row_sums(self, n):
         assert sum(a_formula(n, k) for k in range(n)) == b_formula(n, 0)
         assert interval_count_formula(n) == b_formula(n, 0)
+
+    def test_ratio_rows_are_the_formula_rows(self):
+        for n in range(1, 201):
+            assert a_row(n) == [a_formula(n, k) for k in range(n)]
+            assert b_row(n) == [b_formula(n, k) for k in range(n)]
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_ratio_row_from_a_wrong_start_is_inexact(self, monkeypatch, n):
+        def bumped(m, k):
+            return b_formula(m, k) + ((m, k) == (n, 0))
+
+        monkeypatch.setattr("tamari.formulas.b_formula", bumped)
+        with pytest.raises(ArithmeticError, match="non-exact division "
+                                                  "in b_row"):
+            b_row(n)
+        assert b_row(n + 1) == [b_formula(n + 1, k) for k in range(n + 1)]
 
     def test_interval_count_sequence(self):
         assert [interval_count_formula(n) for n in range(1, 10)] == \

@@ -10,7 +10,9 @@ Core claims:
       denominator cleared, the substitution is the zero polynomial
     - newton_solve extracts the interval series: its rows are the
       interval row polynomials, z = 1 gives interval counts, z = 0
-      gives t/(1-t), and the shifted root solves the shifted equation
+      gives t/(1-t), and the shifted root solves the shifted equation;
+      at every order to 20 it is the order-20 root truncated, its steps
+      running at the doubling orders 1, 3, 7, 15, then the full order
     - Lagrange: S = t·phi(S, z), solved by Newton on X - t·phi(X, z),
       gives the quartic root through the rational parametrization, and
       lagrange_coeff matches its coefficients and the two printed closed
@@ -244,6 +246,32 @@ class TestNewton:
         shifted_eq = quartic_equation().shift(1, 1)
         shifted_root = newton_solve(shifted_eq, self.ORDER)
         assert shifted_root == root.substitute_z_shift(1)
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_every_order_truncates_the_order_twenty_root(self, shift):
+        # the doubling schedule ends at the asked order, whatever it is
+        eq = quartic_equation().shift(1, 1) if shift else quartic_equation()
+        full = newton_solve(eq, 20)
+        for order in range(1, 21):
+            x = newton_solve(eq, order)
+            assert x.order == order
+            assert x == full.truncate(order)
+        x = newton_solve(eq, 0)
+        assert x.order == 0 and x.is_zero
+
+    def test_steps_run_at_doubling_orders(self, monkeypatch):
+        # from a root correct mod t^c each step lifts to min(2c - 1, 20);
+        # P and P' are substituted once per step, P once more for the
+        # full-order residual
+        orders = []
+
+        def recording(poly, x):
+            orders.append(x.order)
+            return substitute(poly, x)
+
+        monkeypatch.setattr("tamari.series.substitute", recording)
+        newton_solve(quartic_equation(), 20)
+        assert orders == [1, 1, 3, 3, 7, 7, 15, 15, 20, 20, 20]
 
     def test_shifted_rows_are_face_polynomials(self, root):
         shifted = root.substitute_z_shift(1)
