@@ -72,7 +72,6 @@ from .paths import (
     _TO_BALLOT,
     _TO_DYCK,
     contacts,
-    cover_table,
     double_falls,
     dyck_to_tree,
     intervals_of,
@@ -85,6 +84,8 @@ from .paths import (
 )
 from .polys import ZPolynomial
 from .series import (
+    canopy_cell_products,
+    canopy_cells,
     catalytic_equation_check,
     fusy_humbert_check,
     newton_solve,
@@ -188,23 +189,28 @@ def _table_refined_ell(nmax: int, budget) -> tuple:
     return _grid(["n", "i"], "k", rows())
 
 
-def _pq_triangle(name: str, nmax: int, budget, table_for_n) -> tuple:
-    """Rows (n, p), columns q, filled for p+q <= n-1 (staircase shape)."""
-    def rows():
-        for n in _rows(f"table {name}", nmax, *intervals_of(1), budget):
-            table = table_for_n(n, budget)
-            for p in range(n):
-                yield [n, p], [table.value(p, q) for q in range(n - p)], None
-    return _grid(["n", "p"], "q", rows(), total=False)
+def _pq_triangle(tables) -> tuple:
+    """Rows (n, p), columns q, filled for p+q <= n-1 (staircase shape),
+    from pairs (n, cell) with cell(p, q) the count."""
+    return _grid(["n", "p"], "q", (
+        ([n, p], [cell(p, q) for q in range(n - p)], None)
+        for n, cell in tables for p in range(n)), total=False)
 
 
 def _table_refined_pq(nmax: int, budget) -> tuple:
-    return _pq_triangle("refined-pq", nmax, budget,
-                        lambda n, budget: cover_table(1, n, budget))
+    # cover_table(1, n)[p, q] is [u^q v^p w^(n-1-p-q)] of the canopy series
+    within_budget(f"canopy_cells({nmax - 1}) products",
+                  canopy_cell_products(nmax - 1), budget)
+    cells = canopy_cells(nmax - 1)
+    return _pq_triangle(
+        (n, lambda p, q, n=n: cells.get((q, p, n - 1 - p - q), 0))
+        for n in range(1, nmax + 1))
 
 
 def _table_face_dims(nmax: int, budget) -> tuple:
-    return _pq_triangle("face-dims", nmax, budget, diagonal_fvector_by_dims)
+    return _pq_triangle(
+        (n, diagonal_fvector_by_dims(n, budget).value)
+        for n in _rows("table face-dims", nmax, *intervals_of(1), budget))
 
 
 # name -> (builder, {option it reads: (default, smallest meaningful value

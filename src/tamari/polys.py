@@ -7,11 +7,12 @@ Two representations cover every polynomial in the package:
   * MonomialPolynomial, sparse in a fixed number of variables, with an
     optional truncation (weights, cap) that keeps a term iff its weighted
     degree sum_i w_i e_i is at most cap.  It carries the frozen equation
-    data, the catalytic and canopy-pair systems, and Lagrange powers.
+    data, the catalytic system, the self-check of the canopy-pair system,
+    and Lagrange powers.
 
 One dense product loop, _add_product (target += sign·p·q on coefficient
 lists), serves ZPolynomial's product and z-shift, TruncatedSeries' product
-and division, and formulas.internal_rows.
+and division, formulas.internal_rows and series.canopy_cells.
 
 One scalar policy: integer coefficients stay int, so the common case is
 big-integer arithmetic; any other coefficient becomes a Fraction, which
@@ -350,27 +351,6 @@ class MonomialPolynomial:
                              "needs the terms the truncation dropped")
         return self._map_var(var, lambda e: [(j, comb(e, j) * c ** (e - j))
                                              for j in range(e + 1)])
-
-    def inverse(self) -> "MonomialPolynomial":
-        """1/p under the truncation, for p = 1 + x with x of positive degree.
-
-        Then x^k has weighted degree at least k, so the geometric series
-        sum_k (-x)^k ends by k = cap.  Any other p raises ArithmeticError.
-        """
-        x = dict(self.terms)
-        if x.pop((0,) * self.nvars, 0) != 1:
-            raise ArithmeticError("constant term is not 1: not a unit of "
-                                  "the form 1 + x")
-        if x and min(map(self._degree, x)) <= 0:
-            raise ArithmeticError("1 + x is invertible only when every term "
-                                  "of x has positive weighted degree")
-        x = MonomialPolynomial._make(self.nvars, x, self.truncation)
-        out = term = MonomialPolynomial.constant(self.nvars, 1,
-                                                 self.truncation)
-        while term.terms:
-            term = -(term * x)
-            out = out + term
-        return out
 
     # ------------------------------------------------ protocol
     def _as_scalar(self) -> Optional[Scalar]:

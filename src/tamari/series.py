@@ -18,13 +18,17 @@ substitute evaluates it at a series X.  On top of that:
   * catalytic_equation_check rebuilds the contact-graded interval series
     from enumeration and checks its quadratic functional equation;
   * verify_pde applies the three annihilating differential operators;
-  * fusy_humbert_check solves the two-equation canopy system and compares
-    it with enumerated canopy statistics, plus its one-variable
-    specialization.
+  * canopy_cells solves the two-equation canopy system of Fusy and
+    Humbert degree by degree, each homogeneous part of each series made
+    once as rows of coefficient lists through polys' dense kernel, and
+    checks its answer once in the system as truncated MonomialPolynomials;
+    `table refined-pq` reads its rows off it;
+  * fusy_humbert_check compares canopy_cells with enumerated canopy
+    statistics, plus the system's one-variable specialization.
 
-The multivariate systems (the catalytic equation, the canopy pair, the
-Lagrange powers) are truncated MonomialPolynomial expressions written as
-printed; `polys` decides how every polynomial is stored.
+The other multivariate systems (the catalytic equation, the Lagrange
+powers) are truncated MonomialPolynomial expressions written as printed;
+`polys` decides how every polynomial is stored and multiplied.
 """
 from __future__ import annotations
 
@@ -396,47 +400,128 @@ def verify_pde(order: int) -> bool:
 # the canopy-pair system
 # ===================================================================
 
+def canopy_cell_products(total_degree: int) -> int:
+    """The coefficient products canopy_cells(D) makes, exactly:
+    8·C(D+6, 6) + 2·C(D+5, 6) + 15·C(D+2, 3) - C(D+3, 3) - 7."""
+    d = total_degree
+    return (8 * binomial(d + 6, 6) + 2 * binomial(d + 5, 6)
+            + 15 * binomial(d + 2, 3) - binomial(d + 3, 3) - 7)
+
+
+def canopy_cells(total_degree: int) -> dict:
+    """{(i, j, k): [u^i v^j w^k] F} for i+j+k <= total_degree, nonzero only.
+
+    F is the series of the canopy-pair system of Fusy and Humbert,
+
+        U = (v + wU)(1+U)(1+V)^2,  V = (u + wV)(1+V)(1+U)^2,
+        uvF = uU + vV + wUV - UV/((1+U)(1+V)),
+
+    solved degree by degree.  Every term of U has a v and every term of V
+    a u, so the parts kept are those of X = U/v and Y = V/u:
+
+        X = (1 + wX)(1+U)(1+V)^2,  Y = (1 + wY)(1+V)(1+U)^2,
+        F = X + Y + wXY - XY/((1+U)(1+V)).
+
+    The degree-d part of each series in the loop comes from parts of lower
+    degree or already made at degree d, and each is made once; the inverse
+    I of R = (1+U)(1+V) by I_d = -sum_{a>=1} R_a I_{d-a}.  A part of
+    degree d is d+1 rows, row i holding the coefficients of
+    u^i v^j w^(d-i-j) for j = 0..d-i; multiplying a part of degree a by one
+    of degree b makes C(a+2, 2)·C(b+2, 2) coefficient products through
+    polys' dense kernel, canopy_cell_products(total_degree) in all.
+
+    Self-check, once, on MonomialPolynomials truncated above total degree
+    D = total_degree: X and Y are substituted into the system for U = vX
+    and V = uY divided by v and by u, and F into (F - X - Y - wXY)(1+U)(1+V)
+    = -XY; a difference raises ArithmeticError.  Modulo the terms of
+    total degree above D, these hold exactly when X, Y and F are right to
+    degree D.
+    """
+    if total_degree < 0:
+        raise ValueError("total_degree must be nonnegative")
+
+    def part(d):
+        return [[0] * (d + 1 - i) for i in range(d + 1)]
+
+    def times(out, p, q, sign=1):
+        for i, row in enumerate(p):
+            for k, other in enumerate(q, i):
+                _add_product(out[k], row, other, sign)
+        return out
+
+    def at(x, y, d, first=0, sign=1):
+        """The degree-d part of sign·x·y, from the terms x_a·y_(d-a) with
+        a >= first."""
+        out = part(d)
+        for a in range(first, d + 1):
+            times(out, x[a], y[d - a], sign)
+        return out
+
+    def plus(*parts):
+        return [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
+
+    u, v, w = [[0, 0], [1]], [[0, 1], [0]], [[1, 0], [0]]
+    one = [[1]]
+    x, y = [one], [one]                  # U/v, V/u
+    a, b = [one], [one]                  # 1+U, 1+V
+    aa, bb = [one], [one]                # (1+U)^2, (1+V)^2
+    g, h = [one], [one]                  # (1+U)(1+V)^2, (1+V)(1+U)^2
+    r, inverse = [one], [one]            # (1+U)(1+V) and 1/((1+U)(1+V))
+    xy, f = [one], [one]
+    for d in range(1, total_degree + 1):
+        a.append(times(part(d), v, x[d - 1]))
+        b.append(times(part(d), u, y[d - 1]))
+        aa.append(at(a, a, d))
+        bb.append(at(b, b, d))
+        g.append(at(a, bb, d))
+        h.append(at(b, aa, d))
+        x.append(plus(g[d], times(part(d), w, at(x, g, d - 1))))
+        y.append(plus(h[d], times(part(d), w, at(y, h, d - 1))))
+        r.append(at(a, b, d))
+        inverse.append(at(r, inverse, d, first=1, sign=-1))
+        xy.append(at(x, y, d))
+        f.append(plus(x[d], y[d], times(part(d), w, xy[d - 1]),
+                      at(xy, inverse, d, sign=-1)))
+
+    truncation = ((1, 1, 1), total_degree)
+
+    def poly(parts):
+        return MonomialPolynomial(3, {
+            (i, j, d - i - j): c for d, p in enumerate(parts)
+            for i, row in enumerate(p) for j, c in enumerate(row)},
+            truncation)
+
+    big_x, big_y, big_f = poly(x), poly(y), poly(f)
+    var_u, var_v, var_w = MonomialPolynomial.variables(3, truncation)
+    one_plus_u, one_plus_v = 1 + var_v * big_x, 1 + var_u * big_y
+    big_r = one_plus_u * one_plus_v
+    big_xy = big_x * big_y
+    if (big_x != (1 + var_w * big_x) * big_r * one_plus_v
+            or big_y != (1 + var_w * big_y) * big_r * one_plus_u
+            or (big_f - big_x - big_y - var_w * big_xy) * big_r != -big_xy):
+        raise ArithmeticError("the canopy series do not satisfy the "
+                              "canopy-pair system")
+    return {(i, j, d - i - j): c for d, p in enumerate(f)
+            for i, row in enumerate(p) for j, c in enumerate(row) if c}
+
+
 def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     """Solve the two-equation canopy system and compare with enumeration.
 
-    The system U = (v + wU)(1+U)(1+V)^2, V = (u + wV)(1+V)(1+U)^2 is solved
-    by fixed point; F defined by uvF = uU + vV + wUV - UV/((1+U)(1+V)) must
-    have [u^i v^j w^k]F = #{intervals of size i+j+k+1 whose canopies agree
-    in '-' at i places, agree in '+' at j places, disagree at k places}.
+    canopy_cells solves U = (v + wU)(1+U)(1+V)^2, V = (u + wV)(1+V)(1+U)^2
+    degree by degree; F defined by uvF = uU + vV + wUV - UV/((1+U)(1+V))
+    must have [u^i v^j w^k]F = #{intervals of size i+j+k+1 whose canopies
+    agree in '-' at i places, agree in '+' at j places, disagree at k
+    places}.
 
-    To trust F to the requested total degree D, the system is solved with
-    cap D+2 (the uv division costs two degrees).  Also checks the
-    one-variable specialization S = t(z+S)(1+S)^3 with its two printed
-    identities against the quartic root, the substitution
+    Also checks the one-variable specialization S = t(z+S)(1+S)^3 with its
+    two printed identities against the quartic root, the substitution
     A = t F(tz, tz, t), and the Lagrange coefficients of S^r.
     """
     if total_degree < 0:
         raise ValueError("total_degree must be nonnegative")
     rows = up_to(total_degree + 1, *intervals_of(1), budget)
-    cap = total_degree + 2
-    truncation = ((1, 1, 1), cap)
-    u, v, w = MonomialPolynomial.variables(3, truncation)
-
-    def step(pair):
-        big_u, big_v = pair
-        return ((v + w * big_u) * (1 + big_u) * (1 + big_v) ** 2,
-                (u + w * big_v) * (1 + big_v) * (1 + big_u) ** 2)
-
-    zero = MonomialPolynomial(3, {}, truncation)
-    pair = (zero, zero)
-    for _ in range(cap + 2):
-        pair = step(pair)
-    if step(pair) != pair:
-        raise ArithmeticError("canopy-system fixed point did not stabilize")
-    big_u, big_v = pair
-    uv_f = (u * big_u + v * big_v + w * big_u * big_v
-            - big_u * big_v * ((1 + big_u) * (1 + big_v)).inverse())
-    f_algebraic: dict = {}
-    for (a, b, c), value in uv_f.terms.items():
-        if a < 1 or b < 1:
-            return False
-        if (a - 1) + (b - 1) + c <= total_degree:
-            f_algebraic[(a - 1, b - 1, c)] = value
+    f_algebraic = canopy_cells(total_degree)
 
     # the canopies of s <= t agree in '-' at asc(t) places and in '+' at
     # des(s) places (checked directly by the canopy suite)

@@ -1,5 +1,6 @@
 """Shared test helpers: hypothesis strategies, exhaustive pools, tree
-builders, and the grafting decomposition of a Tamari interval."""
+builders, the grafting decomposition of a Tamari interval, and the
+(des, asc) row of the canopy-pair series."""
 
 import pytest
 from hypothesis import strategies as st
@@ -78,6 +79,13 @@ def decompose_interval(s, t) -> list:
         components.append((s_i, t_piece))
     assert not s_pieces
     return components
+
+
+def pq_cells(cells: dict, n: int) -> dict:
+    """Row n of table refined-pq read off canopy_cells: {(p, q): count}
+    from [u^q v^p w^(n-1-p-q)] F, nonzero cells only, as cover_table(1, n)
+    holds them."""
+    return {(j, i): c for (i, j, k), c in cells.items() if i + j + k == n - 1}
 
 
 def tree_pool(n: int) -> list:

@@ -4,7 +4,8 @@ Core claims:
     - every `table` run at its default range reproduces the checked-in
       CSV under golden/ byte for byte
     - individual cells of the rendered tables carry the right counts
-      (spot checks independent of the golden files)
+      (spot checks independent of the golden files); table refined-pq
+      is read off the canopy series: no engine, no progress lines
     - the JSON format wraps the same grid with all counts rendered as
       decimal strings and staircase gaps as null
     - `eval` prints single exact values and enforces arity and sign
@@ -18,9 +19,11 @@ Core claims:
       path that cannot be written, refused before the work), 3 budget
       exceeded (every multi-n table and suite on its largest row, before
       the first row; order-oracle on its tree pairs; table internal on
-      the coefficient products of its recursion), 4 verification or
-      self-check failure (an inexact division included, a ratio row
-      from a wrong start among them); exits 3 and 4,
+      the coefficient products of its recursion, table refined-pq on
+      those of its canopy solve), 4 verification or self-check failure
+      (an inexact division included, a ratio row from a wrong start
+      among them, and a wrong coefficient in the canopy solve); exits 3
+      and 4,
       and a build that fails part-way, leave an existing --out file as
       it was;
       every table and suite exits 0 with each declared option at its
@@ -35,7 +38,7 @@ from pathlib import Path
 import pytest
 
 from conftest import right_comb
-from tamari import formulas
+from tamari import formulas, polys, series
 from tamari.cli import (
     EXIT_BUDGET,
     EXIT_USAGE,
@@ -198,6 +201,17 @@ class TestCellValues:
         _, rows = csv_grid(out)
         assert grid_row(rows, 5, 1)[2:6] == ["10", "65", "81", "20"]
         assert grid_row(rows, 5, 4)[2:] == ["1", "", "", "", ""]
+
+    def test_refined_pq_is_read_off_the_series(self, capsys, no_engine):
+        # no engine runs and no row is announced, from n = 7 either
+        status, out, err = run_cli(capsys, "table", "refined-pq")
+        assert (status, err) == (0, "")
+        assert out == (GOLDEN / GOLDEN_FILES["refined-pq"]).read_text(
+            encoding="utf-8")
+        status, out, err = run_cli(capsys, "table", "refined-pq",
+                                   "--nmax", "8")
+        assert (status, err) == (0, "")
+        assert grid_row(csv_grid(out)[1], 8, 7)[2:3] == ["1"]
 
     def test_face_dims_triangle(self, capsys):
         _, out, _ = run_cli(capsys, "table", "face-dims")
@@ -440,7 +454,7 @@ REFUSED_LARGEST_ROWS = [
     ("table m-stats --nmax 4 --mmax 2 --budget 10",
      "m_tamari intervals(2, 4)"),
     ("table refined-ell --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
-    ("table refined-pq --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("table refined-pq --nmax 4 --budget 10", "canopy_cells(3) products"),
     ("table face-dims --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
     ("verify canopy --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
     ("verify dyck --nmax 4 --budget 10", "all_trees(4)"),
@@ -472,6 +486,7 @@ class TestExitStatuses:
         monkeypatch.delenv("TAMARI_BUDGET", raising=False)
         monkeypatch.setattr("tamari.cli.all_trees", refuse)
         monkeypatch.setattr("tamari.cli.internal_rows", refuse)
+        monkeypatch.setattr("tamari.cli.canopy_cells", refuse)
         status, out, err = run_cli(capsys, *command.split())
         assert status == EXIT_BUDGET
         assert out == ""
@@ -485,6 +500,26 @@ class TestExitStatuses:
         # C_4 = 14 trees make 196 ordered pairs
         assert run_cli(capsys, "verify", "order-oracle", "--nmax", "4",
                        "--budget", budget)[0] == status
+
+    @pytest.mark.parametrize("argv, status", [
+        (("--nmax", "4", "--budget", "850"), EXIT_BUDGET),
+        (("--nmax", "4", "--budget", "851"), 0),
+        (("--nmax", "11", "--budget", "100000000"), 0),
+        (("--nmax", "100000"), EXIT_BUDGET),
+    ], ids=["budget-850-refused", "budget-851-admitted", "nmax-11",
+          "huge-nmax-refused"])
+    def test_refined_pq_budget_counts_solve_products(self, capsys,
+                                                     monkeypatch, argv,
+                                                     status):
+        # the canopy solve to degree 3 makes 851 coefficient products; a
+        # refused solve never starts
+        def refuse(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.delenv("TAMARI_BUDGET", raising=False)
+        if status == EXIT_BUDGET:
+            monkeypatch.setattr("tamari.cli.canopy_cells", refuse)
+        assert run_cli(capsys, "table", "refined-pq", *argv)[0] == status
 
     def test_bad_budget_variable_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("TAMARI_BUDGET", "abc")
@@ -537,6 +572,42 @@ class TestExitStatuses:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("tamari: self-check failed: non-exact division")
+
+    @pytest.mark.parametrize("command", [
+        ("table", "refined-pq"),
+        ("verify", "fusy-humbert", "--order", "3"),
+    ], ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("bumped", ["first", "last"])
+    def test_wrong_canopy_part_exits_four(self, capsys, monkeypatch,
+                                          tmp_path, command, bumped):
+        # one coefficient of one part of the canopy solve is off by one:
+        # a part of 1+U in the first product, of F in the last
+        products = []
+
+        def counted(target, p, q, sign=1):
+            products.append(None)
+            polys._add_product(target, p, q, sign)
+
+        monkeypatch.setattr("tamari.series._add_product", counted)
+        series.canopy_cells(4 if command[0] == "table" else 3)
+        wrong = 0 if bumped == "first" else len(products) - 1
+        products.clear()
+
+        def bump(target, p, q, sign=1):
+            counted(target, p, q, sign)
+            if len(products) - 1 == wrong:
+                target[0] += 1
+
+        monkeypatch.setattr("tamari.series._add_product", bump)
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"earlier contents\n")
+        for out_args in ((), ("--out", str(target))):
+            status, out, err = run_cli(capsys, *command, *out_args)
+            assert (status, out) == (EXIT_VERIFY, "")
+            assert len(err.splitlines()) == 1
+            assert err.startswith("tamari: self-check failed: the canopy")
+            products.clear()
+        assert target.read_bytes() == b"earlier contents\n"
 
     def test_failed_self_check_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr("tamari.equations.QUARTIC_SHA256", "0" * 64)

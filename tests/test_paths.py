@@ -37,7 +37,7 @@ Core claims:
       for a block of eight), exactly 8 and 16, and 17 or more, at every
       width; one table holds under the bytes of all masks; at the
       benchmark's sizes and at n = 12 (extended) it matches the closed
-      formulas
+      formulas and the canopy-pair series (series.canopy_cells)
     - malformed words and blown budgets raise, every tally view before
       any word is generated
 """
@@ -53,7 +53,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from conftest import left_comb, nonempty_binary_trees, right_comb, tree_pool
+from conftest import (
+    left_comb,
+    nonempty_binary_trees,
+    pq_cells,
+    right_comb,
+    tree_pool,
+)
 from tamari import paths
 from tamari.formulas import (
     a_formula,
@@ -89,7 +95,11 @@ from tamari.paths import (
     tree_to_dyck,
     valleys,
 )
-from tamari.series import catalytic_equation_check, fusy_humbert_check
+from tamari.series import (
+    canopy_cells,
+    catalytic_equation_check,
+    fusy_humbert_check,
+)
 from tamari.trees import (
     asc,
     des,
@@ -512,6 +522,7 @@ class TestTally:
             assert table.value(p, n - 1 - p) == separated_formula(n, p)
         assert all(table.value(q, p) == count
                    for (p, q), count in table.cells.items())
+        assert pq_cells(canopy_cells(n - 1), n) == dict(table.cells)
         budget = m_tamari_intervals_formula(3, 7)
         assert m_tamari_interval_stats(3, 7, budget).total == budget
 
@@ -534,6 +545,7 @@ class TestTally:
         [table] = tables
         for p in range(n):
             assert table.value(p, n - 1 - p) == separated_formula(n, p)
+        assert pq_cells(canopy_cells(n - 1), n) == dict(table.cells)
 
 
 # == windows ========================================================

@@ -19,6 +19,13 @@ Core claims:
       coefficient forms
     - the catalytic system, the three differential operators, and the
       canopy-pair system all check out; a perturbed series fails
+    - canopy_cells, the canopy-pair system solved degree by degree, is
+      the (des, asc) cover table for n <= 10 (n = 11, 12 in test_paths,
+      extended); to n = 20 its anti-diagonals are a(n, k), its p+q = n-1
+      cells the separated counts, and it is symmetric in (p, q); it makes
+      exactly canopy_cell_products(D) coefficient products, which the
+      default budget admits to n = 20; one wrong coefficient in any of
+      them fails its self-check
 """
 
 from fractions import Fraction
@@ -26,12 +33,22 @@ from math import comb
 
 import pytest
 
+from conftest import pq_cells
+from tamari import polys
 from tamari.equations import load_quartic, pde_operators
-from tamari.formulas import a_formula, interval_row_polynomial
+from tamari.formulas import (
+    a_formula,
+    interval_count_formula,
+    interval_row_polynomial,
+    separated_formula,
+)
+from tamari.paths import FALLBACK_BUDGET, cover_table
 from tamari.polys import MonomialPolynomial, ZPolynomial
 from tamari.series import (
     TruncatedSeries,
     apply_differential_operator,
+    canopy_cell_products,
+    canopy_cells,
     catalytic_equation_check,
     cleared_parametrization,
     fusy_humbert_check,
@@ -384,12 +401,6 @@ class TestVerifiers:
     def test_fusy_humbert(self):
         assert fusy_humbert_check(6)
 
-    def test_inverse_of_unit_rejects_non_unit(self):
-        # a check that `python -O` cannot strip: 2 + u is no 1 + x
-        u, _, _ = MonomialPolynomial.variables(3, ((1, 1, 1), 2))
-        with pytest.raises(ArithmeticError):
-            (2 + u).inverse()
-
     def test_verifier_argument_validation(self):
         with pytest.raises(ValueError):
             verify_pde(2)
@@ -397,3 +408,69 @@ class TestVerifiers:
             catalytic_equation_check(0)
         with pytest.raises(ValueError):
             fusy_humbert_check(-1)
+        with pytest.raises(ValueError):
+            canopy_cells(-1)
+
+
+class TestCanopyCells:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cells_are_the_cover_table(self, n):
+        table = dict(cover_table(1, n, interval_count_formula(n)).cells)
+        cells = pq_cells(canopy_cells(n - 1), n)
+        assert cells == table
+        # mirror duality on both routes
+        for route in (cells, table):
+            assert all(route.get((q, p)) == c for (p, q), c in route.items())
+
+    def test_rows_past_the_engine_match_the_formulas(self):
+        cells = canopy_cells(19)
+        for n in range(1, 21):
+            row = pq_cells(cells, n)
+            for k in range(n):
+                assert sum(row.get((p, k - p), 0)
+                           for p in range(k + 1)) == a_formula(n, k)
+            for p in range(n):
+                assert row[p, n - 1 - p] == separated_formula(n, p)
+            assert all(row[q, p] == c for (p, q), c in row.items())
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_product_count_is_exact(self, monkeypatch, degree):
+        products = []
+
+        def counted(target, p, q, sign=1):
+            products.append(len(p) * len(q))
+            polys._add_product(target, p, q, sign)
+
+        monkeypatch.setattr("tamari.series._add_product", counted)
+        canopy_cells(degree)
+        assert sum(products) == canopy_cell_products(degree)
+
+    def test_every_wrong_product_trips_the_self_check(self, monkeypatch):
+        # one coefficient off by one in the part the k-th product makes,
+        # for every k: the system or F's equation must notice
+        degree = 2
+        calls = []
+
+        def bumped(k):
+            def product(target, p, q, sign=1):
+                calls.append(None)
+                polys._add_product(target, p, q, sign)
+                if len(calls) - 1 == k:
+                    target[0] += 1
+            return product
+
+        # k = -1 matches no product: this run only counts them
+        monkeypatch.setattr("tamari.series._add_product", bumped(-1))
+        canopy_cells(degree)
+        count = len(calls)
+        for k in range(count):
+            calls.clear()
+            monkeypatch.setattr("tamari.series._add_product", bumped(k))
+            with pytest.raises(ArithmeticError, match="canopy"):
+                canopy_cells(degree)
+
+    def test_default_budget_admits_twenty(self):
+        # table refined-pq --nmax N solves to degree N - 1
+        assert canopy_cell_products(10) == 77_081
+        assert canopy_cell_products(19) == 1_704_395 <= FALLBACK_BUDGET
+        assert canopy_cell_products(20) == 2_217_362 > FALLBACK_BUDGET
