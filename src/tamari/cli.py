@@ -69,13 +69,13 @@ from .lattice import (
     rotation_down_set,
 )
 from .paths import (
-    _TO_BALLOT,
-    _TO_DYCK,
+    _ballot_lattice,
+    _ballot_tree,
+    _render,
     contacts,
     double_falls,
     dyck_to_tree,
     intervals_of,
-    m_tamari_covers,
     m_tamari_interval_stats,
     tree_to_dyck,
     up_to,
@@ -389,18 +389,21 @@ def _suite_canopy(nmax: int, budget):
 
 
 def _suite_dyck(nmax: int, budget):
-    """Path bijection: statistics transport, round trip, cover transport."""
+    """Path bijection: statistics transport, round trip, and cover
+    transport, the engine's upper covers read as trees against the
+    rotations."""
     for n in _rows("verify dyck", nmax, "all_trees({})", catalan, budget):
         words = {t: tree_to_dyck(t) for t in all_trees(n, budget)}
+        ballots, above = _ballot_lattice(1, n)
+        trees = [_ballot_tree(1, _render(word)) for word in ballots]
+        covers = {trees[t]: {trees[c] for c in cs}
+                  for t, cs in enumerate(above)}
         checks = {
             "statistics-transport": lambda t: (
                 (valleys(words[t]), double_falls(words[t]), contacts(words[t]))
                 != (asc(t), des(t), ell(t))),
             "round-trip": lambda t: dyck_to_tree(words[t]) != t,
-            "cover-transport": lambda t: (
-                {w.translate(_TO_DYCK)
-                 for w in m_tamari_covers(words[t].translate(_TO_BALLOT))}
-                != {tree_to_dyck(u) for u in rotations_up(t)}),
+            "cover-transport": lambda t: covers.get(t) != rotations_up(t),
         }
         for name, failed in checks.items():
             bad = _first(words, failed)

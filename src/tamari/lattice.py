@@ -19,11 +19,10 @@ from .formulas import catalan
 from .paths import (
     BudgetExceeded,
     StatTable,
-    _TO_DYCK,
+    _ballot_tree,
     _slope_one_ell,
     _tally,
     _walk,
-    dyck_to_tree,
     m_tamari_interval_count,
     m_tamari_interval_stats,
     within_budget,
@@ -108,8 +107,7 @@ def _interval_walk(n: int, budget, element) -> Iterator[tuple]:
     element is called once per tree, not once per interval, so a per-tree
     statistic (a bitmask, say) is paid for C_n times.
     """
-    return _walk(1, n, budget, lambda word: element(
-        dyck_to_tree(word.translate(_TO_DYCK))))
+    return _walk(1, n, budget, lambda word: element(_ballot_tree(1, word)))
 
 
 def intervals(n: int, budget=None) -> Iterator[tuple]:

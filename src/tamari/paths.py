@@ -4,10 +4,11 @@ Claims implemented here, all cross-checked by the test suite:
 
   * the recursive bijection trees -> Dyck words sends the tree statistics
     (asc, des, ell) to (valleys, double falls, interior contacts);
-  * it transports Tamari covers to the path cover move: an EN factor is
-    swapped with the shortest following balanced factor;
-  * the same cover move with up-steps of slope m defines a lattice on
-    m-ballot words whose m = 1 case is the Tamari lattice again.
+  * read with each N as m up-steps, the m-ballot words with n N's are
+    an upper ideal of the Tamari lattice T_{mn} (_ballot_tree), and the
+    engine's cover move, an EN factor's E swapped with the shortest
+    following balanced factor, is the tree rotation there; at m = 1
+    the lattice is the Tamari lattice itself.
 
 Paths are plain strings: 'U'/'D' for Dyck words, 'N'/'E' for m-ballot
 words (an N gains m units of height, an E loses one).
@@ -40,8 +41,8 @@ block of the one it replaces and peak memory stays flat.
 cover_table counts intervals by the lower covers of the lower word and
 the upper covers of the upper one, (des(s), asc(t)) at slope 1.  Every
 walk over the intervals themselves, the tree walk of tamari.lattice
-included, is the one mask scan _walk over the same windows.  The
-validated string move m_tamari_covers is the cover oracle.
+included, is the one mask scan _walk over the same windows.  The cover
+oracle of every slope is trees.rotations_up of the word's tree.
 
 One budget rule covers every exhaustive operation: within_budget compares
 the exact size of an enumeration (elements, trees, intervals, faces, tree
@@ -227,27 +228,8 @@ def contacts(word: str) -> int:
 
 
 # ===================================================================
-# m-ballot words and their cover move
+# m-ballot words, their covers, and their trees in T_{mn}
 # ===================================================================
-
-def _ballot_slope(word: str) -> int:
-    """Validate an m-ballot word and return its slope m."""
-    if not word:
-        raise ValueError("empty word")
-    ups = word.count("N")
-    downs = word.count("E")
-    if ups + downs != len(word):
-        raise ValueError("an m-ballot word uses only the letters N and E")
-    if ups == 0 or downs % ups:
-        raise ValueError("letter counts do not fit any slope")
-    m = downs // ups
-    height = 0
-    for step in word:
-        height += m if step == "N" else -1
-        if height < 0:
-            raise ValueError("not an m-ballot word: negative height")
-    return m
-
 
 def _ballot_lattice(m: int, n: int) -> tuple:
     """(words, above): every ballot word with n up-steps of slope m as an
@@ -315,6 +297,24 @@ def _render(word: int) -> str:
     return bin(word)[2:].translate(_TO_LETTERS)
 
 
+def _ballot_tree(m: int, word: str) -> BinaryTree:
+    """A slope-m ballot word read as its tree in T_{mn}: dyck_to_tree of
+    the word with each N read as m U's and each E as a D.
+
+    The words with n N's map onto an upper ideal of the Tamari lattice
+    T_{mn}, with the order and the covers induced (Bousquet-Mélou, Fusy
+    and Préville-Ratelle 2011), so tamari_leq and rotations_up of these
+    trees are the order and the covers of every slope.
+    """
+    return dyck_to_tree(word.replace("N", "U" * m).replace("E", "D"))
+
+
+def _slope_one_ell(word: str) -> int:
+    """ell of _ballot_tree(1, word): the interior contacts of the Dyck
+    word read by the same letter rule, without building the tree."""
+    return contacts(word.replace("N", "U").replace("E", "D"))
+
+
 def m_tamari_elements(m: int, n: int, budget=None) -> list:
     """All ballot words with n up-steps of slope m, deterministic order
     (N-first generation order, the reverse of the engine's)."""
@@ -326,33 +326,9 @@ def m_tamari_elements(m: int, n: int, budget=None) -> list:
     return [_render(word) for word in reversed(words)]
 
 
-def m_tamari_covers(word: str) -> frozenset:
-    """Elements covering the given ballot word (slope read off the word).
-
-    Each EN factor yields one cover: the E is swapped with the shortest
-    nonempty factor after it whose total height change is zero.
-    """
-    m = _ballot_slope(word)
-    out = set()
-    for i in range(len(word) - 1):
-        if word[i] == "E" and word[i + 1] == "N":
-            height = 0
-            for j in range(i + 1, len(word)):
-                height += m if word[j] == "N" else -1
-                if height == 0:
-                    out.add(word[:i] + word[i + 1:j + 1] + "E" + word[j + 1:])
-                    break
-    return frozenset(out)
-
-
 # ===================================================================
 # interval engine over ballot words
 # ===================================================================
-
-# a slope-1 ballot word read as the Dyck word of its tree, and back
-_TO_DYCK = str.maketrans("NE", "UD")
-_TO_BALLOT = str.maketrans("UD", "NE")
-
 
 def _window_width(count: int) -> int:
     """WINDOW_BITS, halved while count masks of that width would span
@@ -533,11 +509,6 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
                     cells[key, upper_class] = (
                         cells.get((key, upper_class), 0) + count)
     return cells
-
-
-def _slope_one_ell(word: str) -> int:
-    """ell of the tree behind a slope-1 ballot word: its interior contacts."""
-    return contacts(word.translate(_TO_DYCK))
 
 
 def m_tamari_interval_count(m: int, n: int, budget=None) -> int:

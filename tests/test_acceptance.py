@@ -15,10 +15,11 @@ fails its test if any sub-check fails.
        parametrization, z-shift compatibility
     5. printed operators: differential annihilators, telescoped and
        two-term recurrences
-    6. bijections: Dyck statistics and covers, canopy monotonicity,
-       canopy-pair system
+    6. bijections: Dyck statistics, the engine's covers against the
+       tree rotations, canopy monotonicity, canopy-pair system
     7. slope-m generalization: counts vs closed formula on every
-       lattice small enough to enumerate, frozen statistics tables
+       lattice small enough to enumerate, frozen statistics tables, the
+       intervals vs the order of the words' trees in T_{mn}
     8. invariants: Euler characteristic, order axioms, des + asc,
        specializations, contracted Vandermonde convolution
 
@@ -57,11 +58,15 @@ from tamari.lattice import (
     rotation_down_set,
 )
 from tamari.paths import (
+    _ballot_lattice,
+    _ballot_tree,
+    _render,
     contacts,
     double_falls,
-    m_tamari_covers,
+    m_tamari_elements,
     m_tamari_interval_count,
     m_tamari_interval_stats,
+    m_tamari_intervals,
     tree_to_dyck,
     valleys,
 )
@@ -87,10 +92,6 @@ from tamari.trees import (
 # ====
 # shared plumbing
 # ====
-
-TO_BALLOT = str.maketrans("UD", "NE")
-TO_DYCK = str.maketrans("NE", "UD")
-
 
 @lru_cache(maxsize=None)
 def enumerated_histogram(n):
@@ -260,17 +261,18 @@ def test_gate_five_operators():
 def criterion_bijections():
     failures = []
     for n in range(1, 7):
+        # the engine's upper covers, read as trees
+        words, above = _ballot_lattice(1, n)
+        trees = [_ballot_tree(1, _render(word)) for word in words]
+        covers = {trees[t]: {trees[c] for c in cs}
+                  for t, cs in enumerate(above)}
         for t in all_trees(n):
             word = tree_to_dyck(t)
             if (valleys(word), double_falls(word), contacts(word)) \
                     != (asc(t), des(t), ell(t)):
                 failures.append(f"Dyck statistics disagree at n={n}")
                 break
-            through_words = {
-                w.translate(TO_DYCK)
-                for w in m_tamari_covers(word.translate(TO_BALLOT))}
-            through_trees = {tree_to_dyck(u) for u in rotations_up(t)}
-            if through_words != through_trees:
+            if covers.get(t) != rotations_up(t):
                 failures.append(f"cover transport disagrees at n={n}")
                 break
     for n in range(1, 8):
@@ -328,6 +330,15 @@ def criterion_slope_m():
         failures.append(f"grid misses {sorted(wanted - covered)}")
     if m_tamari_interval_count(2, 5) != 9729:
         failures.append("frozen count at (m=2, n=5) != 9729")
+    # the order of every slope is that of the words' trees in T_{mn}, on
+    # each (m <= 6, n) with at most 2e4 pairs of words
+    for m, n in [(m, n) for m in range(1, 7) for n in range(1, 8)
+                 if fuss_catalan(m, n) ** 2 <= 2 * 10**4]:
+        trees = {w: _ballot_tree(m, w) for w in m_tamari_elements(m, n)}
+        if set(m_tamari_intervals(m, n)) != {
+                (s, t) for s in trees for t in trees
+                if tamari_leq(trees[s], trees[t])}:
+            failures.append(f"order != T_mn order at (m={m}, n={n})")
     for (m, n), row in STATS_ROWS.items():
         table = m_tamari_interval_stats(m, n)
         if [table.value(k) for k in range(len(row))] != row:
@@ -408,7 +419,7 @@ GATES = [
     ("6 bijections (Dyck n<=6, canopy n<=7, canopy-pair system)",
      criterion_bijections),
     ("7 slope-m lattices (counts on all grids <= 5000 elements, "
-     "statistics)", criterion_slope_m),
+     "statistics, order in T_mn up to 2e4 pairs)", criterion_slope_m),
     ("8 invariants (Euler, order axioms, des+asc, specializations, "
      "convolution)", criterion_invariants),
 ]

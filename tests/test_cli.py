@@ -10,9 +10,10 @@ Core claims:
       decimal strings and staircase gaps as null
     - `eval` prints single exact values and enforces arity and sign
     - `verify` emits a JSON report {suite, params, checks, ok} and its
-      exit status tracks the conjunction of the checks; every suite's
-      default report matches the checked-in JSON under golden/ byte for
-      byte
+      exit status tracks the conjunction of the checks (one upper cover
+      dropped from the engine turns verify dyck's cover check, and it
+      alone, red); every suite's default report matches the checked-in
+      JSON under golden/ byte for byte
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
       minimum, a zero budget named by its source and value, an --out
@@ -48,6 +49,7 @@ from tamari.cli import (
     main,
 )
 from tamari.diagonal import decomposition_report
+from tamari.paths import _ballot_lattice
 from tamari.series import TruncatedSeries, newton_solve
 from tamari.trees import canopy, serialize
 
@@ -410,6 +412,29 @@ class TestVerify:
         for n in (2, 3):
             assert checks[f"statistics-transport n={n}"] is False
             assert checks[f"cover-transport n={n}"] is False
+            assert checks[f"round-trip n={n}"] is True
+
+    def test_dyck_cover_check_reads_the_engine_covers(self, capsys,
+                                                      monkeypatch):
+        # the engine's generating pass drops one upper cover of its bottom
+        # word at n = 4: the cover check at n = 4, which reads the engine's
+        # covers as trees, is the only check to turn red
+        def dropped(m, n):
+            words, above = _ballot_lattice(m, n)
+            if n == 4:
+                assert above[0]
+                above[0] = above[0][1:]
+            return words, above
+
+        monkeypatch.setattr("tamari.cli._ballot_lattice", dropped)
+        status, out, _ = run_cli(capsys, "verify", "dyck", "--nmax", "4")
+        assert status == EXIT_VERIFY
+        checks = {entry["name"]: entry["ok"]
+                  for entry in json.loads(out)["checks"]}
+        assert [name for name, ok in checks.items() if not ok] == [
+            "cover-transport n=4"]
+        for n in range(1, 5):
+            assert checks[f"statistics-transport n={n}"] is True
             assert checks[f"round-trip n={n}"] is True
 
     @pytest.mark.parametrize("argv", [

@@ -4,15 +4,18 @@ Core claims:
     - tree_to_dyck/dyck_to_tree are mutually inverse bijections
     - the bijection transports (asc, des, ell) to
       (valleys, double falls, interior contacts)
-    - it transports Tamari covers to the ballot-word cover move at
-      slope 1 (swap an EN's E past the shortest following balanced run)
+    - read with each N as m U's, every slope-m ballot word is a tree
+      of T_{mn}: at slope 1 the words are the trees' Dyck words; at
+      every slope the engine's upper covers are the rotations of the
+      words' trees, and for m <= 6 with C^2 <= 2e4 the intervals are
+      exactly the pairs that trees.tamari_leq orders
     - m_tamari_elements counts are the Fuss-Catalan numbers
     - the slope-1 ballot lattice is the Tamari lattice: same interval
       counts and same cover-statistic histogram; cover_table counts the
       intervals by the trees' (des(s), asc(t))
     - the engine's element order is a linear extension: every cover of
       a word comes after it; the covers resolved while the words are
-      generated are the string cover move
+      generated are the rotations of the words' trees
     - the engine's build leaves no garbage cycle behind
     - the engine streams its masks: one interval count holds well under
       the bytes of all down-set masks at once, and with eight windows a
@@ -38,7 +41,7 @@ Core claims:
       width; one table holds under the bytes of all masks; at the
       benchmark's sizes and at n = 12 (extended) it matches the closed
       formulas and the canopy-pair series (series.canopy_cells)
-    - malformed words and blown budgets raise, every tally view before
+    - bad parameters and blown budgets raise, every tally view before
       any word is generated
 """
 
@@ -78,6 +81,7 @@ from tamari.lattice import (
 from tamari.paths import (
     WINDOW_BITS,
     _ballot_lattice,
+    _ballot_tree,
     _m_engine,
     _render,
     _tally,
@@ -87,7 +91,6 @@ from tamari.paths import (
     cover_table,
     double_falls,
     dyck_to_tree,
-    m_tamari_covers,
     m_tamari_elements,
     m_tamari_interval_count,
     m_tamari_interval_stats,
@@ -106,14 +109,17 @@ from tamari.trees import (
     ell,
     rotations_up,
     serialize,
+    tamari_leq,
 )
-
-TO_BALLOT = str.maketrans("UD", "NE")
 
 # the (m, n) on which the engine is checked word by word
 ENGINE_GRID = ([(1, n) for n in range(1, 8)]
                + [(2, n) for n in range(1, 6)]
                + [(3, n) for n in range(1, 5)])
+
+# every slope m <= 6 with n whose C^2 pairs of words number at most 2e4
+ORDER_GRID = [(m, n) for m in range(1, 7) for n in range(1, 8)
+              if fuss_catalan(m, n) ** 2 <= 2 * 10**4]
 
 # window widths that split every engine above into several windows
 NARROW_WIDTHS = [1, 5, 64]
@@ -230,19 +236,18 @@ class TestStatistics:
 class TestSlopeOne:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cover_transport(self, n):
-        # rotations above t == ballot covers of the translated word
+        # rotations above t == the engine's covers of t's word, as trees
+        words, above = _ballot_lattice(1, n)
+        trees = [_ballot_tree(1, _render(word)) for word in words]
+        covers = {trees[t]: {trees[c] for c in cs}
+                  for t, cs in enumerate(above)}
         for t in tree_pool(n):
-            word = tree_to_dyck(t).translate(TO_BALLOT)
-            expected = {tree_to_dyck(u).translate(TO_BALLOT)
-                        for u in rotations_up(t)}
-            assert m_tamari_covers(word) == expected
+            assert covers[t] == rotations_up(t)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_elements_are_translated_dyck_words(self, n):
-        words = set(m_tamari_elements(1, n))
-        expected = {tree_to_dyck(t).translate(TO_BALLOT)
-                    for t in tree_pool(n)}
-        assert words == expected
+        words = m_tamari_elements(1, n)
+        assert {_ballot_tree(1, w) for w in words} == set(tree_pool(n))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_interval_count_matches_trees(self, n):
@@ -312,20 +317,13 @@ class TestBallot:
         assert table.value(2 * n - 2) == (
             1 if m == 2 else m_tamari_intervals_formula(m - 2, n))
 
-    @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("m,n", ORDER_GRID)
     def test_intervals_are_order_intervals(self, m, n):
-        # oracle route: BFS the cover relation and compare pair sets
-        words = m_tamari_elements(m, n)
-        down: dict = {w: {w} for w in words}
-        changed = True
-        while changed:  # crude transitive closure over covers
-            changed = False
-            for w in words:
-                for u in m_tamari_covers(w):
-                    before = len(down[u])
-                    down[u] |= down[w]
-                    changed = changed or len(down[u]) != before
-        pairs = {(lo, hi) for hi in words for lo in down[hi]}
+        # oracle route: the pairs of words whose trees in T_{mn} are
+        # ordered by their bracket vectors
+        trees = {w: _ballot_tree(m, w) for w in m_tamari_elements(m, n)}
+        pairs = {(s, t) for s in trees for t in trees
+                 if tamari_leq(trees[s], trees[t])}
         assert set(m_tamari_intervals(m, n)) == pairs
 
     @pytest.mark.parametrize("m,n", [(1, n) for n in range(1, 7)]
@@ -353,9 +351,7 @@ class TestBallot:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_slope_one_intervals_in_tree_walk_order(self, n):
         # same sequence, not only the same set, as lattice.intervals
-        to_dyck = str.maketrans("NE", "UD")
-        as_trees = [(dyck_to_tree(s.translate(to_dyck)),
-                     dyck_to_tree(t.translate(to_dyck)))
+        as_trees = [(_ballot_tree(1, s), _ballot_tree(1, t))
                     for s, t in m_tamari_intervals(1, n)]
         assert as_trees == [(s, t) for s, t, _, _ in intervals(n)]
 
@@ -368,28 +364,30 @@ class TestBallot:
         words = [_render(word) for _, word, _, _, _ in _whole_masks(m, n)]
         assert sorted(words) == sorted(m_tamari_elements(m, n))
         index = {w: i for i, w in enumerate(words)}
-        for i, w in enumerate(words):
-            assert all(index[u] > i for u in m_tamari_covers(w))
+        covered, above = _ballot_lattice(m, n)
+        for word, covers in zip(covered, above):
+            i = index[_render(word)]
+            assert all(index[_render(covered[c])] > i for c in covers)
 
     @pytest.mark.parametrize("m,n", ENGINE_GRID + [(1, 8), (1, 9)])
-    def test_int_covers_are_the_string_covers(self, m, n):
-        # the covers resolved while the words are generated, rendered,
-        # against the validated string move, on every word; the engine's
-        # words and cover counts, word by word, against the generator's
-        # words and the string move's counts
+    def test_int_covers_are_the_tree_rotations(self, m, n):
+        # the covers resolved while the words are generated, read as
+        # trees in T_{mn}, against the rotations above each word's tree,
+        # on every word; the engine's words and cover counts, word by
+        # word, against the generator's words and the rotations' counts
         words, above = _ballot_lattice(m, n)
         assert len(words) == fuss_catalan(m, n)
         assert all(a < b for a, b in zip(words, words[1:]))
-        strings = [_render(word) for word in words]
-        covers = [m_tamari_covers(string) for string in strings]
-        for indices, string_covers in zip(above, covers):
+        trees = [_ballot_tree(m, _render(word)) for word in words]
+        covers = [rotations_up(tree) for tree in trees]
+        for indices, tree_covers in zip(above, covers):
             assert len(set(indices)) == len(indices)
-            assert {strings[c] for c in indices} == string_covers
+            assert {trees[c] for c in indices} == tree_covers
         engine_words, lower, upper, _ = _m_engine(m, n)
         assert engine_words == words
         below = Counter(c for above in covers for c in above)
         assert upper == [len(above) for above in covers]
-        assert lower == [below[string] for string in strings]
+        assert lower == [below[tree] for tree in trees]
 
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 3)])
     def test_covers_permute_and_raise(self, m, n):
@@ -398,16 +396,12 @@ class TestBallot:
         def e_weight(word):
             return sum(i for i, c in enumerate(word) if c == "E")
 
-        for w in m_tamari_elements(m, n):
-            for u in m_tamari_covers(w):
+        words, above = _ballot_lattice(m, n)
+        for word, covers in zip(words, above):
+            w = _render(word)
+            for u in (_render(words[c]) for c in covers):
                 assert sorted(u) == sorted(w)
                 assert e_weight(u) > e_weight(w)
-
-    @pytest.mark.parametrize(
-        "bad", ["", "EN", "NEX", "NEEN", "NENN"])
-    def test_rejects_bad_ballot_words(self, bad):
-        with pytest.raises(ValueError):
-            m_tamari_covers(bad)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -446,13 +440,14 @@ class TestBallot:
 # == tallies ========================================================
 
 def _pairwise_cells(m, n, lower_key, upper_key):
-    # oracle: one step per interval, cover counts from the string move
-    words = m_tamari_elements(m, n)
-    above = {w: len(m_tamari_covers(w)) for w in words}
-    below = dict.fromkeys(words, 0)
-    for w in words:
-        for u in m_tamari_covers(w):
-            below[u] += 1
+    # oracle: one step per interval, cover counts from the rotations
+    # above the words' trees in T_{mn}, which are the words' trees again
+    words = {_ballot_tree(m, w): w for w in m_tamari_elements(m, n)}
+    above = {w: len(rotations_up(t)) for t, w in words.items()}
+    below = dict.fromkeys(words.values(), 0)
+    for t in words:
+        for u in rotations_up(t):
+            below[words[u]] += 1
     cells: dict = {}
     for s, t in m_tamari_intervals(m, n):
         cell = (lower_key(s, below[s], above[s]),
