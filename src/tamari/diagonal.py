@@ -25,9 +25,8 @@ Internality is computed two independent ways that the tests compare:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .formulas import face_count_formula
 from .lattice import _interval_walk, interval_histogram
@@ -46,8 +45,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class DiagonalFace:
+class DiagonalFace(NamedTuple):
     """A face (f, g) of the diagonal; dim = dim(f) + dim(g)."""
 
     f: SchroederTree
@@ -55,8 +53,7 @@ class DiagonalFace:
     dim: int
 
 
-@dataclass(frozen=True)
-class EdgeClassification:
+class EdgeClassification(NamedTuple):
     """Counts of edge roles for one interval (s, t).
 
     The relevant edges are the descent edges of s and the ascent edges of

@@ -11,7 +11,9 @@ Claims implemented here, all cross-checked by the test suite:
     the lattice is the Tamari lattice itself.
 
 Paths are plain strings: 'U'/'D' for Dyck words, 'N'/'E' for m-ballot
-words (an N gains m units of height, an E loses one).
+words (an N gains m units of height, an E loses one).  One stack reader
+reads and checks either kind in one pass (dyck_to_tree, _ballot_tree);
+the recursive tree_to_dyck shares no code with it and is its oracle.
 
 The interval engine of every slope, the Tamari lattice's included,
 streams down-sets as bitmasks in a linear extension: down(t) is {t} with
@@ -55,8 +57,7 @@ cached: each view runs its own engine, which holds no mask once it ends.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .formulas import fuss_catalan, m_tamari_intervals_formula
 from .trees import BinaryTree
@@ -128,8 +129,7 @@ def intervals_of(m: int) -> tuple:
             lambda n: m_tamari_intervals_formula(m, n))
 
 
-@dataclass(frozen=True)
-class StatTable:
+class StatTable(NamedTuple):
     """Counts indexed by a tuple of named statistics."""
 
     n: int
@@ -167,39 +167,34 @@ def tree_to_dyck(t: BinaryTree) -> str:
     return tree_to_dyck(t[0]) + "U" + tree_to_dyck(t[1]) + "D"
 
 
-def _check_dyck(word: str) -> None:
-    height = 0
-    for step in word:
-        if step == "U":
-            height += 1
-        elif step == "D":
-            height -= 1
-            if height < 0:
+def _read_tree(word: str, up: str, down: str, steps: int) -> BinaryTree:
+    """The tree (tree(A), tree(B)) of A U B D, read left to right with each
+    letter up as steps U's and each down as a D: each U pushes the tree
+    read so far (a letter's further U's push empty ones) and each D pops
+    its left subtree.  Bad letters, a D at height 0 and an unfinished word
+    are refused."""
+    pad = (None,) * (steps - 1)
+    pending: list = []
+    tree = None
+    for letter in word:
+        if letter == up:
+            pending.append(tree)
+            pending += pad
+            tree = None
+        elif letter == down:
+            if not pending:
                 raise ValueError("not a Dyck word: negative height")
+            tree = (pending.pop(), tree)
         else:
-            raise ValueError(f"not a Dyck word: bad letter {step!r}")
-    if height != 0:
+            raise ValueError(f"not a Dyck word: bad letter {letter!r}")
+    if pending:
         raise ValueError("not a Dyck word: unbalanced")
+    return tree
 
 
 def dyck_to_tree(word: str) -> BinaryTree:
     """Inverse bijection; rejects words that are not Dyck words."""
-    _check_dyck(word)
-
-    def build(w: str) -> BinaryTree:
-        if not w:
-            return None
-        # w = A U B D with A, B Dyck: the final D closes the root U,
-        # found by scanning backwards for the first height deficit
-        inner = w[:-1]
-        height = 0
-        for i in range(len(inner) - 1, -1, -1):
-            height += 1 if inner[i] == "D" else -1
-            if height < 0:
-                return (build(inner[:i]), build(inner[i + 1:]))
-        raise ValueError("not a Dyck word")
-
-    return build(word)
+    return _read_tree(word, "U", "D", 1)
 
 
 def valleys(word: str) -> int:
@@ -298,15 +293,15 @@ def _render(word: int) -> str:
 
 
 def _ballot_tree(m: int, word: str) -> BinaryTree:
-    """A slope-m ballot word read as its tree in T_{mn}: dyck_to_tree of
-    the word with each N read as m U's and each E as a D.
+    """A slope-m ballot word read as its tree in T_{mn}: the tree of the
+    Dyck word with each N read as m U's and each E as a D.
 
     The words with n N's map onto an upper ideal of the Tamari lattice
     T_{mn}, with the order and the covers induced (Bousquet-Mélou, Fusy
     and Préville-Ratelle 2011), so tamari_leq and rotations_up of these
     trees are the order and the covers of every slope.
     """
-    return dyck_to_tree(word.replace("N", "U" * m).replace("E", "D"))
+    return _read_tree(word, "N", "E", m)
 
 
 def _slope_one_ell(word: str) -> int:

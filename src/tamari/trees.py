@@ -182,6 +182,11 @@ def tamari_leq(s: BinaryTree, t: BinaryTree) -> bool:
     if len(vs) != len(vt):
         raise ValueError(
             f"tree sizes differ: {len(vs)} vs {len(vt)} nodes")
+    return _bracket_leq(vs, vt)
+
+
+def _bracket_leq(vs: tuple, vt: tuple) -> bool:
+    """The Tamari order on two bracket vectors of one size."""
     return all(a <= b for a, b in zip(vs, vt))
 
 

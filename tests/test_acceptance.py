@@ -80,7 +80,9 @@ from tamari.series import (
     verify_pde,
 )
 from tamari.trees import (
+    _bracket_leq,
     asc,
+    bracket_vector,
     canopy,
     canopy_leq,
     des,
@@ -334,10 +336,11 @@ def criterion_slope_m():
     # each (m <= 6, n) with at most 2e4 pairs of words
     for m, n in [(m, n) for m in range(1, 7) for n in range(1, 8)
                  if fuss_catalan(m, n) ** 2 <= 2 * 10**4]:
-        trees = {w: _ballot_tree(m, w) for w in m_tamari_elements(m, n)}
+        vector = {w: bracket_vector(_ballot_tree(m, w))
+                  for w in m_tamari_elements(m, n)}
         if set(m_tamari_intervals(m, n)) != {
-                (s, t) for s in trees for t in trees
-                if tamari_leq(trees[s], trees[t])}:
+                (s, t) for s in vector for t in vector
+                if _bracket_leq(vector[s], vector[t])}:
             failures.append(f"order != T_mn order at (m={m}, n={n})")
     for (m, n), row in STATS_ROWS.items():
         table = m_tamari_interval_stats(m, n)

@@ -680,6 +680,7 @@ class TestExitStatuses:
         ("telescoped", "--budget", "5"),
         ("polynomial", "--nmax", "3"),
         ("euler", "--mode", "min-min"),
+        ("canopy", "--mmax", "3"),
     ], ids="-".join)
     def test_unread_option_is_a_usage_error(self, capsys, argv):
         status, out, err = run_cli(capsys, "verify", *argv)
@@ -691,6 +692,8 @@ class TestExitStatuses:
         ("a", "--mmax", "3"),
         ("internal", "--mmax", "2"),
         ("b", "--budget", "5"),
+        ("a", "--order", "3"),
+        ("a", "--mode", "min-max"),
     ], ids="-".join)
     def test_option_a_table_does_not_read_is_a_usage_error(self, capsys,
                                                            argv):

@@ -1,5 +1,12 @@
 """The public names of the package: tamari.__all__ is exactly the frozen
-list of 38 names, and each one resolves on the package."""
+list of 38 names, and each one resolves on the package; importing the
+command line loads no dataclasses machinery (its records are named
+tuples)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import tamari
 
@@ -20,3 +27,14 @@ def test_public_names_are_frozen():
     assert tamari.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(tamari, name), name
+
+
+def test_cli_import_skips_dataclasses():
+    # a fresh interpreter, so no other test's imports are counted
+    code = ("import sys, tamari.cli\n"
+            "print('dataclasses' in sys.modules)")
+    src = str(Path(tamari.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["False"]

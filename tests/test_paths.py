@@ -1,14 +1,17 @@
 """Dyck paths, the tree bijection, and m-ballot lattices.
 
 Core claims:
-    - tree_to_dyck/dyck_to_tree are mutually inverse bijections
+    - tree_to_dyck/dyck_to_tree are mutually inverse bijections; each
+      refused word gets its own message, and the one-pass reader's tree
+      of every slope-m word on a grid gives back its Dyck word
     - the bijection transports (asc, des, ell) to
       (valleys, double falls, interior contacts)
     - read with each N as m U's, every slope-m ballot word is a tree
       of T_{mn}: at slope 1 the words are the trees' Dyck words; at
       every slope the engine's upper covers are the rotations of the
       words' trees, and for m <= 6 with C^2 <= 2e4 the intervals are
-      exactly the pairs that trees.tamari_leq orders
+      exactly the pairs whose bracket vectors trees.tamari_leq's rule
+      orders
     - m_tamari_elements counts are the Fuss-Catalan numbers
     - the slope-1 ballot lattice is the Tamari lattice: same interval
       counts and same cover-statistic histogram; cover_table counts the
@@ -104,12 +107,13 @@ from tamari.series import (
     fusy_humbert_check,
 )
 from tamari.trees import (
+    _bracket_leq,
     asc,
+    bracket_vector,
     des,
     ell,
     rotations_up,
     serialize,
-    tamari_leq,
 )
 
 # the (m, n) on which the engine is checked word by word
@@ -197,11 +201,24 @@ class TestBijection:
         for t in pool:
             assert dyck_to_tree(tree_to_dyck(t)) == t
 
-    @pytest.mark.parametrize(
-        "bad", ["UDD", "DU", "UUD", "UDX", "uudd"])
+    REFUSALS = {"UDD": "negative height", "DU": "negative height",
+                "UUD": "unbalanced", "UDX": "bad letter 'X'",
+                "uudd": "bad letter 'u'"}
+
+    @pytest.mark.parametrize("bad", REFUSALS)
     def test_rejects_non_dyck(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=f"^not a Dyck word: {self.REFUSALS[bad]}$"):
             dyck_to_tree(bad)
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m, top in
+                                     ((1, 9), (2, 6), (3, 5), (4, 4))
+                                     for n in range(1, top + 1)])
+    def test_ballot_tree_round_trip(self, m, n):
+        # tree_to_dyck shares no code with the one-pass reader
+        for word in m_tamari_elements(m, n):
+            dyck = word.replace("N", "U" * m).replace("E", "D")
+            assert tree_to_dyck(_ballot_tree(m, word)) == dyck
 
 
 # == statistics transport ===========================================
@@ -321,9 +338,10 @@ class TestBallot:
     def test_intervals_are_order_intervals(self, m, n):
         # oracle route: the pairs of words whose trees in T_{mn} are
         # ordered by their bracket vectors
-        trees = {w: _ballot_tree(m, w) for w in m_tamari_elements(m, n)}
-        pairs = {(s, t) for s in trees for t in trees
-                 if tamari_leq(trees[s], trees[t])}
+        vector = {w: bracket_vector(_ballot_tree(m, w))
+                  for w in m_tamari_elements(m, n)}
+        pairs = {(s, t) for s in vector for t in vector
+                 if _bracket_leq(vector[s], vector[t])}
         assert set(m_tamari_intervals(m, n)) == pairs
 
     @pytest.mark.parametrize("m,n", [(1, n) for n in range(1, 7)]
