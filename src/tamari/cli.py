@@ -216,9 +216,10 @@ def _table_face_dims(nmax: int, budget) -> tuple:
 
 
 # name -> (builder, {option it reads: (default, smallest meaningful value
-# or None)}); every table reads --format and --out
+# or None)}); every table also reads --format and --out
 ANY = (None, None)  # no default, no minimum
 BUDGET = (None, 1)  # default: TAMARI_BUDGET, else the built-in fallback
+FORMAT = ("csv", None)  # every table's --format
 TABLES = {
     "a": (_table_a, {"nmax": (9, 1)}),
     "b": (_table_b, {"nmax": (9, 1)}),
@@ -241,6 +242,8 @@ OPTIONS = {
     "mode": {"choices": DECOMPOSITION_MODES, "help": "restrict to one mode"},
     "budget": {"type": int, "help": "element/interval budget (default: "
                                     "TAMARI_BUDGET or 2000000)"},
+    "format": {"choices": ("csv", "json"), "help": "table output "
+                                                   "(default: csv)"},
 }
 
 
@@ -290,10 +293,12 @@ def _render_json(name: str, header: list, rows: list) -> str:
 
 def cmd_table(args) -> int:
     builder, reads = TABLES[args.name]
-    kwargs, _ = _read_options(f"table {args.name}", reads, args)
+    kwargs, _ = _read_options(f"table {args.name}",
+                              {**reads, "format": FORMAT}, args)
+    form = kwargs.pop("format")
     _check_out(args.out)
     header, rows = builder(**kwargs)
-    if args.format == "csv":
+    if form == "csv":
         chunks = _render_csv(header, rows)
     else:
         chunks = [_render_json(args.name, header, rows)]
@@ -616,9 +621,6 @@ def make_parser() -> argparse.ArgumentParser:
         runner.add_argument("name", choices=sorted(names))
         for option, keywords in OPTIONS.items():
             runner.add_argument(f"--{option}", **keywords)
-        if command == "table":
-            runner.add_argument("--format", choices=("csv", "json"),
-                                default="csv")
         runner.add_argument("--out", help="write here, not stdout")
 
     evaluate = sub.add_parser("eval", help="print one exact value")

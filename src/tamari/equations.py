@@ -10,10 +10,12 @@ Three independent descriptions of the same series live here:
     + eta2(n) a~_{n+2} = 0 on the row polynomials a~_n(z).
 
 The module only holds the data; solving and verifying happen in `series`.
+hashlib is imported by load_quartic alone: OpenSSL's _hashlib adds about
+3 MB of resident memory to a process, and only the ops that read the
+quartic check its checksum.
 """
 from __future__ import annotations
 
-import hashlib
 from importlib import resources
 
 from .polys import MonomialPolynomial, ZPolynomial
@@ -28,6 +30,8 @@ QUARTIC_SHA256 = "fb647cdbafc32f9370c5260b91e88eb5c6a17b78fdc1a9dfbfcbfa1be6c8a1
 
 def load_quartic() -> dict:
     """{(t_exp, z_exp, x_exp): coefficient} for the quartic P(t, z, X)."""
+    import hashlib
+
     raw = resources.files(__package__).joinpath(
         "data", QUARTIC_RESOURCE).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()

@@ -25,14 +25,17 @@ closes; ascending int order, the reverse of that N-first generation order
 (m_tamari_elements' order), is the extension.  OR works bit by bit, so
 the masks cut to a window of lower indices [lo, hi) obey the same
 recurrence: the engine builds the words and upper-cover tuples once, then
-runs the recurrence once per window of at most WINDOW_BITS indices,
-holding window-wide masks only; the width halves while C masks of it
-would span more than WINDOW_BYTES, so the first window, where every word
-may be gathering a mask, stays bounded as C grows.  Each finished mask
-is OR-ed into the masks its upper covers are gathering, and a gathered
-mask is freed when its own word takes it, so only the masks owed to a
-later word stay alive.  Every statistics table is the one tally _tally
-over the windows:
+runs the recurrence once per window of at most WINDOW_BITS = 8,192
+indices, holding window-wide masks of at most 1 KB only; the width halves
+while C masks of it would span more than WINDOW_BYTES, so the first
+window, where every word may be gathering a mask, stays bounded as C
+grows (from n = 14 at slope 1).  The bytes OR-ed are about the same at
+any width, since each row ORs the window's members below it: a narrower
+width means more windows but fewer and smaller masks alive at once.
+Each finished mask is OR-ed into the masks its upper covers are
+gathering, and a gathered mask is freed when its own word takes it, so
+only the masks owed to a later word stay alive.  Every statistics table
+is the one tally _tally over the windows:
 per upper key, a binary counter per element of the window held as bit
 planes, into which the down-set masks are added eight at a time by
 carry-save adders (Harley-Seal), only the weight-8 carry rippling into
@@ -64,12 +67,13 @@ from .trees import BinaryTree
 
 FALLBACK_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "TAMARI_BUDGET"
-# the most lower indices one down-set mask of the engine spans; narrower
-# windows cost more passes over the covers (8 Kbit was slower at slope 3)
-WINDOW_BITS = 1 << 14
+# the most lower indices one down-set mask of the engine spans, 1 KB: a
+# narrower window means more passes over the covers but fewer and smaller
+# live gathering masks (4 Kbit was slower at slope 3, 16 Kbit held more)
+WINDOW_BITS = 1 << 13
 # the most bytes C masks of one window's width may span: in the first window
 # every word may gather a mask at once, as each holds the bottom word.
-# At slope 1, n <= 12 keeps WINDOW_BITS and n = 13 gets 8,192 bits.
+# It first binds at C > 2^20, n = 14 at slope 1.
 WINDOW_BYTES = 1 << 30
 
 

@@ -681,6 +681,7 @@ class TestExitStatuses:
         ("polynomial", "--nmax", "3"),
         ("euler", "--mode", "min-min"),
         ("canopy", "--mmax", "3"),
+        ("canopy", "--format", "json"),
     ], ids="-".join)
     def test_unread_option_is_a_usage_error(self, capsys, argv):
         status, out, err = run_cli(capsys, "verify", *argv)

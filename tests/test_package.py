@@ -1,7 +1,7 @@
 """The public names of the package: tamari.__all__ is exactly the frozen
 list of 38 names, and each one resolves on the package; importing the
 command line loads no dataclasses machinery (its records are named
-tuples)."""
+tuples), and hashlib only once a command reads the quartic's checksum."""
 
 import os
 import subprocess
@@ -38,3 +38,20 @@ def test_cli_import_skips_dataclasses():
         [sys.executable, "-c", code], check=True, capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.split() == ["False"]
+
+
+def test_cli_loads_hashlib_only_for_the_quartic():
+    # a table that reads no data file leaves OpenSSL unloaded; the
+    # quartic's checksum check loads it
+    code = ("import contextlib, io, sys\n"
+            "from tamari.cli import main\n"
+            "for argv in (['table', 'm-stats', '--nmax', '3', '--mmax', '2'],"
+            " ['verify', 'polynomial', '--order', '3']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = main(argv)\n"
+            "    print(status, 'hashlib' in sys.modules)")
+    src = str(Path(tamari.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["0", "False", "0", "True"]

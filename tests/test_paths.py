@@ -23,10 +23,10 @@ Core claims:
     - the engine streams its masks: one interval count holds well under
       the bytes of all down-set masks at once, and with eight windows a
       table holds under a quarter of them; the n = 12 count (extended)
-      equals the closed formula in a child process under 300 MB
+      equals the closed formula in a child process under 128 MB
     - the engine splits the words into equal windows of at most
       WINDOW_BITS, halved while C masks of the width would pass
-      WINDOW_BYTES (16,384 bits through n = 12, 8,192 at n = 13); with
+      WINDOW_BYTES (8,192 bits through n = 13, 2,048 at n = 14); with
       the width or the byte cap patched down, every tally equals the
       pairwise oracle walked in one window, every count the formula, and
       the walk yields the intervals of the default width
@@ -619,11 +619,11 @@ class TestWindows:
         assert set(windowed) == set(whole)
 
     def test_width_halves_under_the_mask_byte_cap(self):
-        # C masks of the first window at width w span C·w/8 bytes: 426 MB
-        # at n = 12 keeps 16,384 bits, and n = 13 (1.52 GB) halves once
+        # C masks of the first window at width w span C·w/8 bytes: 761 MB
+        # at n = 13 keeps 8,192 bits, and n = 14 (2.74 GB) halves twice
         assert [_window_width(catalan(n)) for n in (11, 12, 13)] == [
-            16384, 16384, 8192]
-        for n in range(13, 18):
+            8192, 8192, 8192]
+        for n in range(13, 19):
             count = catalan(n)
             width = _window_width(count)
             assert count * width <= 8 * paths.WINDOW_BYTES < 2 * count * width
@@ -693,15 +693,19 @@ class TestStreaming:
     @pytest.mark.extended
     def test_frontier_count_n12(self):
         # 373,537,388 intervals over 208,012 trees, counted by the engine
-        # in a child process that reports its own peak RSS (KiB on Linux)
-        code = ("import resource\n"
-                "from tamari.paths import m_tamari_interval_count\n"
-                "print(m_tamari_interval_count(1, 12, budget=400_000_000),"
-                " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        # in a child process that reports its own peak RSS: the VmHWM of
+        # its address space, in KiB (Linux).  Its ru_maxrss would also
+        # hold this process's peak, which exec carries over from the
+        # address space the child was spawned in.
+        code = ("from tamari.paths import m_tamari_interval_count\n"
+                "count = m_tamari_interval_count(1, 12, budget=400_000_000)\n"
+                "with open('/proc/self/status') as status:\n"
+                "    print(count, *[line.split()[1] for line in status\n"
+                "                   if line.startswith('VmHWM:')])")
         src = str(Path(paths.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code], check=True, capture_output=True,
             text=True, env={**os.environ, "PYTHONPATH": src}).stdout
         count, peak_kib = map(int, out.split())
         assert count == m_tamari_intervals_formula(1, 12) == 373537388
-        assert peak_kib < 300 * 1024
+        assert peak_kib < 128 * 1024
