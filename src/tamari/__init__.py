@@ -1,12 +1,14 @@
 """Tamari lattice intervals and the cellular diagonal of the associahedron.
 
 Exact, fully deterministic toolkit: binary/Schröder tree combinatorics
-(trees), exhaustive interval engines for the Tamari and m-Tamari lattices
-(lattice, paths), diagonal face counts and decompositions (diagonal),
-closed-form counting formulas (formulas), the exact polynomial kernel
-(polys), and truncated-series machinery for the functional equations the
-counts satisfy, checked against frozen equation data (series, equations).
-The command-line entry point lives in tamari.cli.
+(trees), the one bitset interval engine over ballot words of every slope
+m, the Tamari lattice at m = 1 (paths), its intervals read as trees with
+the rotation-search oracle (lattice), diagonal face counts and
+decompositions (diagonal), closed-form counting formulas (formulas), the
+exact polynomial kernel (polys), and truncated-series machinery for the
+functional equations the counts satisfy, checked against frozen equation
+data (series, equations).  The command-line entry point and its
+verification suites live in tamari.cli.
 """
 
 from .diagonal import (

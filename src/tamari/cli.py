@@ -13,17 +13,22 @@ m-intervals, m-stats, refined-ell, refined-pq, face-dims.
 Verification suites cross-check independent computation routes and print a
 JSON report: order-oracle, canopy, dyck, catalytic, polynomial, pde,
 telescoped, chu-vandermonde, euler, fusy-humbert, decompositions,
-internal-cross.  Each check scans all of its inputs and reports its own
-first failure.  Every table and suite reads only the options TABLES or
-SUITES declares for it, with their defaults and smallest meaningful
-values; another option, or a value below that minimum, is a usage error.
+internal-cross, slope-m, invariants.  Each check scans all of its inputs
+and reports its own first failure.  The acceptance gates of
+tests/test_acceptance.py are lists of these runs; slope-m and invariants,
+like chu-vandermonde, read no option and run at the gates' own sizes,
+with their frozen values.  Every table and suite reads only the options
+TABLES or SUITES declares for it, with their defaults and smallest
+meaningful values; another option, or a value below that minimum, is a
+usage error.
 
 Exit status: 0 success, 2 usage error (an --out path that cannot be
 written included), 3 budget exceeded (refused before any work; a
 command over n = 1..nmax on its largest row), 4 verification or
 internal self-check failure.  Every command is deterministic; progress
 goes to stderr only, one line per enumerated row from n = 7 (none from
-verify catalytic and verify fusy-humbert, whose rows series enumerates).
+verify catalytic and verify fusy-humbert, whose rows series enumerates,
+nor from verify slope-m, whose grid of small (m, n) lattices has no rows).
 """
 from __future__ import annotations
 
@@ -39,6 +44,7 @@ from .diagonal import (
     decomposition_report,
     diagonal_fvector,
     diagonal_fvector_by_dims,
+    diagonal_fvector_direct,
     internal_fvector,
     internal_fvector_direct,
 )
@@ -47,16 +53,20 @@ from .formulas import (
     a_row,
     b_formula,
     b_row,
+    binomial,
     catalan,
     chu_vandermonde_check,
     chu_vandermonde_sides,
     face_count_formula,
+    fuss_catalan,
     interval_count_formula,
     internal_row_products,
     internal_rows,
     interval_row_polynomial,
     m_tamari_intervals_formula,
     new_interval_formula,
+    refined_formulas,
+    specialization_suite,
     synchronized_formula,
     telescoped_recurrence_check,
     two_term_recurrence_check,
@@ -65,6 +75,7 @@ from .lattice import (
     BudgetExceeded,
     _interval_walk,
     all_trees,
+    interval_histogram,
     interval_stats_refined,
     intervals,
     rotation_down_set,
@@ -77,7 +88,10 @@ from .paths import (
     double_falls,
     dyck_to_tree,
     intervals_of,
+    m_tamari_elements,
+    m_tamari_interval_count,
     m_tamari_interval_stats,
+    m_tamari_intervals,
     tree_to_dyck,
     up_to,
     valleys,
@@ -104,6 +118,7 @@ from .trees import (
     ell,
     rotations_up,
     serialize,
+    tamari_leq,
 )
 
 EXIT_USAGE = 2
@@ -339,6 +354,12 @@ def _first(items, failed):
     return next((item for item in items if failed(item)), None)
 
 
+def _scan(name: str, items, failed) -> tuple:
+    """The check that no item fails, with the first that does as detail."""
+    bad = _first(items, failed)
+    return name, bad is None, bad
+
+
 def _suite_order_oracle(nmax: int, budget):
     """Bitmask interval engine against the rotation-BFS down-set oracle."""
     for n in _rows("verify order-oracle", nmax,
@@ -400,10 +421,9 @@ def _suite_canopy(nmax: int, budget):
             histogram[width - (cs ^ ct).bit_count()] += 1
         yield f"canopies-monotone n={n}", mono_bad is None, mono_bad
         yield f"shared-entries-count-asc-des n={n}", both_bad is None, both_bad
-        if mono_bad is None and both_bad is None:
-            expected = [a_formula(n, k) for k in range(n)]
-            yield (f"agreement-histogram n={n}", histogram == expected,
-                   {"histogram": [str(c) for c in histogram]})
+        yield (f"agreement-histogram n={n}",
+               histogram == [a_formula(n, k) for k in range(n)],
+               {"histogram": [str(c) for c in histogram]})
 
 
 def _suite_dyck(nmax: int, budget):
@@ -439,10 +459,9 @@ def _suite_polynomial(order: int):
     yield (f"quartic-root-residual-mod-t^{order + 1}",
            substitute(quartic_equation(), root).is_zero,
            "the quartic re-evaluated at the root")
-    coeff_bad = _first(range(1, order + 1), lambda n:
-                       root.coefficient(n) != interval_row_polynomial(n))
-    yield (f"coefficients-match-closed-form n<={order}", coeff_bad is None,
-           coeff_bad)
+    yield _scan(f"coefficients-match-closed-form n<={order}",
+                range(1, order + 1), lambda n:
+                root.coefficient(n) != interval_row_polynomial(n))
     shifted = newton_solve(quartic_equation().shift(1, 1), order)
     yield (f"z-shift-of-root-is-shifted-root-mod-t^{order + 1}",
            root.substitute_z_shift(1) == shifted, None)
@@ -474,7 +493,7 @@ def _suite_chu_vandermonde():
                {"lhs": str(lhs), "rhs": str(rhs), "expected": str(value)})
     rng = random.Random(CHU_SEED)
     triples = [(rng.randint(1, 30), rng.randint(0, 30), rng.randint(0, 30))
-               for _ in range(40)]
+               for _ in range(200)]
     bad = _first(triples, lambda triple: not chu_vandermonde_check(*triple))
     yield ("randomized-grid n,k,r<=30 (fixed seed)", bad is None,
            None if bad is None else {"triple": list(bad)})
@@ -542,6 +561,139 @@ def _suite_internal_cross(nmax: int, budget):
                 "formula": str(new_interval_formula(n))})
 
 
+def _frozen(name: str, actual, expected) -> tuple:
+    """The check that a computed count or row is the frozen one."""
+    def cell(value):
+        return [str(c) for c in value] if isinstance(value, list) \
+            else str(value)
+
+    return name, actual == expected, {"enumerated": cell(actual),
+                                      "expected": cell(expected)}
+
+
+# slope-m interval counts and rows of m_tamari_interval_stats, frozen from
+# independent tabulation
+FROZEN_M_COUNTS = {(2, 5): 9729, (1, 9): 857956}
+FROZEN_M_STATS = {
+    (2, 2): [1, 4, 1],
+    (2, 3): [1, 12, 30, 14, 1],
+    (3, 3): [1, 18, 72, 66, 13],
+    (4, 3): [1, 24, 132, 180, 58],
+    (1, 4): [1, 12, 33, 22],
+}
+
+
+def _suite_slope_m():
+    """Slope-m lattices: interval counts against the closed formula on
+    every (m <= 6, n) of at most 5,000 elements, frozen counts and
+    statistics rows, and the intervals against the order of the words'
+    trees in T_{mn} on every (m <= 6, n) of at most 2·10^4 word pairs."""
+    grids = [(m, n) for m in range(1, 7) for n in range(1, 10)
+             if fuss_catalan(m, n) <= 5000]
+    # the largest lattice's intervals are refused before any work
+    m, n = max(grids, key=lambda grid: m_tamari_intervals_formula(*grid))
+    up_to(n, *intervals_of(m))
+    counts = {grid: m_tamari_interval_count(*grid) for grid in grids}
+    yield _scan("counts-match-closed-form elements<=5000", grids, lambda g:
+                counts[g] != m_tamari_intervals_formula(*g))
+    wanted = ({(m, n) for m in range(1, 7) for n in range(1, 5)}
+              | {(m, n) for m in (1, 2) for n in range(1, 6)})
+    yield _scan("grids-hold m<=6,n<=4 and m<=2,n<=5", sorted(wanted),
+                lambda grid: grid not in counts)
+    for (m, n), count in FROZEN_M_COUNTS.items():
+        yield _frozen(f"frozen-count m={m} n={n}", counts[m, n], count)
+    for (m, n), row in FROZEN_M_STATS.items():
+        table = m_tamari_interval_stats(m, n)
+        yield _frozen(f"frozen-statistics m={m} n={n}",
+                      [table.value(k) for k in range(len(row))], row)
+
+    def order_differs(grid) -> bool:
+        vector = {w: bracket_vector(_ballot_tree(grid[0], w))
+                  for w in m_tamari_elements(*grid)}
+        return set(m_tamari_intervals(*grid)) != {
+            (s, t) for s in vector for t in vector
+            if _bracket_leq(vector[s], vector[t])}
+
+    yield _scan("order-is-the-order-in-T_mn pairs<=2e4",
+                [g for g in grids if fuss_catalan(*g) ** 2 <= 2 * 10**4],
+                order_differs)
+
+
+# the interval histogram and the diagonal's face and internal f-vectors,
+# frozen from independent tabulation
+FROZEN_HISTOGRAM_CELLS = {(7, 4): 5985, (8, 7): 9614}
+FROZEN_FACE_ROW_SIX = [2530, 9108, 12903, 8976, 3060, 408]
+FROZEN_INTERNAL_ROWS = [
+    [1],
+    [1, 2],
+    [3, 8, 6],
+    [12, 42, 51, 22],
+    [56, 244, 406, 308, 91],
+    [288, 1504, 3171, 3384, 1836, 408],
+    [1584, 9648, 24606, 33680, 26145, 10944, 1938],
+]
+
+
+def _suite_invariants():
+    """Enumeration against the closed forms and frozen rows: the interval
+    histogram and its ell refinement (n <= 8), the diagonal's face counts
+    by the binomial transform (n <= 8) and by two enumerations (n <= 6),
+    the internal f-vector and the face-rows recursion, the axioms of the
+    rotation order (n <= 6), des + asc (n <= 8), and the printed
+    specializations of the formulas (n <= 12)."""
+    histogram, by_ell, internal = {}, {}, {}
+    for n in _rows("verify invariants", 8, *intervals_of(1), None):
+        histogram[n] = interval_histogram(n)
+        by_ell[n] = interval_stats_refined(n).marginal(0)
+        internal[n] = internal_fvector(n)
+    upto8, upto6 = range(1, 9), range(1, 7)
+
+    def faces(n) -> list:
+        return [b_formula(n, k) for k in range(n)]
+
+    yield _scan("histogram-matches-closed-form n<=8", upto8, lambda n:
+                histogram[n] != [a_formula(n, k) for k in range(n)])
+    for (n, k), count in FROZEN_HISTOGRAM_CELLS.items():
+        yield _frozen(f"frozen-histogram n={n} k={k}", histogram[n][k], count)
+    yield _scan("ell-marginal-matches-refined-formula n<=8", upto8, lambda n:
+                by_ell[n] != {i: refined_formulas(n, i) for i in range(n)})
+    yield _scan("binomial-transform-is-face-formula n<=8", upto8, lambda n:
+                faces(n) != [sum(histogram[n][l] * binomial(l, k)
+                                 for l in range(n)) for k in range(n)])
+    direct = {n: diagonal_fvector_direct(n) for n in upto6}
+    yield _scan("direct-faces-match-face-formula n<=6", upto6,
+                lambda n: direct[n] != faces(n))
+    yield _scan("classified-faces-match-face-formula n<=6", upto6,
+                lambda n: diagonal_fvector(n) != faces(n))
+    yield _frozen("frozen-face-row n=6", direct[6], FROZEN_FACE_ROW_SIX)
+    yield _scan("frozen-internal-rows n<=7", range(1, 8),
+                lambda n: internal[n] != FROZEN_INTERNAL_ROWS[n - 1])
+    closed = internal_rows(8)
+    yield ("closed-recursion-matches-frozen-rows n<=7",
+           closed[:7] == FROZEN_INTERNAL_ROWS, None)
+    yield ("closed-recursion-matches-statistic-formula n=8",
+           closed[7] == internal[8], None)
+    downs = {n: {t: rotation_down_set(t) for t in all_trees(n)}
+             for n in upto6}
+    axioms = {
+        "rotation-order-reflexive": lambda down, t: t not in down[t],
+        "rotation-order-antisymmetric": lambda down, t: any(
+            s != t and t in down[s] for s in down[t]),
+        "rotation-order-transitive": lambda down, t: any(
+            not down[s] <= down[t] for s in down[t]),
+        "comparison-matches-reachability": lambda down, t: any(
+            tamari_leq(s, t) != (s in down[t]) for s in down),
+    }
+    for name, failed in axioms.items():
+        yield _scan(f"{name} n<=6", upto6, lambda n: any(
+            failed(downs[n], t) for t in downs[n]))
+    yield _scan("des-plus-asc-is-n-1 n<=8", upto8, lambda n: any(
+        des(t) + asc(t) != n - 1 for t in all_trees(n)))
+    yield _scan("specializations n<=12",
+                map(specialization_suite, range(1, 13)),
+                lambda report: not report["ok"] or report["checked"] != 8)
+
+
 # name -> (suite, options declared as in TABLES); every suite reads --out
 SUITES = {
     "order-oracle": (_suite_order_oracle, {"nmax": (6, 1), "budget": BUDGET}),
@@ -558,6 +710,8 @@ SUITES = {
                        {"nmax": (4, 1), "mode": ANY, "budget": BUDGET}),
     "internal-cross": (_suite_internal_cross,
                        {"nmax": (5, 1), "budget": BUDGET}),
+    "slope-m": (_suite_slope_m, {}),
+    "invariants": (_suite_invariants, {}),
 }
 
 

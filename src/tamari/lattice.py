@@ -48,42 +48,6 @@ def all_trees(n: int, budget=None) -> list:
     return by_size[n]
 
 
-def schroeder_count(nleaves: int) -> int:
-    """Number of Schröder trees with the given number of leaves."""
-    if nleaves < 1:
-        raise ValueError("a tree has at least one leaf")
-    counts = [0, 1]
-    for size in range(2, nleaves + 1):
-        # forests[j] = ordered sequences of >= 1 trees with j leaves total,
-        # restricted to trees of size < `size` (enough: children are smaller)
-        forests = [0] * (size + 1)
-        forests[0] = 1
-        for j in range(1, size + 1):
-            forests[j] = sum(counts[i] * forests[j - i]
-                             for i in range(1, min(j, size - 1) + 1))
-        # parts are capped below `size`, so every counted forest has >= 2
-        # trees and concatenating them under a new root is a bijection
-        counts.append(forests[size])
-    return counts[nleaves]
-
-
-def all_schroeder_trees(nleaves: int, budget=None) -> list:
-    """All Schröder trees with the given number of leaves."""
-    within_budget(f"all_schroeder_trees({nleaves})",
-                  schroeder_count(nleaves), budget)
-    by_leaves: list = [None, [None]]
-    for size in range(2, nleaves + 1):
-        # ordered forests with `size` leaves, every part of size < `size`
-        forests: list = [[()]] + [[] for _ in range(size)]
-        for j in range(1, size + 1):
-            for i in range(1, min(j, size - 1) + 1):
-                for tree in by_leaves[i]:
-                    for rest in forests[j - i]:
-                        forests[j].append((tree,) + rest)
-        by_leaves.append([f for f in forests[size] if len(f) >= 2])
-    return by_leaves[nleaves]
-
-
 def rotation_down_set(t: BinaryTree) -> frozenset:
     """All trees below t, by a search over left rotations (oracle route)."""
     seen = {t}

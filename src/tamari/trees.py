@@ -79,18 +79,6 @@ def internal_node_count(f: SchroederTree) -> int:
     return 1 + sum(internal_node_count(c) for c in f)
 
 
-def dimension(f: SchroederTree) -> int:
-    """Dimension of the associahedron face labeled by f.
-
-    A Schröder tree with L leaves labels a face of the (L-2)-dimensional
-    associahedron; its dimension is L - 1 - #internal nodes, so binary
-    trees are vertices and the corolla is the full polytope.
-    """
-    if f is None:
-        raise ValueError("empty tree has no face dimension")
-    return leaf_count(f) - 1 - internal_node_count(f)
-
-
 # ===================================================================
 # descent / ascent statistics and rotations
 # ===================================================================
@@ -214,13 +202,6 @@ def canopy(t: BinaryTree) -> str:
 
     walk(t)
     return "".join("-" if empty else "+" for empty in flags[:-1])
-
-
-def canopy_leq(cs: str, ct: str) -> bool:
-    """Componentwise comparison under the sign order - <= +."""
-    if len(cs) != len(ct):
-        raise ValueError("canopy lengths differ")
-    return all(not (a == "+" and b == "-") for a, b in zip(cs, ct))
 
 
 def agree(s: BinaryTree, t: BinaryTree) -> int:

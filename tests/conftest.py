@@ -1,12 +1,19 @@
-"""Shared test helpers: hypothesis strategies, exhaustive pools, tree
-builders, the grafting decomposition of a Tamari interval, and the
-(des, asc) row of the canopy-pair series."""
+"""Shared test helpers: hypothesis strategies, exhaustive pools (the
+Schröder trees among them), tree builders, face dimensions, the grafting
+decomposition of a Tamari interval, and the (des, asc) row of the
+canopy-pair series."""
 
 import pytest
 from hypothesis import strategies as st
 
 from tamari.lattice import all_trees, intervals
-from tamari.trees import node_count, tamari_leq
+from tamari.paths import within_budget
+from tamari.trees import (
+    internal_node_count,
+    leaf_count,
+    node_count,
+    tamari_leq,
+)
 
 
 def binary_trees(max_nodes: int = 9):
@@ -29,6 +36,54 @@ def schroeder_trees(max_leaves: int = 10):
         lambda kids: st.lists(kids, min_size=2, max_size=4).map(tuple),
         max_leaves=max_leaves,
     ).filter(lambda f: f is not None)
+
+
+def schroeder_count(nleaves: int) -> int:
+    """Number of Schröder trees with the given number of leaves."""
+    if nleaves < 1:
+        raise ValueError("a tree has at least one leaf")
+    counts = [0, 1]
+    for size in range(2, nleaves + 1):
+        # forests[j] = ordered sequences of >= 1 trees with j leaves total,
+        # restricted to trees of size < `size` (enough: children are smaller)
+        forests = [0] * (size + 1)
+        forests[0] = 1
+        for j in range(1, size + 1):
+            forests[j] = sum(counts[i] * forests[j - i]
+                             for i in range(1, min(j, size - 1) + 1))
+        # parts are capped below `size`, so every counted forest has >= 2
+        # trees and concatenating them under a new root is a bijection
+        counts.append(forests[size])
+    return counts[nleaves]
+
+
+def all_schroeder_trees(nleaves: int, budget=None) -> list:
+    """All Schröder trees with the given number of leaves."""
+    within_budget(f"all_schroeder_trees({nleaves})",
+                  schroeder_count(nleaves), budget)
+    by_leaves: list = [None, [None]]
+    for size in range(2, nleaves + 1):
+        # ordered forests with `size` leaves, every part of size < `size`
+        forests: list = [[()]] + [[] for _ in range(size)]
+        for j in range(1, size + 1):
+            for i in range(1, min(j, size - 1) + 1):
+                for tree in by_leaves[i]:
+                    for rest in forests[j - i]:
+                        forests[j].append((tree,) + rest)
+        by_leaves.append([f for f in forests[size] if len(f) >= 2])
+    return by_leaves[nleaves]
+
+
+def dimension(f) -> int:
+    """Dimension of the associahedron face labeled by f.
+
+    A Schröder tree with L leaves labels a face of the (L-2)-dimensional
+    associahedron; its dimension is L - 1 - #internal nodes, so binary
+    trees are vertices and the corolla is the full polytope.
+    """
+    if f is None:
+        raise ValueError("empty tree has no face dimension")
+    return leaf_count(f) - 1 - internal_node_count(f)
 
 
 def left_comb(n: int):

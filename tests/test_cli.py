@@ -12,14 +12,20 @@ Core claims:
     - `verify` emits a JSON report {suite, params, checks, ok} and its
       exit status tracks the conjunction of the checks (one upper cover
       dropped from the engine turns verify dyck's cover check, and it
-      alone, red); every suite's default report matches the checked-in
-      JSON under golden/ byte for byte
+      alone, red; so does the closed formula off by one at one (m, n)
+      for verify slope-m's count check, and a dropped rotation for
+      verify invariants' comparison check); a check stands whatever its
+      siblings found (verify canopy reports its histogram under any
+      fault); every suite's default report matches the checked-in JSON
+      under golden/ byte for byte
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
       minimum, a zero budget named by its source and value, an --out
       path that cannot be written, refused before the work), 3 budget
       exceeded (every multi-n table and suite on its largest row, before
-      the first row; order-oracle on its tree pairs; table internal on
+      the first row; slope-m and invariants, which read no option, on
+      their largest interval count under TAMARI_BUDGET; order-oracle on
+      its tree pairs; table internal on
       the coefficient products of its recursion, table refined-pq on
       those of its canopy solve), 4 verification or self-check failure
       (an inexact division included, a ratio row from a wrong start
@@ -39,7 +45,7 @@ from pathlib import Path
 import pytest
 
 from conftest import right_comb
-from tamari import formulas, polys, series
+from tamari import cli, formulas, polys, series, trees
 from tamari.cli import (
     EXIT_BUDGET,
     EXIT_USAGE,
@@ -330,8 +336,35 @@ class TestVerify:
         assert set(SUITES) == {
             "order-oracle", "canopy", "dyck", "catalytic", "polynomial",
             "pde", "telescoped", "chu-vandermonde", "euler",
-            "fusy-humbert", "decompositions", "internal-cross",
+            "fusy-humbert", "decompositions", "internal-cross", "slope-m",
+            "invariants",
         }
+
+    def test_slope_m_catches_a_wrong_formula(self, capsys, monkeypatch):
+        # the closed formula one too high at (m, n) = (3, 2) alone: only
+        # the count check turns red, and it names that grid
+        formula = formulas.m_tamari_intervals_formula
+        monkeypatch.setattr("tamari.cli.m_tamari_intervals_formula",
+                            lambda m, n: formula(m, n) + ((m, n) == (3, 2)))
+        status, out, _ = run_cli(capsys, "verify", "slope-m")
+        assert status == EXIT_VERIFY
+        red = [entry for entry in json.loads(out)["checks"]
+               if not entry["ok"]]
+        assert red == [{"name": "counts-match-closed-form elements<=5000",
+                        "ok": False, "detail": [3, 2]}]
+
+    def test_invariants_catch_a_dropped_rotation(self, capsys, monkeypatch):
+        # each tree loses its first lower cover: the rotation search then
+        # misses trees below it, which only the comparison check sees
+        rotations_down = trees.rotations_down
+        monkeypatch.setattr("tamari.lattice.rotations_down", lambda t: (
+            frozenset(sorted(rotations_down(t), key=serialize)[1:])))
+        status, out, _ = run_cli(capsys, "verify", "invariants")
+        assert status == EXIT_VERIFY
+        red = [entry for entry in json.loads(out)["checks"]
+               if not entry["ok"]]
+        assert red == [{"name": "comparison-matches-reachability n<=6",
+                        "ok": False, "detail": 2}]
 
     def test_failing_suite_exits_four(self, capsys, monkeypatch):
         # with every min-max fiber reported boolean, the witness check
@@ -394,9 +427,30 @@ class TestVerify:
                      "shared-entries-count-asc-des n=3"):
             assert checks[name]["ok"] is False
             assert serialize(top) in checks[name]["detail"]["pair"]
-        assert "agreement-histogram n=3" not in checks
+        # the histogram stands whatever its siblings found: red, since
+        # the flipped letter moves the agreements of that tree's pairs
+        assert checks["agreement-histogram n=3"]["ok"] is False
         assert all(entry["ok"] for name, entry in checks.items()
                    if not name.endswith("n=3"))
+
+    def test_canopy_histogram_stands_whatever_its_siblings_found(
+            self, capsys, monkeypatch):
+        # flip bit 0 of every canopy mask: the pair checks turn red, and
+        # every n still reports its four checks; the histogram stays green,
+        # since a letter flipped in both masks leaves cs ^ ct unchanged
+        plus_mask = cli._canopy_plus_mask
+        monkeypatch.setattr("tamari.cli._canopy_plus_mask", lambda t: (
+            plus_mask(t)[0] ^ 1, t))
+        status, out, _ = run_cli(capsys, "verify", "canopy", "--nmax", "3")
+        assert status == EXIT_VERIFY
+        checks = {entry["name"]: entry["ok"]
+                  for entry in json.loads(out)["checks"]}
+        assert len(checks) == 12
+        for n in (1, 2, 3):
+            assert checks[f"entry-counts-are-asc-des n={n}"] is True
+            assert checks[f"canopies-monotone n={n}"] is (n == 1)
+            assert checks[f"shared-entries-count-asc-des n={n}"] is False
+            assert checks[f"agreement-histogram n={n}"] is True
 
     def test_dyck_checks_each_scan_every_tree(self, capsys, monkeypatch):
         # break the valley count and every tree's upper covers: every
@@ -517,6 +571,24 @@ class TestExitStatuses:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"tamari: {largest} needs ")
+
+    @pytest.mark.parametrize("suite, largest, size", [
+        ("slope-m", "m_tamari intervals(1, 9)", 857956),
+        ("invariants", "m_tamari intervals(1, 8)", 118668),
+    ], ids=["slope-m", "invariants"])
+    def test_optionless_suite_refuses_its_largest_enumeration_first(
+            self, capsys, monkeypatch, no_engine, suite, largest, size):
+        # no option to lower: TAMARI_BUDGET one short of the largest
+        # enumeration refuses it before anything is enumerated
+        def refuse(*args):
+            raise AssertionError("a tree was generated")
+
+        monkeypatch.setenv("TAMARI_BUDGET", str(size - 1))
+        monkeypatch.setattr("tamari.cli.all_trees", refuse)
+        status, out, err = run_cli(capsys, "verify", suite)
+        assert status == EXIT_BUDGET
+        assert out == ""
+        assert err.startswith(f"tamari: {largest} needs {size} > budget ")
 
     @pytest.mark.parametrize("budget, status", [("195", EXIT_BUDGET),
                                                 ("196", 0)])

@@ -35,7 +35,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_pairs, left_comb, right_comb
+from conftest import (
+    all_schroeder_trees,
+    dimension,
+    interval_pairs,
+    left_comb,
+    right_comb,
+    schroeder_count,
+)
 from tamari.diagonal import (
     DECOMPOSITION_MODES,
     DiagonalFace,
@@ -59,7 +66,7 @@ from tamari.formulas import (
     interval_count_formula,
     new_interval_formula,
 )
-from tamari.lattice import BudgetExceeded, interval_count, schroeder_count
+from tamari.lattice import BudgetExceeded, interval_count
 from tamari.trees import (
     asc,
     contract_spans,
@@ -123,7 +130,6 @@ class TestFaces:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_generation_is_exhaustive(self, n):
         # oracle route: filter all Schröder tree pairs by the criterion
-        from tamari.lattice import all_schroeder_trees
         pool = all_schroeder_trees(n + 1)
         expected = {(f, g) for f in pool for g in pool
                     if tamari_leq(max_tree(f), min_tree(g))}
@@ -132,7 +138,6 @@ class TestFaces:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_dims(self, n):
-        from tamari.trees import dimension
         for face in diagonal_faces(n):
             assert face.dim == dimension(face.f) + dimension(face.g)
 
@@ -221,7 +226,6 @@ class TestByDims:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_against_direct_enumeration(self, n):
-        from tamari.trees import dimension
         cells: dict = {}
         for face in diagonal_faces(n):
             key = (dimension(face.f), dimension(face.g))

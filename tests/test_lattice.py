@@ -1,8 +1,9 @@
 """Tamari lattice enumeration and the interval engine.
 
 Core claims:
-    - all_trees counts are the Catalan numbers; all_schroeder_trees
-      counts match schroeder_count (little Schröder numbers)
+    - all_trees counts are the Catalan numbers; the test helpers
+      all_schroeder_trees and schroeder_count agree (little Schröder
+      numbers)
     - the bitmask engine's down-sets equal rotation BFS (oracle route)
     - interval counts match 2(4n+1)!/((n+1)!(3n+2)!)
     - the cover-statistic histogram matches both the closed product
@@ -16,19 +17,23 @@ Core claims:
 
 import pytest
 
-from conftest import interval_pairs, left_comb, tree_pool
+from conftest import (
+    all_schroeder_trees,
+    interval_pairs,
+    left_comb,
+    schroeder_count,
+    tree_pool,
+)
 from tamari.formulas import a_formula, catalan, interval_count_formula
 from tamari.lattice import (
     BudgetExceeded,
     StatTable,
-    all_schroeder_trees,
     all_trees,
     interval_count,
     interval_histogram,
     interval_stats_refined,
     intervals,
     rotation_down_set,
-    schroeder_count,
 )
 from tamari.paths import cover_table, resolve_budget
 from tamari.trees import asc, des, ell, tamari_leq
