@@ -8,7 +8,9 @@
 
 Tables reproduce the reference layouts exactly (rows indexed by n, columns
 by the statistic, empty cells where a row is shorter): a, b, internal,
-m-intervals, m-stats, refined-ell, refined-pq, face-dims.
+m-intervals, m-stats, refined-ell, refined-pq, face-dims; refined-pq and
+face-dims from one solve of the canopy-pair series (series.canopy_rows),
+face-dims at (x + 1, y + 1).
 
 Verification suites cross-check independent computation routes and print a
 JSON report: order-oracle, canopy, dyck, catalytic, polynomial, pde,
@@ -27,8 +29,9 @@ written included), 3 budget exceeded (refused before any work; a
 command over n = 1..nmax on its largest row), 4 verification or
 internal self-check failure.  Every command is deterministic; progress
 goes to stderr only, one line per enumerated row from n = 7 (none from
-verify catalytic and verify fusy-humbert, whose rows series enumerates,
-nor from verify slope-m, whose grid of small (m, n) lattices has no rows).
+tables internal, refined-pq and face-dims, which enumerate nothing, verify
+catalytic and fusy-humbert, whose rows series enumerates, nor slope-m,
+whose grid of small (m, n) lattices has no rows).
 """
 from __future__ import annotations
 
@@ -43,7 +46,6 @@ from .diagonal import (
     DECOMPOSITION_MODES,
     decomposition_report,
     diagonal_fvector,
-    diagonal_fvector_by_dims,
     diagonal_fvector_direct,
     internal_fvector,
     internal_fvector_direct,
@@ -97,10 +99,11 @@ from .paths import (
     valleys,
     within_budget,
 )
-from .polys import ZPolynomial
+from .polys import MonomialPolynomial, ZPolynomial
 from .series import (
     canopy_cell_products,
     canopy_cells,
+    canopy_rows,
     catalytic_equation_check,
     fusy_humbert_check,
     newton_solve,
@@ -206,28 +209,31 @@ def _table_refined_ell(nmax: int, budget) -> tuple:
     return _grid(["n", "i"], "k", rows())
 
 
-def _pq_triangle(tables) -> tuple:
+def _pq_triangle(rows) -> tuple:
     """Rows (n, p), columns q, filled for p+q <= n-1 (staircase shape),
-    from pairs (n, cell) with cell(p, q) the count."""
+    from pairs (n, {(p, q): count})."""
     return _grid(["n", "p"], "q", (
-        ([n, p], [cell(p, q) for q in range(n - p)], None)
-        for n, cell in tables for p in range(n)), total=False)
+        ([n, p], [cells.get((p, q), 0) for q in range(n - p)], None)
+        for n, cells in rows for p in range(n)), total=False)
+
+
+def _des_asc_rows(nmax: int, budget) -> list:
+    """[(n, {(des, asc): count})] for n = 1..nmax, off one canopy_cells
+    solve, refused first on its coefficient products."""
+    within_budget(f"canopy_cells({nmax - 1}) products",
+                  canopy_cell_products(nmax - 1), budget)
+    return sorted(canopy_rows(canopy_cells(nmax - 1)).items())
 
 
 def _table_refined_pq(nmax: int, budget) -> tuple:
-    # cover_table(1, n)[p, q] is [u^q v^p w^(n-1-p-q)] of the canopy series
-    within_budget(f"canopy_cells({nmax - 1}) products",
-                  canopy_cell_products(nmax - 1), budget)
-    cells = canopy_cells(nmax - 1)
-    return _pq_triangle(
-        (n, lambda p, q, n=n: cells.get((q, p, n - 1 - p - q), 0))
-        for n in range(1, nmax + 1))
+    return _pq_triangle(_des_asc_rows(nmax, budget))
 
 
 def _table_face_dims(nmax: int, budget) -> tuple:
+    # faces by (dim f, dim g): the (des, asc) row at (x + 1, y + 1)
     return _pq_triangle(
-        (n, diagonal_fvector_by_dims(n, budget).value)
-        for n in _rows("table face-dims", nmax, *intervals_of(1), budget))
+        (n, MonomialPolynomial(2, cells).shift(0, 1).shift(1, 1).terms)
+        for n, cells in _des_asc_rows(nmax, budget))
 
 
 # name -> (builder, {option it reads: (default, smallest meaningful value
@@ -349,15 +355,13 @@ def _emit(chunks, out) -> None:
 # ok only if every one of its inputs passed it.
 # ===================================================================
 
-def _first(items, failed):
-    """The first item for which failed(item) is true, or None."""
-    return next((item for item in items if failed(item)), None)
-
-
-def _scan(name: str, items, failed) -> tuple:
-    """The check that no item fails, with the first that does as detail."""
-    bad = _first(items, failed)
-    return name, bad is None, bad
+def _scan(name: str, items, failed, detail=None) -> tuple:
+    """The check that no item fails, with the first that does as detail,
+    through detail(item) if given; a passing check has no detail."""
+    bad = next((item for item in items if failed(item)), None)
+    if bad is None or detail is None:
+        return name, bad is None, bad
+    return name, False, detail(bad)
 
 
 def _suite_order_oracle(nmax: int, budget):
@@ -369,16 +373,15 @@ def _suite_order_oracle(nmax: int, budget):
         actual: dict = {t: set() for t in expected}
         for s, t, _, _ in intervals(n, budget):
             actual[t].add(s)
-        bad = _first(expected, lambda t: expected[t] != actual[t])
-        yield (f"down-sets-match-bfs n={n}", bad is None,
-               None if bad is None else f"first mismatch at {serialize(bad)}")
+        yield _scan(f"down-sets-match-bfs n={n}", expected,
+                    lambda t: expected[t] != actual[t],
+                    lambda t: f"first mismatch at {serialize(t)}")
         vector = {t: bracket_vector(t) for t in expected}
-        pair_bad = _first(product(expected, repeat=2), lambda pair: (
-            _bracket_leq(vector[pair[0]], vector[pair[1]])
-            != (pair[0] in expected[pair[1]])))
-        yield (f"comparison-matches-reachability n={n}", pair_bad is None,
-               None if pair_bad is None
-               else {"pair": [serialize(t) for t in pair_bad]})
+        yield _scan(f"comparison-matches-reachability n={n}",
+                    product(expected, repeat=2), lambda pair: (
+                        _bracket_leq(vector[pair[0]], vector[pair[1]])
+                        != (pair[0] in expected[pair[1]])),
+                    lambda pair: {"pair": [serialize(t) for t in pair]})
         total = sum(len(v) for v in expected.values())
         yield (f"interval-count-closed-form n={n}",
                total == interval_count_formula(n),
@@ -401,10 +404,9 @@ def _suite_canopy(nmax: int, budget):
     """
     for n in _rows("verify canopy", nmax, *intervals_of(1), budget):
         words = {t: canopy(t) for t in all_trees(n, budget)}
-        entry_bad = _first(words, lambda t: words[t].count("-") != asc(t)
-                           or words[t].count("+") != des(t))
-        yield (f"entry-counts-are-asc-des n={n}", entry_bad is None,
-               None if entry_bad is None else serialize(entry_bad))
+        yield _scan(f"entry-counts-are-asc-des n={n}", words,
+                    lambda t: words[t].count("-") != asc(t)
+                    or words[t].count("+") != des(t), serialize)
         mono_bad = None
         both_bad = None
         histogram = [0] * n
@@ -444,9 +446,7 @@ def _suite_dyck(nmax: int, budget):
             "cover-transport": lambda t: covers.get(t) != rotations_up(t),
         }
         for name, failed in checks.items():
-            bad = _first(words, failed)
-            yield (f"{name} n={n}", bad is None,
-                   None if bad is None else serialize(bad))
+            yield _scan(f"{name} n={n}", words, failed, serialize)
 
 
 def _suite_catalytic(order: int, budget):
@@ -471,7 +471,7 @@ def _suite_polynomial(order: int):
 
 
 def _suite_pde(order: int):
-    yield (f"differential-operators-annihilate-mod-t^{order - 2}",
+    yield (f"differential-operators-annihilate-mod-t^{order - 1}",
            verify_pde(order), None)
 
 
@@ -494,9 +494,9 @@ def _suite_chu_vandermonde():
     rng = random.Random(CHU_SEED)
     triples = [(rng.randint(1, 30), rng.randint(0, 30), rng.randint(0, 30))
                for _ in range(200)]
-    bad = _first(triples, lambda triple: not chu_vandermonde_check(*triple))
-    yield ("randomized-grid n,k,r<=30 (fixed seed)", bad is None,
-           None if bad is None else {"triple": list(bad)})
+    yield _scan("randomized-grid n,k,r<=30 (fixed seed)", triples,
+                lambda triple: not chu_vandermonde_check(*triple),
+                lambda triple: {"triple": list(triple)})
 
 
 def _suite_euler(nmax: int, budget):

@@ -7,7 +7,8 @@ of descent edges of s to get f and any subset of ascent edges of t to get
 g — never by filtering all pairs of Schröder trees, which is quadratically
 infeasible past small n.  Each tree's contractions are built once, and a
 fiber is the product of the lower tree's descent contractions and the
-upper tree's ascent contractions.
+upper tree's ascent contractions.  These faces are the test oracle of
+`table face-dims`, which reads them by dimensions off series.canopy_rows.
 
 Internality is computed two independent ways that the tests compare:
 
@@ -30,8 +31,8 @@ from typing import Iterator, NamedTuple
 
 from .formulas import face_count_formula
 from .lattice import _interval_walk, interval_histogram
-from .paths import StatTable, cover_table, within_budget
-from .polys import MonomialPolynomial, ZPolynomial
+from .paths import within_budget
+from .polys import ZPolynomial
 from .trees import (
     SchroederTree,
     ascent_spans,
@@ -122,13 +123,6 @@ def diagonal_fvector_direct(n: int, budget=None) -> list:
     for face in diagonal_faces(n, budget):
         out[face.dim] += 1
     return out
-
-
-def diagonal_fvector_by_dims(n: int, budget=None) -> StatTable:
-    """Faces by (dim f, dim g): the (des, asc) table at (x + 1, y + 1)."""
-    table = MonomialPolynomial(2, cover_table(1, n, budget).cells)
-    return StatTable(n, ("dim_f", "dim_g"),
-                     table.shift(0, 1).shift(1, 1).terms)
 
 
 # ===================================================================

@@ -22,9 +22,10 @@ substitute evaluates it at a series X.  On top of that:
     Humbert degree by degree, each homogeneous part of each series made
     once as rows of coefficient lists through polys' dense kernel, and
     checks its answer once in the system as truncated MonomialPolynomials;
-    `table refined-pq` reads its rows off it;
-  * fusy_humbert_check compares canopy_cells with enumerated canopy
-    statistics, plus the system's one-variable specialization.
+    canopy_rows reads its cells as the (des, asc) rows that `table
+    refined-pq` prints, and `table face-dims` at (x + 1, y + 1);
+  * fusy_humbert_check compares those rows with enumeration, plus the
+    system's one-variable specialization.
 
 The other multivariate systems (the catalytic equation, the Lagrange
 powers) are truncated MonomialPolynomial expressions written as printed;
@@ -505,6 +506,16 @@ def canopy_cells(total_degree: int) -> dict:
             for i, row in enumerate(p) for j, c in enumerate(row) if c}
 
 
+def canopy_rows(cells: dict) -> dict:
+    """{n: {(p, q): count}} off canopy_cells: [u^i v^j w^k] F counts the
+    intervals s <= t of size n = i+j+k+1 with p = j = des(s), q = i = asc(t)
+    (their canopies agree in '+' at des(s), in '-' at asc(t) places)."""
+    rows: dict = {}
+    for (i, j, k), count in cells.items():
+        rows.setdefault(i + j + k + 1, {})[j, i] = count
+    return rows
+
+
 def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     """Solve the two-equation canopy system and compare with enumeration.
 
@@ -521,15 +532,8 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     if total_degree < 0:
         raise ValueError("total_degree must be nonnegative")
     rows = up_to(total_degree + 1, *intervals_of(1), budget)
-    f_algebraic = canopy_cells(total_degree)
-
-    # the canopies of s <= t agree in '-' at asc(t) places and in '+' at
-    # des(s) places (checked directly by the canopy suite)
-    f_enumerated: dict = {}
-    for n in rows:
-        for (des_s, asc_t), count in cover_table(1, n, budget).cells.items():
-            f_enumerated[(asc_t, des_s, n - 1 - asc_t - des_s)] = count
-    if f_algebraic != f_enumerated:
+    by_row = canopy_rows(canopy_cells(total_degree))
+    if by_row != {n: dict(cover_table(1, n, budget).cells) for n in rows}:
         return False
 
     # one-variable specialization S = t(z+S)(1+S)^3, root of X - t·phi(X, z)
@@ -556,9 +560,9 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
         return False
     # A = t F(tz, tz, t)
     substituted: dict = {}
-    for (i, j, k), value in f_algebraic.items():
-        key = (i + j + k + 1, i + j)
-        substituted[key] = substituted.get(key, 0) + value
+    for n, row in by_row.items():
+        for (p, q), value in row.items():
+            substituted[n, p + q] = substituted.get((n, p + q), 0) + value
     from_canopy = TruncatedSeries.from_polynomial(substituted,
                                                   total_degree + 1)
     if not (from_canopy - root.truncate(total_degree + 1)).is_zero:

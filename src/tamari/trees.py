@@ -35,49 +35,6 @@ from typing import Optional
 BinaryTree = Optional[tuple]
 SchroederTree = Optional[tuple]
 
-LEAF: BinaryTree = None
-SINGLE_NODE: BinaryTree = (None, None)
-
-
-# ===================================================================
-# shape predicates and sizes
-# ===================================================================
-
-def is_binary_tree(t: BinaryTree) -> bool:
-    """True iff t is None or a nested pair structure."""
-    if t is None:
-        return True
-    return (isinstance(t, tuple) and len(t) == 2
-            and is_binary_tree(t[0]) and is_binary_tree(t[1]))
-
-
-def is_schroeder_tree(f: SchroederTree) -> bool:
-    """True iff t is None or every node has at least two children."""
-    if f is None:
-        return True
-    return (isinstance(f, tuple) and len(f) >= 2
-            and all(is_schroeder_tree(c) for c in f))
-
-
-def node_count(t: BinaryTree) -> int:
-    """Number of internal nodes of a binary tree."""
-    if t is None:
-        return 0
-    return 1 + node_count(t[0]) + node_count(t[1])
-
-
-def leaf_count(f: SchroederTree) -> int:
-    """Number of leaves (binary or Schröder)."""
-    if f is None:
-        return 1
-    return sum(leaf_count(c) for c in f)
-
-
-def internal_node_count(f: SchroederTree) -> int:
-    if f is None:
-        return 0
-    return 1 + sum(internal_node_count(c) for c in f)
-
 
 # ===================================================================
 # descent / ascent statistics and rotations

@@ -1,19 +1,16 @@
 """Shared test helpers: hypothesis strategies, exhaustive pools (the
-Schröder trees among them), tree builders, face dimensions, the grafting
-decomposition of a Tamari interval, and the (des, asc) row of the
-canopy-pair series."""
+Schröder trees among them), tree shapes, sizes and builders, face
+dimensions, and the grafting decomposition of a Tamari interval."""
 
 import pytest
 from hypothesis import strategies as st
 
 from tamari.lattice import all_trees, intervals
 from tamari.paths import within_budget
-from tamari.trees import (
-    internal_node_count,
-    leaf_count,
-    node_count,
-    tamari_leq,
-)
+from tamari.trees import tamari_leq
+
+LEAF = None
+SINGLE_NODE = (None, None)
 
 
 def binary_trees(max_nodes: int = 9):
@@ -72,6 +69,42 @@ def all_schroeder_trees(nleaves: int, budget=None) -> list:
                         forests[j].append((tree,) + rest)
         by_leaves.append([f for f in forests[size] if len(f) >= 2])
     return by_leaves[nleaves]
+
+
+def is_binary_tree(t) -> bool:
+    """True iff t is None or a nested pair structure."""
+    if t is None:
+        return True
+    return (isinstance(t, tuple) and len(t) == 2
+            and is_binary_tree(t[0]) and is_binary_tree(t[1]))
+
+
+def is_schroeder_tree(f) -> bool:
+    """True iff f is None or every node has at least two children."""
+    if f is None:
+        return True
+    return (isinstance(f, tuple) and len(f) >= 2
+            and all(is_schroeder_tree(c) for c in f))
+
+
+def node_count(t) -> int:
+    """Number of internal nodes of a binary tree."""
+    if t is None:
+        return 0
+    return 1 + node_count(t[0]) + node_count(t[1])
+
+
+def leaf_count(f) -> int:
+    """Number of leaves (binary or Schröder)."""
+    if f is None:
+        return 1
+    return sum(leaf_count(c) for c in f)
+
+
+def internal_node_count(f) -> int:
+    if f is None:
+        return 0
+    return 1 + sum(internal_node_count(c) for c in f)
 
 
 def dimension(f) -> int:
@@ -134,13 +167,6 @@ def decompose_interval(s, t) -> list:
         components.append((s_i, t_piece))
     assert not s_pieces
     return components
-
-
-def pq_cells(cells: dict, n: int) -> dict:
-    """Row n of table refined-pq read off canopy_cells: {(p, q): count}
-    from [u^q v^p w^(n-1-p-q)] F, nonzero cells only, as cover_table(1, n)
-    holds them."""
-    return {(j, i): c for (i, j, k), c in cells.items() if i + j + k == n - 1}
 
 
 def tree_pool(n: int) -> list:

@@ -4,8 +4,10 @@ Core claims:
     - every `table` run at its default range reproduces the checked-in
       CSV under golden/ byte for byte
     - individual cells of the rendered tables carry the right counts
-      (spot checks independent of the golden files); table refined-pq
-      is read off the canopy series: no engine, no progress lines
+      (spot checks independent of the golden files); tables refined-pq
+      and face-dims are read off the canopy series: no engine, no
+      progress lines, and the face-dims rows are the engine's (des, asc)
+      rows at (x + 1, y + 1) for n <= 8 (n = 9 extended)
     - the JSON format wraps the same grid with all counts rendered as
       decimal strings and staircase gaps as null
     - `eval` prints single exact values and enforces arity and sign
@@ -17,7 +19,8 @@ Core claims:
       verify invariants' comparison check); a check stands whatever its
       siblings found (verify canopy reports its histogram under any
       fault); every suite's default report matches the checked-in JSON
-      under golden/ byte for byte
+      under golden/ byte for byte; verify pde names the power of t its
+      residual is zero modulo (t^10 at --order 11)
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
       minimum, a zero budget named by its source and value, an --out
@@ -26,8 +29,9 @@ Core claims:
       the first row; slope-m and invariants, which read no option, on
       their largest interval count under TAMARI_BUDGET; order-oracle on
       its tree pairs; table internal on
-      the coefficient products of its recursion, table refined-pq on
-      those of its canopy solve), 4 verification or self-check failure
+      the coefficient products of its recursion, tables refined-pq and
+      face-dims on those of their canopy solve, which the default budget
+      admits to n = 20), 4 verification or self-check failure
       (an inexact division included, a ratio row from a wrong start
       among them, and a wrong coefficient in the canopy solve); exits 3
       and 4,
@@ -40,6 +44,7 @@ Core claims:
 """
 
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -55,7 +60,8 @@ from tamari.cli import (
     main,
 )
 from tamari.diagonal import decomposition_report
-from tamari.paths import _ballot_lattice
+from tamari.formulas import interval_count_formula
+from tamari.paths import _ballot_lattice, cover_table
 from tamari.series import TruncatedSeries, newton_solve
 from tamari.trees import canopy, serialize
 
@@ -220,6 +226,30 @@ class TestCellValues:
                                    "--nmax", "8")
         assert (status, err) == (0, "")
         assert grid_row(csv_grid(out)[1], 8, 7)[2:3] == ["1"]
+
+    @pytest.mark.parametrize(
+        "n", [*range(1, 9), pytest.param(9, marks=pytest.mark.extended)])
+    def test_face_dims_is_the_engine_table_shifted(self, capsys, monkeypatch,
+                                                   no_engine, n):
+        # read off the series with no engine and no progress line, then
+        # checked against the engine's (des, asc) table at (x + 1, y + 1):
+        # a face (f, g) is an interval with a subset of its des(s) + asc(t)
+        # edges contracted
+        status, out, err = run_cli(capsys, "table", "face-dims",
+                                   "--nmax", str(n))
+        assert (status, err) == (0, "")
+        monkeypatch.undo()
+        expected: dict = {}
+        table = cover_table(1, n, interval_count_formula(n))
+        for (des_s, asc_t), count in table.cells.items():
+            for p in range(des_s + 1):
+                for q in range(asc_t + 1):
+                    expected[p, q] = (expected.get((p, q), 0) + count
+                                      * comb(des_s, p) * comb(asc_t, q))
+        rows = csv_grid(out)[1]
+        for p in range(n):
+            assert grid_row(rows, n, p)[2:2 + n - p] == [
+                str(expected.get((p, q), 0)) for q in range(n - p)]
 
     def test_face_dims_triangle(self, capsys):
         _, out, _ = run_cli(capsys, "table", "face-dims")
@@ -388,6 +418,14 @@ class TestVerify:
         _, second, _ = run_cli(capsys, "verify", "chu-vandermonde")
         assert first == second
 
+    def test_pde_check_names_the_power_it_checks(self, capsys):
+        # verify_pde(11) keeps the residual to t^9, so it is zero mod t^10,
+        # the power acceptance gate 5 names
+        status, out, _ = run_cli(capsys, "verify", "pde", "--order", "11")
+        assert status == 0
+        assert [entry["name"] for entry in json.loads(out)["checks"]] == [
+            "differential-operators-annihilate-mod-t^10"]
+
     def test_polynomial_residual_check_reads_the_root(self, capsys,
                                                       monkeypatch):
         # a wrong root must turn the residual check red, not pass by fiat
@@ -534,7 +572,7 @@ REFUSED_LARGEST_ROWS = [
      "m_tamari intervals(2, 4)"),
     ("table refined-ell --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
     ("table refined-pq --nmax 4 --budget 10", "canopy_cells(3) products"),
-    ("table face-dims --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
+    ("table face-dims --nmax 4 --budget 10", "canopy_cells(3) products"),
     ("verify canopy --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
     ("verify dyck --nmax 4 --budget 10", "all_trees(4)"),
     ("verify euler --nmax 4 --budget 10", "m_tamari intervals(1, 4)"),
@@ -639,6 +677,27 @@ class TestExitStatuses:
         assert status == EXIT_USAGE
         assert out == ""
         assert err == "tamari: --budget must be at least 1, not 0\n"
+
+    def test_face_dims_to_twenty_fit_the_default_budget(self, capsys,
+                                                         monkeypatch):
+        # canopy_cells(19) makes 1,704,395 coefficient products and
+        # canopy_cells(20) 2,217,362: n = 21 is refused before the solve
+        def refuse(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.delenv("TAMARI_BUDGET", raising=False)
+        status, out, _ = run_cli(capsys, "table", "face-dims", "--nmax", "20")
+        assert status == 0
+        _, rows = csv_grid(out)
+        for k in range(20):
+            assert sum(int(grid_row(rows, 20, p)[2 + k - p])
+                       for p in range(k + 1)) == formulas.b_formula(20, k)
+        monkeypatch.setattr("tamari.cli.canopy_cells", refuse)
+        status, out, err = run_cli(capsys, "table", "face-dims",
+                                   "--nmax", "21")
+        assert (status, out) == (EXIT_BUDGET, "")
+        assert err.startswith("tamari: canopy_cells(20) products needs "
+                              "2217362 > budget ")
 
     def test_internal_rows_to_forty_fit_the_default_budget(self, capsys,
                                                            monkeypatch):

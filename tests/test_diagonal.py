@@ -5,8 +5,9 @@ Core claims:
       generated once each through interval fibers
     - the f-vector matches the closed b-formula, the direct filter, and
       frozen rows; vertices are the intervals; Euler characteristic is 1
-    - the (dim f, dim g) table matches frozen blocks, is symmetric, and
-      folds back to the f-vector
+    - table face-dims, the (dim f, dim g) table read off the canopy
+      series, matches frozen blocks, is symmetric, folds back to the
+      f-vector, and is the faces tallied one by one (n <= 5)
     - edge classification: free + tied + 2·constrained = des(s) + asc(t);
       an ascent span of the lower tree never reappears as a descent span
       of the upper tree on intervals, and classify_edges rejects pairs
@@ -53,12 +54,12 @@ from tamari.diagonal import (
     decomposition_report,
     diagonal_faces,
     diagonal_fvector,
-    diagonal_fvector_by_dims,
     diagonal_fvector_direct,
     internal_fvector,
     internal_fvector_direct,
     is_internal_face,
 )
+from tamari.cli import TABLES
 from tamari.formulas import (
     b_formula,
     face_count_formula,
@@ -200,27 +201,41 @@ class TestFvector:
 
 # == the (dim f, dim g) refinement ==================================
 
+@lru_cache(maxsize=None)
+def face_dims() -> dict:
+    """{(n, dim f, dim g): count} of table face-dims to n = 6, nonzero
+    cells only."""
+    builder, _ = TABLES["face-dims"]
+    _, rows = builder(nmax=6, budget=None)
+    return {(n, p, q): count for n, p, *cells in rows
+            for q, count in enumerate(cells) if count}
+
+
+def by_dims(n: int) -> dict:
+    """Row n of table face-dims: {(dim f, dim g): count}."""
+    return {(p, q): count for (m, p, q), count in face_dims().items()
+            if m == n}
+
+
 class TestByDims:
     @pytest.mark.parametrize("n", sorted(BY_DIMS_ROWS))
     def test_frozen_blocks(self, n):
-        table = diagonal_fvector_by_dims(n)
-        assert table.axes == ("dim_f", "dim_g")
+        table = by_dims(n)
         for p, row in BY_DIMS_ROWS[n].items():
-            assert [table.value(p, q) for q in range(len(row))] == row
+            assert [table.get((p, q), 0) for q in range(len(row))] == row
             for q in range(len(row), n):
-                assert table.value(p, q) == 0
+                assert (p, q) not in table
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_symmetric(self, n):
-        table = diagonal_fvector_by_dims(n)
-        for (p, q), count in table.cells.items():
-            assert table.value(q, p) == count
+        table = by_dims(n)
+        for (p, q), count in table.items():
+            assert table[q, p] == count
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_folds_to_fvector(self, n):
-        table = diagonal_fvector_by_dims(n)
         fold: dict = {}
-        for (p, q), count in table.cells.items():
+        for (p, q), count in by_dims(n).items():
             fold[p + q] = fold.get(p + q, 0) + count
         assert [fold.get(k, 0) for k in range(n)] == diagonal_fvector(n)
 
@@ -230,7 +245,7 @@ class TestByDims:
         for face in diagonal_faces(n):
             key = (dimension(face.f), dimension(face.g))
             cells[key] = cells.get(key, 0) + 1
-        assert dict(diagonal_fvector_by_dims(n).cells) == cells
+        assert by_dims(n) == cells
 
 
 # == edge classification and internal faces =========================

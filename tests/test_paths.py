@@ -62,7 +62,6 @@ from hypothesis import given
 from conftest import (
     left_comb,
     nonempty_binary_trees,
-    pq_cells,
     right_comb,
     tree_pool,
 )
@@ -103,6 +102,7 @@ from tamari.paths import (
 )
 from tamari.series import (
     canopy_cells,
+    canopy_rows,
     catalytic_equation_check,
     fusy_humbert_check,
 )
@@ -535,7 +535,7 @@ class TestTally:
             assert table.value(p, n - 1 - p) == separated_formula(n, p)
         assert all(table.value(q, p) == count
                    for (p, q), count in table.cells.items())
-        assert pq_cells(canopy_cells(n - 1), n) == dict(table.cells)
+        assert canopy_rows(canopy_cells(n - 1))[n] == dict(table.cells)
         budget = m_tamari_intervals_formula(3, 7)
         assert m_tamari_interval_stats(3, 7, budget).total == budget
 
@@ -558,7 +558,7 @@ class TestTally:
         [table] = tables
         for p in range(n):
             assert table.value(p, n - 1 - p) == separated_formula(n, p)
-        assert pq_cells(canopy_cells(n - 1), n) == dict(table.cells)
+        assert canopy_rows(canopy_cells(n - 1))[n] == dict(table.cells)
 
 
 # == windows ========================================================

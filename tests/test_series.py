@@ -19,10 +19,11 @@ Core claims:
       coefficient forms
     - the catalytic system, the three differential operators, and the
       canopy-pair system all check out; a perturbed series fails
-    - canopy_cells, the canopy-pair system solved degree by degree, is
-      the (des, asc) cover table for n <= 10 (n = 11, 12 in test_paths,
-      extended); to n = 20 its anti-diagonals are a(n, k), its p+q = n-1
-      cells the separated counts, and it is symmetric in (p, q); it makes
+    - canopy_cells, the canopy-pair system solved degree by degree and
+      read as rows by canopy_rows, is the (des, asc) cover table for
+      n <= 10 (n = 11, 12 in test_paths, extended); to n = 20 its
+      anti-diagonals are a(n, k), its p+q = n-1 cells the separated
+      counts, and it is symmetric in (p, q); it makes
       exactly canopy_cell_products(D) coefficient products, which the
       default budget admits to n = 20; one wrong coefficient in any of
       them fails its self-check
@@ -33,7 +34,6 @@ from math import comb
 
 import pytest
 
-from conftest import pq_cells
 from tamari import polys
 from tamari.equations import load_quartic, pde_operators
 from tamari.formulas import (
@@ -49,6 +49,7 @@ from tamari.series import (
     apply_differential_operator,
     canopy_cell_products,
     canopy_cells,
+    canopy_rows,
     catalytic_equation_check,
     cleared_parametrization,
     fusy_humbert_check,
@@ -416,16 +417,16 @@ class TestCanopyCells:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_cells_are_the_cover_table(self, n):
         table = dict(cover_table(1, n, interval_count_formula(n)).cells)
-        cells = pq_cells(canopy_cells(n - 1), n)
+        cells = canopy_rows(canopy_cells(n - 1))[n]
         assert cells == table
         # mirror duality on both routes
         for route in (cells, table):
             assert all(route.get((q, p)) == c for (p, q), c in route.items())
 
     def test_rows_past_the_engine_match_the_formulas(self):
-        cells = canopy_cells(19)
-        for n in range(1, 21):
-            row = pq_cells(cells, n)
+        rows = canopy_rows(canopy_cells(19))
+        assert sorted(rows) == list(range(1, 21))
+        for n, row in rows.items():
             for k in range(n):
                 assert sum(row.get((p, k - p), 0)
                            for p in range(k + 1)) == a_formula(n, k)

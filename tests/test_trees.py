@@ -25,14 +25,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LEAF,
+    SINGLE_NODE,
     binary_trees,
     corolla,
     decompose_interval,
     dimension,
     graft_left,
+    internal_node_count,
     interval_pairs,
+    is_binary_tree,
+    is_schroeder_tree,
+    leaf_count,
     left_branch_pieces,
     left_comb,
+    node_count,
     nonempty_binary_trees,
     right_comb,
     schroeder_trees,
@@ -41,8 +48,6 @@ from conftest import (
 from tamari.formulas import catalan
 from tamari.lattice import rotation_down_set
 from tamari.trees import (
-    LEAF,
-    SINGLE_NODE,
     agree,
     asc,
     ascent_spans,
@@ -54,13 +59,8 @@ from tamari.trees import (
     edge_spans,
     ell,
     internal_edge_spans,
-    internal_node_count,
-    is_binary_tree,
-    is_schroeder_tree,
-    leaf_count,
     max_tree,
     min_tree,
-    node_count,
     parse_tree,
     rotations_down,
     rotations_up,
