@@ -40,7 +40,7 @@ import json
 import os
 import random
 import sys
-from itertools import product
+from itertools import accumulate, product
 
 from .diagonal import (
     DECOMPOSITION_MODES,
@@ -434,10 +434,11 @@ def _suite_dyck(nmax: int, budget):
     rotations."""
     for n in _rows("verify dyck", nmax, "all_trees({})", catalan, budget):
         words = {t: tree_to_dyck(t) for t in all_trees(n, budget)}
-        ballots, above = _ballot_lattice(1, n)
+        ballots, upper, above = _ballot_lattice(1, n)
         trees = [_ballot_tree(1, _render(word)) for word in ballots]
-        covers = {trees[t]: {trees[c] for c in cs}
-                  for t, cs in enumerate(above)}
+        # word t's covers end at the running total of the counts to t
+        covers = {trees[t]: {trees[c] for c in above[end - k:end]}
+                  for t, (k, end) in enumerate(zip(upper, accumulate(upper)))}
         checks = {
             "statistics-transport": lambda t: (
                 (valleys(words[t]), double_falls(words[t]), contacts(words[t]))

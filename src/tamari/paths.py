@@ -22,20 +22,24 @@ ballot word is an int (N = 1, first letter most significant), and one
 depth-first pass generates the words with their upper covers, each cover
 resolved from the bits already placed as soon as the factor it moves
 closes; ascending int order, the reverse of that N-first generation order
-(m_tamari_elements' order), is the extension.  OR works bit by bit, so
-the masks cut to a window of lower indices [lo, hi) obey the same
-recurrence: the engine builds the words and upper-cover tuples once, then
+(m_tamari_elements' order), is the extension.  The covers are one flat
+array of C ints, each word's block after the previous word's, with the
+block lengths (the upper-cover counts) in a list.  OR works bit by bit,
+so the masks cut to a window of lower indices [lo, hi) obey the same
+recurrence: the engine builds the words and the cover array once, then
 runs the recurrence once per window of at most WINDOW_BITS = 8,192
-indices, holding window-wide masks of at most 1 KB only; the width halves
-while C masks of it would span more than WINDOW_BYTES, so the first
-window, where every word may be gathering a mask, stays bounded as C
-grows (from n = 14 at slope 1).  The bytes OR-ed are about the same at
-any width, since each row ORs the window's members below it: a narrower
-width means more windows but fewer and smaller masks alive at once.
-Each finished mask is OR-ed into the masks its upper covers are
-gathering, and a gathered mask is freed when its own word takes it, so
-only the masks owed to a later word stay alive.  Every statistics table
-is the one tally _tally over the windows:
+indices, walking the array with a running offset and holding
+window-wide masks of at most 1 KB only; the width halves while C masks
+of it would span more than WINDOW_BYTES, so the first window, where
+every word may be gathering a mask, stays bounded as C grows (from
+n = 14 at slope 1).  The bytes OR-ed are about the same at any width,
+since each row ORs the window's members below it: a narrower width means
+more windows but fewer and smaller masks alive at once.  Each finished
+mask is OR-ed into the masks its upper covers are gathering, and a
+gathered mask is freed when its own word takes it, so only the masks
+owed to a later word stay alive.  Every view frees the words before the
+first window, once it has read them into its keys or values.  Every
+statistics table is the one tally _tally over the windows:
 per upper key, a binary counter per element of the window held as bit
 planes, into which the down-set masks are added eight at a time by
 carry-save adders (Harley-Seal), only the weight-8 carry rippling into
@@ -60,6 +64,7 @@ cached: each view runs its own engine, which holds no mask once it ends.
 from __future__ import annotations
 
 import os
+from array import array
 from typing import Iterator, Mapping, NamedTuple
 
 from .formulas import fuss_catalan, m_tamari_intervals_formula
@@ -231,9 +236,11 @@ def contacts(word: str) -> int:
 # ===================================================================
 
 def _ballot_lattice(m: int, n: int) -> tuple:
-    """(words, above): every ballot word with n up-steps of slope m as an
-    int, N = 1 and the first letter most significant, in ascending order,
-    and above[t] the indices of the words covering words[t].
+    """(words, upper, covers): every ballot word with n up-steps of slope m
+    as an int, N = 1 and the first letter most significant, in ascending
+    order, upper[t] the number of words covering words[t], and covers the
+    indices of those words, word by word: the upper[t] covers of word t
+    follow those of word t - 1.
 
     A cover turns the first letter it changes from E into N, so it is a
     larger int: ascending order is a linear extension of the lattice.  The
@@ -247,7 +254,12 @@ def _ballot_lattice(m: int, n: int) -> tuple:
     count = fuss_catalan(m, n)
     index: dict = {}
     words: list = []
-    above: list = []
+    upper: list = []
+    # one C int per cover: a tuple per word would hold a pointer and an
+    # int object per cover.  Appended one by one, as extending the array
+    # by a list was slower
+    covers = array("i")
+    cover = covers.append
 
     def extend(word, bit, height, ups, pending, deltas):
         # word holds the letters so far in their final places, and bit is
@@ -260,9 +272,9 @@ def _ballot_lattice(m: int, n: int) -> tuple:
                 pending = pending[2]
             words.append(word)
             index[word] = count - len(words)
-            # the dict's own ints, so each index is one object however
-            # often held
-            above.append(tuple([index[word + delta] for delta in deltas]))
+            upper.append(len(deltas))
+            for delta in deltas:
+                cover(index[word + delta])
             return
         if word & bit << 1:
             extend(word | bit, bit >> 1, height + m, ups - 1,
@@ -282,9 +294,11 @@ def _ballot_lattice(m: int, n: int) -> tuple:
     extend(top, top >> 1, m, n - 1, None, ())
     # the closure holds itself; unbound, it frees the index on return
     del extend
+    # reversed whole, each word's block of covers stays contiguous
     words.reverse()
-    above.reverse()
-    return words, above
+    upper.reverse()
+    covers.reverse()
+    return words, upper, covers
 
 
 # an int ballot word's binary digits read as its letters
@@ -308,10 +322,10 @@ def _ballot_tree(m: int, word: str) -> BinaryTree:
     return _read_tree(word, "N", "E", m)
 
 
-def _slope_one_ell(word: str) -> int:
-    """ell of _ballot_tree(1, word): the interior contacts of the Dyck
-    word read by the same letter rule, without building the tree."""
-    return contacts(word.replace("N", "U").replace("E", "D"))
+def _slope_one_ell(word: int) -> int:
+    """ell of the slope-1 int ballot word's tree: the interior contacts of
+    its letters read as a Dyck word, without building the tree."""
+    return contacts(_render(word).replace("N", "U").replace("E", "D"))
 
 
 def m_tamari_elements(m: int, n: int, budget=None) -> list:
@@ -321,7 +335,7 @@ def m_tamari_elements(m: int, n: int, budget=None) -> list:
         raise ValueError("m and n must be positive")
     within_budget(f"m_tamari_elements({m}, {n})", fuss_catalan(m, n),
                   budget)
-    words, _ = _ballot_lattice(m, n)
+    words, _, _ = _ballot_lattice(m, n)
     return [_render(word) for word in reversed(words)]
 
 
@@ -354,44 +368,48 @@ def _m_engine(m: int, n: int, budget=None) -> tuple:
     down(t) is bit t with the union of down(s) over the words s covered
     by t, and a word below the window has the zero mask there.  Each
     finished mask is OR-ed into the masks its upper covers are gathering,
-    freed when its own word takes it.  The upper-cover tuples come with
-    the words, from the one generating pass, and serve every window; the
+    freed when its own word takes it.  The flat cover array comes with
+    the words, from the one generating pass, and serves every window; the
     peak holds the gathered masks of one window.
     """
     what, size = intervals_of(m)
     within_budget(what.format(n), size(n), budget)
-    words, above = _ballot_lattice(m, n)
+    words, upper, covers = _ballot_lattice(m, n)
     lower = [0] * len(words)
-    for covers in above:
-        for c in covers:
-            lower[c] += 1
+    for c in covers:
+        lower[c] += 1
     count = len(words)
     parts = -(-count // _window_width(count))
     bounds = [(count * i // parts, count * (i + 1) // parts)
               for i in range(parts)]
-    return (words, lower, [len(covers) for covers in above],
-            ((lo, hi, _window(above, lo, hi)) for lo, hi in bounds))
+    return (words, lower, upper,
+            ((lo, hi, _window(upper, covers, lo, hi)) for lo, hi in bounds))
 
 
-def _window(above, lo, hi) -> Iterator[tuple]:
+def _window(upper, covers, lo, hi) -> Iterator[tuple]:
     """The rows of window [lo, hi) of _m_engine.
 
-    gathering[t] ORs the masks of the words t covers until t takes it.
-    Later windows start at hi, so the upper-cover tuple of a word inside
-    this window is released once read.
+    gathering[t] ORs the masks of the words t covers until t takes it;
+    the covers of word t start where those of the words before it end.
     """
-    gathering = [0] * len(above)
-    for t in range(lo, len(above)):
+    count = len(upper)
+    gathering = [0] * count
+    # a slice of a view reads the array in place; slicing the array
+    # itself copies each word's covers into a new array first
+    covers = memoryview(covers)
+    end = sum(upper[:lo])
+    for t in range(lo, count):
+        start = end
+        end += upper[t]
         mask = gathering[t]
         gathering[t] = 0
-        covers = above[t]
         if t < hi:
-            above[t] = None
             mask |= 1 << (t - lo)
         if mask:
-            for c in covers:
+            for c in covers[start:end]:
                 # a word's first gathered mask is shared, not copied
-                gathering[c] = mask | gathering[c] if gathering[c] else mask
+                held = gathering[c]
+                gathering[c] = mask | held if held else mask
             yield t, mask
 
 
@@ -407,6 +425,7 @@ def _walk(m: int, n: int, budget, element) -> Iterator[tuple]:
     """
     words, lower, upper, windows = _m_engine(m, n, budget)
     values = [element(_render(word)) for word in words]
+    del words
     for lo, _, rows in windows:
         # bit si of a window mask is the word lo + si
         below, down = values[lo:], lower[lo:]
@@ -428,18 +447,19 @@ def _csa(a: int, b: int, c: int) -> tuple:
 def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     """{(lower_key(s), upper_key(t)): number of intervals s <= t}.
 
-    A key function sees an element as (word, lower covers, upper covers),
-    and runs once per word, before the first window.  Each upper key
-    keeps a binary counter per element s of the window, stored as bit
-    planes: plane j holds bit j of the number of that key's down-set
-    masks that contain s.  The masks are added eight at a time, by
-    carry-save (Harley-Seal): seven carry-save adders fold a block of
-    eight masks into planes 0, 1 and 2, and only their weight-8 carry is
-    rippled into plane 3 and up.  So an upper element costs a few ^ and &
-    operations, not one step per interval or one popcount per lower
-    class.  At the end of a window each lower class, a mask over all
-    words, is shifted into the window, and a cell gains one popcount per
-    lower class and per plane or mask still waiting for its block.
+    A key function sees an element as (int word, lower covers, upper
+    covers), and runs once per word, before the first window; the words
+    and lower cover counts are freed then.  Each upper key keeps a binary
+    counter per element s of the window, stored as bit planes: plane j
+    holds bit j of the number of that key's down-set masks that contain
+    s.  The masks are added eight at a time, by carry-save (Harley-Seal):
+    seven carry-save adders fold a block of eight masks into planes 0, 1
+    and 2, and only their weight-8 carry is rippled into plane 3 and up.
+    So an upper element costs a few ^ and & operations, not one step per
+    interval or one popcount per lower class.  At the end of a window
+    each lower class, a mask over all words, is shifted into the window,
+    and a cell gains one popcount per lower class and per plane or mask
+    still waiting for its block.
 
     Every plane carries a top bit at index hi - lo that no mask or carry
     sets, so each plane keeps one width and the plane that replaces it
@@ -453,7 +473,6 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     upper_ids: dict = {}
     slot: list = []
     for t, word in enumerate(words):
-        word = _render(word)
         key = lower_key(word, lower[t], upper[t])
         bitmap = bitmaps.get(key)
         if bitmap is None:
@@ -461,6 +480,7 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
         bitmap[t >> 3] |= 1 << (t & 7)
         slot.append(upper_ids.setdefault(
             upper_key(word, lower[t], upper[t]), len(upper_ids)))
+    del words, lower
     lower_class = {key: int.from_bytes(bitmap, "little")
                    for key, bitmap in bitmaps.items()}
     del bitmaps
@@ -511,7 +531,8 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
 
 
 def m_tamari_interval_count(m: int, n: int, budget=None) -> int:
-    *_, windows = _m_engine(m, n, budget)
+    # the windows alone, so the words are freed before the first
+    windows = _m_engine(m, n, budget)[3]
     return sum(mask.bit_count() for _, _, rows in windows for _, mask in rows)
 
 

@@ -512,11 +512,12 @@ class TestVerify:
         # word at n = 4: the cover check at n = 4, which reads the engine's
         # covers as trees, is the only check to turn red
         def dropped(m, n):
-            words, above = _ballot_lattice(m, n)
+            words, upper, covers = _ballot_lattice(m, n)
             if n == 4:
-                assert above[0]
-                above[0] = above[0][1:]
-            return words, above
+                assert upper[0]
+                upper[0] -= 1
+                del covers[0]
+            return words, upper, covers
 
         monkeypatch.setattr("tamari.cli._ballot_lattice", dropped)
         status, out, _ = run_cli(capsys, "verify", "dyck", "--nmax", "4")

@@ -19,11 +19,12 @@ Core claims:
     - the engine's element order is a linear extension: every cover of
       a word comes after it; the covers resolved while the words are
       generated are the rotations of the words' trees
-    - the engine's build leaves no garbage cycle behind
+    - the engine's build leaves no garbage cycle behind, and its words,
+      cover counts and flat cover array hold under 80 bytes a word
     - the engine streams its masks: one interval count holds well under
       the bytes of all down-set masks at once, and with eight windows a
       table holds under a quarter of them; the n = 12 count (extended)
-      equals the closed formula in a child process under 128 MB
+      equals the closed formula in a child process under 100 MB
     - the engine splits the words into equal windows of at most
       WINDOW_BITS, halved while C masks of the width would pass
       WINDOW_BYTES (8,192 bits through n = 13, 2,048 at n = 14); with
@@ -54,6 +55,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -173,6 +175,21 @@ def _whole_masks(m, n, budget=None):
         yield t, words[t], lower[t], upper[t], mask
 
 
+def _upper_covers(m, n):
+    # (words, above): the generator's words, and each word's own block of
+    # its flat cover array, which holds every block once, in index order
+    words, upper, covers = _ballot_lattice(m, n)
+    assert len(words) == len(upper) and sum(upper) == len(covers)
+    return words, [covers[end - k:end]
+                   for k, end in zip(upper, accumulate(upper))]
+
+
+def _as_int(word):
+    # a ballot word as the engine's int, N = 1, first letter most
+    # significant
+    return int(word.replace("N", "1").replace("E", "0"), 2)
+
+
 def _mask_bytes(m, n, budget):
     # the bytes of every whole down-set mask, as if all were held at once
     return sum(sys.getsizeof(mask) for *_, mask in _whole_masks(m, n, budget))
@@ -254,7 +271,7 @@ class TestSlopeOne:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cover_transport(self, n):
         # rotations above t == the engine's covers of t's word, as trees
-        words, above = _ballot_lattice(1, n)
+        words, above = _upper_covers(1, n)
         trees = [_ballot_tree(1, _render(word)) for word in words]
         covers = {trees[t]: {trees[c] for c in cs}
                   for t, cs in enumerate(above)}
@@ -382,7 +399,7 @@ class TestBallot:
         words = [_render(word) for _, word, _, _, _ in _whole_masks(m, n)]
         assert sorted(words) == sorted(m_tamari_elements(m, n))
         index = {w: i for i, w in enumerate(words)}
-        covered, above = _ballot_lattice(m, n)
+        covered, above = _upper_covers(m, n)
         for word, covers in zip(covered, above):
             i = index[_render(word)]
             assert all(index[_render(covered[c])] > i for c in covers)
@@ -393,7 +410,7 @@ class TestBallot:
         # trees in T_{mn}, against the rotations above each word's tree,
         # on every word; the engine's words and cover counts, word by
         # word, against the generator's words and the rotations' counts
-        words, above = _ballot_lattice(m, n)
+        words, above = _upper_covers(m, n)
         assert len(words) == fuss_catalan(m, n)
         assert all(a < b for a, b in zip(words, words[1:]))
         trees = [_ballot_tree(m, _render(word)) for word in words]
@@ -414,7 +431,7 @@ class TestBallot:
         def e_weight(word):
             return sum(i for i, c in enumerate(word) if c == "E")
 
-        words, above = _ballot_lattice(m, n)
+        words, above = _upper_covers(m, n)
         for word, covers in zip(words, above):
             w = _render(word)
             for u in (_render(words[c]) for c in covers):
@@ -459,7 +476,8 @@ class TestBallot:
 
 def _pairwise_cells(m, n, lower_key, upper_key):
     # oracle: one step per interval, cover counts from the rotations
-    # above the words' trees in T_{mn}, which are the words' trees again
+    # above the words' trees in T_{mn}, which are the words' trees again;
+    # the keys see each word as the engine's int
     words = {_ballot_tree(m, w): w for w in m_tamari_elements(m, n)}
     above = {w: len(rotations_up(t)) for t, w in words.items()}
     below = dict.fromkeys(words.values(), 0)
@@ -468,8 +486,8 @@ def _pairwise_cells(m, n, lower_key, upper_key):
             below[words[u]] += 1
     cells: dict = {}
     for s, t in m_tamari_intervals(m, n):
-        cell = (lower_key(s, below[s], above[s]),
-                upper_key(t, below[t], above[t]))
+        cell = (lower_key(_as_int(s), below[s], above[s]),
+                upper_key(_as_int(t), below[t], above[t]))
         cells[cell] = cells.get(cell, 0) + 1
     return cells
 
@@ -515,7 +533,7 @@ class TestTally:
             words, lower, upper, windows = _m_engine(m, n)
             windows = [[t for t, _ in rows] for _, _, rows in windows]
             for _, upper_key in TALLY_KEYS.values():
-                keys = [upper_key(_render(word), lower[t], upper[t])
+                keys = [upper_key(word, lower[t], upper[t])
                         for t, word in enumerate(words)]
                 for rows in windows:
                     sizes |= set(Counter(keys[t] for t in rows).values())
@@ -690,6 +708,20 @@ class TestStreaming:
         finally:
             gc.enable()
 
+    def test_cover_graph_holds_under_80_bytes_a_word(self):
+        # the words, their cover counts and one flat int array of the
+        # covers, 16,796 words and 75,582 covers: a tuple of cover
+        # indices per word would hold about 156 bytes a word
+        tracemalloc.start()
+        try:
+            words, upper, covers = _ballot_lattice(1, 10)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(words) == len(upper) == catalan(10)
+        assert sum(upper) == len(covers) == 75582
+        assert held < 80 * len(words)
+
     @pytest.mark.extended
     def test_frontier_count_n12(self):
         # 373,537,388 intervals over 208,012 trees, counted by the engine
@@ -708,4 +740,4 @@ class TestStreaming:
             text=True, env={**os.environ, "PYTHONPATH": src}).stdout
         count, peak_kib = map(int, out.split())
         assert count == m_tamari_intervals_formula(1, 12) == 373537388
-        assert peak_kib < 128 * 1024
+        assert peak_kib < 100 * 1024
