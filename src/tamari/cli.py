@@ -29,9 +29,10 @@ written included), 3 budget exceeded (refused before any work; a
 command over n = 1..nmax on its largest row), 4 verification or
 internal self-check failure.  Every command is deterministic; progress
 goes to stderr only, one line per enumerated row from n = 7 (none from
-tables internal, refined-pq and face-dims, which enumerate nothing, verify
-catalytic and fusy-humbert, whose rows series enumerates, nor slope-m,
-whose grid of small (m, n) lattices has no rows).
+tables internal, refined-pq and face-dims, which enumerate nothing, nor
+slope-m, whose grid of small (m, n) lattices has no rows).  The suites
+build every enumerated row themselves: verify catalytic and fusy-humbert
+hand theirs to tamari.series, which only solves and checks.
 """
 from __future__ import annotations
 
@@ -77,6 +78,7 @@ from .lattice import (
     BudgetExceeded,
     _interval_walk,
     all_trees,
+    contact_cells,
     interval_histogram,
     interval_stats_refined,
     intervals,
@@ -87,6 +89,7 @@ from .paths import (
     _ballot_tree,
     _render,
     contacts,
+    cover_table,
     double_falls,
     dyck_to_tree,
     intervals_of,
@@ -451,8 +454,10 @@ def _suite_dyck(nmax: int, budget):
 
 
 def _suite_catalytic(order: int, budget):
+    rows = {n: contact_cells(n, budget) for n in _rows(
+        "verify catalytic", order, *intervals_of(1), budget)}
     yield (f"catalytic-quadratic-mod-t^{order}",
-           catalytic_equation_check(order, budget), None)
+           catalytic_equation_check(order, rows), None)
 
 
 def _suite_polynomial(order: int):
@@ -514,8 +519,10 @@ def _suite_euler(nmax: int, budget):
 
 
 def _suite_fusy_humbert(order: int, budget):
+    rows = {n: cover_table(1, n, budget).cells for n in _rows(
+        "verify fusy-humbert", order + 1, *intervals_of(1), budget)}
     yield (f"three-variable-system-to-degree-{order}",
-           fusy_humbert_check(order, budget), None)
+           fusy_humbert_check(order, rows), None)
 
 
 def _suite_decompositions(nmax: int, mode, budget):

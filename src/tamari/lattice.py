@@ -7,9 +7,12 @@ lower covers, asc its upper covers, and ell the interior contacts of the
 word.  Only the interval walk behind intervals(), the mask scan of
 tamari.paths read in trees, rebuilds trees, once per element and for the
 length of the walk; it can hand each tree to a per-element statistic and
-yield that instead of the tree.  The rotation-search route (rotation_down_set)
-is independent of the engine and is the ground truth that it and
-trees.tamari_leq are tested against.  Budgets: see tamari.paths.
+yield that instead of the tree.  The tally by contacts, contact_cells, is
+written once: the refined table sums it, and `verify catalytic` hands its
+rows to tamari.series, which enumerates nothing.  The rotation-search route
+(rotation_down_set) is independent of the engine and is the ground truth
+that it and trees.tamari_leq are tested against.  Budgets: see
+tamari.paths.
 """
 from __future__ import annotations
 
@@ -89,15 +92,22 @@ def interval_histogram(n: int, budget=None) -> list:
     return [table.value(k) for k in range(n)]
 
 
+def contact_cells(n: int, budget=None) -> dict:
+    """{((ell(s), des(s)), (asc(t), ell(t) == 0)): intervals s <= t}, one
+    tally of the slope-1 engine that reads each tree's ell once: the rows
+    series.catalytic_equation_check takes, and interval_stats_refined sums."""
+    def key(word, des, asc):
+        ell = _slope_one_ell(word)
+        return (ell, des), (asc, ell == 0)
+    return _tally(1, n, budget, key)
+
+
 def interval_stats_refined(n: int, budget=None) -> StatTable:
-    """Intervals counted by (ell(s), des(s) + asc(t)), summed from one
-    tally by ((ell(s), des(s)), asc(t)).  The (des(s), asc(t)) table is
-    paths.cover_table(1, n)."""
+    """Intervals counted by (ell(s), des(s) + asc(t)), summed from
+    contact_cells.  The (des(s), asc(t)) table is paths.cover_table(1, n)."""
     by_ell: dict = {}
-    cells = _tally(1, n, budget,
-                   lambda word, des, asc: (_slope_one_ell(word), des),
-                   lambda word, des, asc: asc)
-    for ((ell_s, des_s), asc_t), count in cells.items():
+    cells = contact_cells(n, budget)
+    for ((ell_s, des_s), (asc_t, _)), count in cells.items():
         key = (ell_s, des_s + asc_t)
         by_ell[key] = by_ell.get(key, 0) + count
     return StatTable(n, ("ell_lower", "cover_statistic"), by_ell)

@@ -444,19 +444,21 @@ def _csa(a: int, b: int, c: int) -> tuple:
     return (a & b) | (u & c), u ^ c
 
 
-def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
-    """{(lower_key(s), upper_key(t)): number of intervals s <= t}.
+def _tally(m: int, n: int, budget, key) -> dict:
+    """{(lower key of s, upper key of t): number of intervals s <= t}.
 
-    A key function sees an element as (int word, lower covers, upper
-    covers), and runs once per word, before the first window; the words
-    and lower cover counts are freed then.  Each upper key keeps a binary
-    counter per element s of the window, stored as bit planes: plane j
-    holds bit j of the number of that key's down-set masks that contain
-    s.  The masks are added eight at a time, by carry-save (Harley-Seal):
-    seven carry-save adders fold a block of eight masks into planes 0, 1
-    and 2, and only their weight-8 carry is rippled into plane 3 and up.
-    So an upper element costs a few ^ and & operations, not one step per
-    interval or one popcount per lower class.  At the end of a window
+    key sees an element as (int word, lower covers, upper covers) and
+    returns its (lower key, upper key) pair, so a statistic both keys
+    read is computed once per word.  It runs once per word, before the
+    first window; the words and lower cover counts are freed then.  Each
+    upper key keeps a binary counter per element s of the window, stored
+    as bit planes: plane j holds bit j of the number of that key's
+    down-set masks that contain s.  The masks are added eight at a time,
+    by carry-save (Harley-Seal): seven carry-save adders fold a block of
+    eight masks into planes 0, 1 and 2, and only their weight-8 carry is
+    rippled into plane 3 and up.  So an upper element costs a few ^ and &
+    operations, not one step per interval or one popcount per lower
+    class.  At the end of a window
     each lower class, a mask over all words, is shifted into the window,
     and a cell gains one popcount per lower class and per plane or mask
     still waiting for its block.
@@ -473,16 +475,15 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
     upper_ids: dict = {}
     slot: list = []
     for t, word in enumerate(words):
-        key = lower_key(word, lower[t], upper[t])
-        bitmap = bitmaps.get(key)
+        lower_key, upper_key = key(word, lower[t], upper[t])
+        bitmap = bitmaps.get(lower_key)
         if bitmap is None:
-            bitmap = bitmaps[key] = bytearray(size)
+            bitmap = bitmaps[lower_key] = bytearray(size)
         bitmap[t >> 3] |= 1 << (t & 7)
-        slot.append(upper_ids.setdefault(
-            upper_key(word, lower[t], upper[t]), len(upper_ids)))
+        slot.append(upper_ids.setdefault(upper_key, len(upper_ids)))
     del words, lower
-    lower_class = {key: int.from_bytes(bitmap, "little")
-                   for key, bitmap in bitmaps.items()}
+    lower_class = {lower_key: int.from_bytes(bitmap, "little")
+                   for lower_key, bitmap in bitmaps.items()}
     del bitmaps
     cells: dict = {}
     for lo, hi, rows in windows:
@@ -516,17 +517,17 @@ def _tally(m: int, n: int, budget, lower_key, upper_key) -> dict:
                 planes[j] = plane ^ carry
                 carry &= plane
                 j += 1
-        window = [(key, members >> lo & (top - 1))
-                  for key, members in lower_class.items()]
+        window = [(lower_key, members >> lo & (top - 1))
+                  for lower_key, members in lower_class.items()]
         for upper_class, i in upper_ids.items():
             parts = [(plane, j) for j, plane in enumerate(counters[i])]
             parts += [(mask, 0) for mask in waiting[i]]
-            for key, members in window:
+            for lower_key, members in window:
                 count = sum((part & members).bit_count() << j
                             for part, j in parts)
                 if count:
-                    cells[key, upper_class] = (
-                        cells.get((key, upper_class), 0) + count)
+                    cells[lower_key, upper_class] = (
+                        cells.get((lower_key, upper_class), 0) + count)
     return cells
 
 
@@ -548,8 +549,7 @@ def cover_table(m: int, n: int, budget=None) -> StatTable:
     At slope 1 these are des(s) and asc(t) of the tree interval s <= t.
     """
     return StatTable(n, ("des_lower", "asc_upper"), _tally(
-        m, n, budget, lambda word, lower, upper: lower,
-        lambda word, lower, upper: upper))
+        m, n, budget, lambda word, lower, upper: (lower, upper)))
 
 
 def m_tamari_interval_stats(m: int, n: int, budget=None) -> StatTable:

@@ -11,12 +11,14 @@ substitute evaluates it at a series X.  On top of that:
 
   * newton_solve finds the unique root with zero constant term of a regular
     equation, with a built-in residual self-check;
-  * lagrange_coeff evaluates [t^n z^k] S^r = (r/n) [s^(n-r) z^k] phi(s, z)^n
-    for S = t·phi(S, z), the root newton_solve finds of X - t·phi(X, z);
+  * lagrange_coeff evaluates the z-row [t^n] S^r = (r/n) [s^(n-r)] phi(s, z)^n
+    for S = t·phi(S, z), the root newton_solve finds of X - t·phi(X, z),
+    from one power of phi;
   * verify_parametrization clears the denominator of the rational curve
     t = s/((s+1)(sz+1)^3), X = s - zs^2 - zs^3 in the quartic;
-  * catalytic_equation_check rebuilds the contact-graded interval series
-    from enumeration and checks its quadratic functional equation;
+  * catalytic_equation_check builds the contact-graded interval series
+    from the rows of lattice.contact_cells it is given and checks its
+    quadratic functional equation;
   * verify_pde applies the three annihilating differential operators;
   * canopy_cells solves the two-equation canopy system of Fusy and
     Humbert degree by degree, each homogeneous part of each series made
@@ -24,8 +26,13 @@ substitute evaluates it at a series X.  On top of that:
     checks its answer once in the system as truncated MonomialPolynomials;
     canopy_rows reads its cells as the (des, asc) rows that `table
     refined-pq` prints, and `table face-dims` at (x + 1, y + 1);
-  * fusy_humbert_check compares those rows with enumeration, plus the
-    system's one-variable specialization.
+  * fusy_humbert_check compares those rows with the (des, asc) rows of
+    paths.cover_table it is given, plus the system's one-variable
+    specialization.
+
+The two checks against enumeration take their rows as arguments: the
+verify suites of tamari.cli enumerate them, so this module only solves
+and checks, and no function here takes a budget.
 
 The other multivariate systems (the catalytic equation, the Lagrange
 powers) are truncated MonomialPolynomial expressions written as printed;
@@ -37,7 +44,6 @@ from fractions import Fraction
 
 from .equations import load_quartic, pde_operators
 from .formulas import binomial
-from .paths import _slope_one_ell, _tally, cover_table, intervals_of, up_to
 from .polys import MonomialPolynomial, ZPolynomial, _add_product
 
 
@@ -271,13 +277,14 @@ def newton_solve(eq: MonomialPolynomial, order: int) -> TruncatedSeries:
     return x
 
 
-def lagrange_coeff(phi: MonomialPolynomial, n: int, k: int, r: int
-                   ) -> Fraction:
-    """[t^n z^k] S^r = (r/n)·[s^(n-r) z^k] phi^n for S = t·phi(S, z)."""
+def lagrange_coeff(phi: MonomialPolynomial, n: int, r: int) -> dict:
+    """{k: [t^n z^k] S^r} for S = t·phi(S, z), nonzero only: the z-row
+    (r/n)·[s^(n-r)] phi^n, from one power of phi."""
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
     power = MonomialPolynomial(2, phi.terms, ((1, 0), n - r)) ** n
-    return Fraction(r, n) * power.terms.get((n - r, k), 0)
+    return {k: Fraction(r, n) * c for (i, k), c in power.terms.items()
+            if i == n - r}
 
 
 # ===================================================================
@@ -311,11 +318,14 @@ def verify_parametrization() -> bool:
 # catalytic functional equation (enumeration-fed)
 # ===================================================================
 
-def catalytic_equation_check(order: int, budget=None) -> bool:
+def catalytic_equation_check(order: int, rows: dict) -> bool:
     """The quadratic equation of the contact-graded interval series.
 
-    From enumeration, with u marking the interior axis contacts ell(s) of
-    the lower tree and z marking des(s) + asc(t):
+    rows maps each n = 1..order to the cells of lattice.contact_cells(n),
+    {((ell(s), des(s)), (asc(t), ell(t) == 0)): count}; a wrong or
+    missing row fails the equations.  From them, with u marking the
+    interior axis contacts ell(s) of the lower tree and z marking
+    des(s) + asc(t):
 
         A_u  = sum over all intervals,
         A_1  = A_u at u = 1,
@@ -329,14 +339,8 @@ def catalytic_equation_check(order: int, budget=None) -> bool:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    a_u: dict = {}
-    a_1: dict = {}
-    a_star: dict = {}
-    for n in up_to(order, *intervals_of(1), budget):
-        cells = _tally(
-            1, n, budget,
-            lambda word, des, asc: (_slope_one_ell(word), des),
-            lambda word, des, asc: (asc, _slope_one_ell(word) == 0))
+    a_u, a_1, a_star = {}, {}, {}
+    for n, cells in rows.items():
         for ((ell_s, des_s), (asc_t, ell_t_zero)), count in cells.items():
             k = des_s + asc_t
             key = (n, ell_s, k)
@@ -516,12 +520,14 @@ def canopy_rows(cells: dict) -> dict:
     return rows
 
 
-def fusy_humbert_check(total_degree: int, budget=None) -> bool:
+def fusy_humbert_check(total_degree: int, rows: dict) -> bool:
     """Solve the two-equation canopy system and compare with enumeration.
 
-    canopy_cells solves U = (v + wU)(1+U)(1+V)^2, V = (u + wV)(1+V)(1+U)^2
-    degree by degree; F defined by uvF = uU + vV + wUV - UV/((1+U)(1+V))
-    must have [u^i v^j w^k]F = #{intervals of size i+j+k+1 whose canopies
+    rows maps each n = 1..total_degree + 1 to the cells of
+    paths.cover_table(1, n), {(des(s), asc(t)): count}; a wrong or
+    missing row fails the check.  canopy_cells solves
+    U = (v + wU)(1+U)(1+V)^2, V = (u + wV)(1+V)(1+U)^2 degree by degree;
+    F defined by uvF = uU + vV + wUV - UV/((1+U)(1+V)) must have [u^i v^j w^k]F = #{intervals of size i+j+k+1 whose canopies
     agree in '-' at i places, agree in '+' at j places, disagree at k
     places}.
 
@@ -531,9 +537,8 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     """
     if total_degree < 0:
         raise ValueError("total_degree must be nonnegative")
-    rows = up_to(total_degree + 1, *intervals_of(1), budget)
     by_row = canopy_rows(canopy_cells(total_degree))
-    if by_row != {n: dict(cover_table(1, n, budget).cells) for n in rows}:
+    if by_row != rows:
         return False
 
     # one-variable specialization S = t(z+S)(1+S)^3, root of X - t·phi(X, z)
@@ -571,10 +576,11 @@ def fusy_humbert_check(total_degree: int, budget=None) -> bool:
     for r in (1, 2):
         power = s_series if r == 1 else s_squared
         for n in range(1, min(8, order) + 1):
+            row = lagrange_coeff(phi, n, r)
             for k in range(n + 1):
                 # n times (r/n) C(n,k) C(3n,k-r), kept in the integers
                 expected = r * binomial(n, k) * binomial(3 * n, k - r)
-                if n * lagrange_coeff(phi, n, k, r) != expected:
+                if n * row.get(k, 0) != expected:
                     return False
                 if n * power.coefficient(n).coefficient(k) != expected:
                     return False

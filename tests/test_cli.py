@@ -20,7 +20,8 @@ Core claims:
       siblings found (verify canopy reports its histogram under any
       fault); every suite's default report matches the checked-in JSON
       under golden/ byte for byte; verify pde names the power of t its
-      residual is zero modulo (t^10 at --order 11)
+      residual is zero modulo (t^10 at --order 11); verify catalytic and
+      fusy-humbert announce each row they enumerate from n = 7
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
       minimum, a zero budget named by its source and value, an --out
@@ -412,6 +413,24 @@ class TestVerify:
         failed = [entry["name"] for entry in report["checks"]
                   if not entry["ok"]]
         assert failed == ["non-boolean-fiber-exists mode=min-max n<=2"]
+
+    @pytest.mark.parametrize("argv, last, golden", [
+        (("catalytic",), 8, "verify_catalytic.json"),
+        (("fusy-humbert", "--order", "7"), 8, None),
+    ], ids=["catalytic", "fusy-humbert"])
+    def test_series_suites_announce_their_enumerated_rows(
+            self, capsys, argv, last, golden):
+        # the suites enumerate the rows the series checks read, through
+        # the row loop of every enumerating suite: one line per row from
+        # n = 7 (catalytic's default order is 8; fusy-humbert at order 7
+        # reads rows to n = 8), and stdout is the report as before
+        status, out, err = run_cli(capsys, "verify", *argv)
+        assert status == 0
+        assert err.splitlines() == [f"tamari: verify {argv[0]} n={n}"
+                                    for n in range(7, last + 1)]
+        assert json.loads(out)["ok"] is True
+        if golden:
+            assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_seeded_suite_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "chu-vandermonde")

@@ -8,9 +8,11 @@ Core claims:
     - interval counts match 2(4n+1)!/((n+1)!(3n+2)!)
     - the cover-statistic histogram matches both the closed product
       formula and rows frozen from independent tabulation
-    - refined tables: by (ell(s), des(s)+asc(t)) (interval_stats_refined)
-      and by (des(s), asc(t)) (paths.cover_table), frozen blocks,
-      marginals, symmetry of the (p, q) table, and the Narayana top row
+    - refined tables: by (ell(s), des(s)+asc(t)) (interval_stats_refined,
+      summed from contact_cells, the tally by ((ell(s), des(s)),
+      (asc(t), ell(t) == 0))) and by (des(s), asc(t)) (paths.cover_table),
+      frozen blocks, marginals, symmetry of the (p, q) table, and the
+      Narayana top row
     - StatTable accessors behave (total, value, axis_range, marginal)
     - enumeration and engine construction respect budgets
 """
@@ -29,6 +31,7 @@ from tamari.lattice import (
     BudgetExceeded,
     StatTable,
     all_trees,
+    contact_cells,
     interval_count,
     interval_histogram,
     interval_stats_refined,
@@ -207,6 +210,14 @@ class TestRefined:
         by_pq = cover_table(1, n)
         assert dict(by_ell.cells) == ell_cells
         assert dict(by_pq.cells) == pq_cells
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_contact_cells_by_direct_count(self, n):
+        cells: dict = {}
+        for s, t in interval_pairs(n):
+            key = ((ell(s), des(s)), (asc(t), ell(t) == 0))
+            cells[key] = cells.get(key, 0) + 1
+        assert contact_cells(n) == cells
 
     @pytest.mark.parametrize("n", sorted(ELL_MARGINALS))
     def test_ell_marginal_frozen(self, n):

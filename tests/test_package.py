@@ -1,8 +1,11 @@
 """The public names of the package: tamari.__all__ is exactly the frozen
 list of 38 names, and each one resolves on the package; importing the
 command line loads no dataclasses machinery (its records are named
-tuples), and hashlib only once a command reads the quartic's checksum."""
+tuples), and hashlib only once a command reads the quartic's checksum;
+tamari.series, which only solves and checks, imports no enumerating
+module."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -55,3 +58,28 @@ def test_cli_loads_hashlib_only_for_the_quartic():
         [sys.executable, "-c", code], check=True, capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.split() == ["0", "False", "0", "True"]
+
+
+def _tamari_imports(module: str) -> set:
+    """The tamari modules a module of the package imports, by its AST."""
+    path = Path(tamari.__file__).with_name(f"{module}.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("tamari.")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "tamari":
+                    continue
+                parts = parts[1:]
+            found |= ({parts[0]} if parts and parts[0]
+                      else {alias.name for alias in node.names})
+    return found
+
+
+def test_series_imports_no_enumeration():
+    # the checks against enumeration take their rows from the verify
+    # suites, so the series module reads neither engine module
+    assert _tamari_imports("series") == {"equations", "formulas", "polys"}

@@ -78,6 +78,7 @@ from tamari.formulas import (
 )
 from tamari.lattice import (
     BudgetExceeded,
+    contact_cells,
     interval_histogram,
     interval_stats_refined,
     intervals,
@@ -102,12 +103,7 @@ from tamari.paths import (
     tree_to_dyck,
     valleys,
 )
-from tamari.series import (
-    canopy_cells,
-    canopy_rows,
-    catalytic_equation_check,
-    fusy_humbert_check,
-)
+from tamari.series import canopy_cells, canopy_rows
 from tamari.trees import (
     _bracket_leq,
     asc,
@@ -460,11 +456,9 @@ class TestBallot:
         (lambda budget: cover_table(2, 6, budget), 2, 6),
         (lambda budget: m_tamari_interval_stats(3, 5, budget), 3, 5),
         (lambda budget: interval_stats_refined(8, budget), 1, 8),
-        (lambda budget: catalytic_equation_check(8, budget), 1, 8),
-        (lambda budget: fusy_humbert_check(7, budget), 1, 8),
+        (lambda budget: contact_cells(8, budget), 1, 8),
     ], ids=["cover_table", "m_tamari_interval_stats",
-            "interval_stats_refined", "catalytic_equation_check",
-            "fusy_humbert_check"])
+            "interval_stats_refined", "contact_cells"])
     def test_tally_views_refuse_before_any_word(self, no_engine, view, m, n):
         # every tally view is refused on the closed-form interval count
         with pytest.raises(BudgetExceeded) as info:
@@ -474,10 +468,10 @@ class TestBallot:
 
 # == tallies ========================================================
 
-def _pairwise_cells(m, n, lower_key, upper_key):
+def _pairwise_cells(m, n, key):
     # oracle: one step per interval, cover counts from the rotations
     # above the words' trees in T_{mn}, which are the words' trees again;
-    # the keys see each word as the engine's int
+    # the key sees each word as the engine's int
     words = {_ballot_tree(m, w): w for w in m_tamari_elements(m, n)}
     above = {w: len(rotations_up(t)) for t, w in words.items()}
     below = dict.fromkeys(words.values(), 0)
@@ -486,8 +480,8 @@ def _pairwise_cells(m, n, lower_key, upper_key):
             below[words[u]] += 1
     cells: dict = {}
     for s, t in m_tamari_intervals(m, n):
-        cell = (lower_key(_as_int(s), below[s], above[s]),
-                upper_key(_as_int(t), below[t], above[t]))
+        cell = (key(_as_int(s), below[s], above[s])[0],
+                key(_as_int(t), below[t], above[t])[1])
         cells[cell] = cells.get(cell, 0) + 1
     return cells
 
@@ -501,14 +495,12 @@ TALLY_GRID = ([(1, n) for n in range(1, 7)]
 
 TALLY_KEYS = {
     # every cell is one interval
-    "per_word": (lambda word, down, up: word, lambda word, down, up: word),
+    "per_word": lambda word, down, up: (word, word),
     # one counter per lower word, up to C: blocks of eight masks folded by
     # carry-save, their weight-8 carries rippled through log2 C planes
-    "constant_upper": (lambda word, down, up: word,
-                       lambda word, down, up: None),
-    # the keys of cover_table
-    "cover_counts": (lambda word, down, up: down,
-                     lambda word, down, up: up),
+    "constant_upper": lambda word, down, up: (word, None),
+    # the key of cover_table
+    "cover_counts": lambda word, down, up: (down, up),
 }
 
 
@@ -516,9 +508,8 @@ class TestTally:
     @pytest.mark.parametrize("keys", sorted(TALLY_KEYS))
     @pytest.mark.parametrize("m,n", TALLY_GRID)
     def test_tally_counts_the_pairs(self, m, n, keys):
-        lower_key, upper_key = TALLY_KEYS[keys]
-        assert (_tally(m, n, None, lower_key, upper_key)
-                == _pairwise_cells(m, n, lower_key, upper_key))
+        key = TALLY_KEYS[keys]
+        assert _tally(m, n, None, key) == _pairwise_cells(m, n, key)
 
     @pytest.mark.parametrize("narrow", NARROW + [pytest.param(
         ("WINDOW_BITS", WINDOW_BITS), id=str(WINDOW_BITS))])
@@ -532,8 +523,8 @@ class TestTally:
         for m, n in TALLY_GRID:
             words, lower, upper, windows = _m_engine(m, n)
             windows = [[t for t, _ in rows] for _, _, rows in windows]
-            for _, upper_key in TALLY_KEYS.values():
-                keys = [upper_key(word, lower[t], upper[t])
+            for key in TALLY_KEYS.values():
+                keys = [key(word, lower[t], upper[t])[1]
                         for t, word in enumerate(words)]
                 for rows in windows:
                     sizes |= set(Counter(keys[t] for t in rows).values())
@@ -612,10 +603,10 @@ class TestWindows:
             self, monkeypatch, narrow, m, n, keys):
         # the oracle walks the intervals at the default width, one
         # window on this grid, before the width is narrowed
-        lower_key, upper_key = TALLY_KEYS[keys]
-        expected = _pairwise_cells(m, n, lower_key, upper_key)
+        key = TALLY_KEYS[keys]
+        expected = _pairwise_cells(m, n, key)
         monkeypatch.setattr(paths, *narrow)
-        assert _tally(m, n, None, lower_key, upper_key) == expected
+        assert _tally(m, n, None, key) == expected
 
     @pytest.mark.parametrize("narrow", NARROW)
     @pytest.mark.parametrize("m,n", ENGINE_GRID)

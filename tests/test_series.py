@@ -18,7 +18,10 @@ Core claims:
       lagrange_coeff matches its coefficients and the two printed closed
       coefficient forms
     - the catalytic system, the three differential operators, and the
-      canopy-pair system all check out; a perturbed series fails
+      canopy-pair system all check out; a perturbed series fails, and so
+      does the catalytic check on a raised cell, a count moved between
+      the ell(t) classes or a dropped row of lattice.contact_cells, and
+      the canopy-pair check on a raised (des, asc) cell
     - canopy_cells, the canopy-pair system solved degree by degree and
       read as rows by canopy_rows, is the (des, asc) cover table for
       n <= 10 (n = 11, 12 in test_paths, extended); to n = 20 its
@@ -42,6 +45,7 @@ from tamari.formulas import (
     interval_row_polynomial,
     separated_formula,
 )
+from tamari.lattice import contact_cells
 from tamari.paths import FALLBACK_BUDGET, cover_table
 from tamari.polys import MonomialPolynomial, ZPolynomial
 from tamari.series import (
@@ -76,6 +80,18 @@ def lagrange_root(phi: MonomialPolynomial, order: int) -> TruncatedSeries:
     terms = {(1, j, i): -c for (i, j), c in phi.terms.items()}
     terms[(0, 0, 1)] = 1
     return newton_solve(MonomialPolynomial(3, terms), order)
+
+
+def contact_rows(order: int) -> dict:
+    """The rows catalytic_equation_check reads, as `verify catalytic`
+    builds them."""
+    return {n: contact_cells(n) for n in range(1, order + 1)}
+
+
+def cover_rows(total_degree: int) -> dict:
+    """The rows fusy_humbert_check reads, as `verify fusy-humbert` builds
+    them."""
+    return {n: cover_table(1, n).cells for n in range(1, total_degree + 2)}
 
 
 # == series ring semantics ==========================================
@@ -323,11 +339,11 @@ class TestLagrange:
                     param = Fraction(
                         r * comb(n, k + r) * comb(3 * n, k), n) \
                         if k + r <= n else Fraction(0)
-                    assert lagrange_coeff(PHI_PARAM, n, k, r) == param
+                    assert lagrange_coeff(PHI_PARAM, n, r).get(k, 0) == param
                     canopy = Fraction(
                         r * comb(n, k) * comb(3 * n, k - r), n) \
                         if r <= k <= n else Fraction(0)
-                    assert lagrange_coeff(PHI_CANOPY, n, k, r) == canopy
+                    assert lagrange_coeff(PHI_CANOPY, n, r).get(k, 0) == canopy
 
     def test_coeff_against_series(self):
         order = 7
@@ -336,9 +352,9 @@ class TestLagrange:
         for n in range(1, order + 1):
             for k in range(n + 1):
                 assert s_series.coefficient(n).coefficient(k) == \
-                    lagrange_coeff(PHI_CANOPY, n, k, 1)
+                    lagrange_coeff(PHI_CANOPY, n, 1).get(k, 0)
                 assert square.coefficient(n).coefficient(k) == \
-                    lagrange_coeff(PHI_CANOPY, n, k, 2)
+                    lagrange_coeff(PHI_CANOPY, n, 2).get(k, 0)
 
     def test_catalan_special_case(self):
         # phi = (1+s)^2: [t^n] S is the n-th Catalan number
@@ -351,8 +367,8 @@ class TestLagrange:
 
     def test_rejects_bad_phi(self):
         with pytest.raises(ValueError):
-            lagrange_coeff(PHI_CANOPY, 0, 0, 1)
-        assert lagrange_coeff(PHI_CANOPY, 2, 1, 3) == 0  # r > n
+            lagrange_coeff(PHI_CANOPY, 0, 1)
+        assert lagrange_coeff(PHI_CANOPY, 2, 3) == {}  # r > n
 
 
 # == the verification stack =========================================
@@ -376,7 +392,26 @@ class TestVerifiers:
         assert not verify_parametrization()
 
     def test_catalytic(self):
-        assert catalytic_equation_check(8)
+        assert catalytic_equation_check(8, contact_rows(8))
+
+    def test_catalytic_negative_controls(self):
+        # one raised cell, one count moved from ell(t) > 0 to ell(t) = 0,
+        # one dropped row: each breaks the equations
+        rows = contact_rows(8)
+        raised = {**rows, 5: dict(rows[5])}
+        cell = min(raised[5])
+        raised[5][cell] += 1
+        assert not catalytic_equation_check(8, raised)
+        moved = {**rows, 5: dict(rows[5])}
+        cell = min(key for key in moved[5] if not key[1][1])
+        lower, (asc_t, _) = cell
+        moved[5][cell] -= 1
+        flagged = (lower, (asc_t, True))
+        moved[5][flagged] = moved[5].get(flagged, 0) + 1
+        assert not catalytic_equation_check(8, moved)
+        dropped = {n: cells for n, cells in rows.items() if n != 8}
+        assert not catalytic_equation_check(8, dropped)
+        assert catalytic_equation_check(8, rows)
 
     def test_pde(self):
         assert verify_pde(10)
@@ -400,15 +435,22 @@ class TestVerifiers:
         assert not substitute(eq, wrong).is_zero
 
     def test_fusy_humbert(self):
-        assert fusy_humbert_check(6)
+        assert fusy_humbert_check(6, cover_rows(6))
+
+    def test_fusy_humbert_negative_control(self):
+        rows = cover_rows(6)
+        raised = {**rows, 4: dict(rows[4])}
+        raised[4][1, 1] += 1
+        assert not fusy_humbert_check(6, raised)
+        assert fusy_humbert_check(6, rows)
 
     def test_verifier_argument_validation(self):
         with pytest.raises(ValueError):
             verify_pde(2)
         with pytest.raises(ValueError):
-            catalytic_equation_check(0)
+            catalytic_equation_check(0, {})
         with pytest.raises(ValueError):
-            fusy_humbert_check(-1)
+            fusy_humbert_check(-1, {})
         with pytest.raises(ValueError):
             canopy_cells(-1)
 
