@@ -52,10 +52,10 @@ from .diagonal import (
     internal_fvector_direct,
 )
 from .formulas import (
+    A,
+    B,
     a_formula,
-    a_row,
     b_formula,
-    b_row,
     binomial,
     catalan,
     chu_vandermonde_check,
@@ -72,6 +72,7 @@ from .formulas import (
     specialization_suite,
     synchronized_formula,
     telescoped_recurrence_check,
+    term_row,
     two_term_recurrence_check,
 )
 from .lattice import (
@@ -164,13 +165,13 @@ def _grid(names: list, column: str, rows, total: bool = True) -> tuple:
 
 def _table_a(nmax: int) -> tuple:
     return _grid(["n"], "k", (
-        ([n], a_row(n), interval_count_formula(n))
+        ([n], term_row(A, n), interval_count_formula(n))
         for n in range(1, nmax + 1)))
 
 
 def _table_b(nmax: int) -> tuple:
     return _grid(["n"], "k", (
-        ([n], b_row(n), None)
+        ([n], term_row(B, n), None)
         for n in range(1, nmax + 1)), total=False)
 
 
@@ -792,6 +793,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact values print at any size; the call exists from CPython 3.10.7
+    getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
     parser = make_parser()
     args = parser.parse_args(argv)
     try:

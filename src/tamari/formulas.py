@@ -1,10 +1,14 @@
 """Closed product formulas for interval and face counts, with identity checks.
 
-`table a` and `table b` print a_row and b_row, which step each row by its
-term ratio from the first cell, one small product and one exact division
-per cell.  a_formula and b_formula evaluate each cell on its own from two
-binomials; they are the public API and the oracle every verify route and
-the ratio-row tests read.
+Every hypergeometric closed form is written once, as a term (c, factors):
+c times the product of Gamma(alpha·n + beta·k + gamma)^e over its factors
+(alpha, beta, gamma, e), e = ±1.  term_value evaluates a term at one
+(n, k), pairing numerator and denominator Gammas into falling factorials;
+term_row steps a row k < n from its first cell by the term ratio read off
+the same factors, one small product and one exact division per cell.
+`table a` and `table b` print term_row(A, n) and term_row(B, n); a_formula,
+b_formula and the other count formulas evaluate one cell and are the
+public API.
 
 internal_rows reads the internal f-vector off the face rows b(n, k) by a
 recursion over coefficient lists in y, multiplied by the one dense kernel
@@ -21,7 +25,10 @@ their combinatorial support instead of raising.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import partial, reduce
+from itertools import repeat, zip_longest
+from math import comb, perm
+from operator import mul
 
 from .equations import eta_polynomials
 from .polys import ZPolynomial, _add_product
@@ -43,67 +50,106 @@ def _exact_div(numerator: int, denominator: int, what: str) -> int:
 
 
 # ===================================================================
+# terms: c · prod Gamma(alpha·n + beta·k + gamma)^e
+# ===================================================================
+
+# a(n, k) = 2 (n-1)! (3n)! / ((k+2)! (n-k-1)! k! (3n-k)!)
+A = (2, ((1, 0, 0, 1), (3, 0, 1, 1), (0, 1, 3, -1), (1, -1, 0, -1),
+         (0, 1, 1, -1), (3, -1, 1, -1)))
+# b(n, k) = 2 (n-1)! (4n-k+1)! (3n)! / (k! (n-k-1)! (n+1)! (3n-k)! (3n+2)!)
+B = (2, ((1, 0, 0, 1), (4, -1, 2, 1), (3, 0, 1, 1), (0, 1, 1, -1),
+         (1, -1, 0, -1), (1, 0, 2, -1), (3, -1, 1, -1), (3, 0, 3, -1)))
+# by ell, at j = k+2: (j-1) (4n-2j+1)! (2j)! / ((3n-j+2)! (n-j+1)! j! j!)
+REFINED = (1, ((0, 1, 2, 1), (0, 1, 1, -1), (4, -2, -2, 1), (0, 2, 5, 1),
+               (3, -1, 1, -1), (1, -1, 0, -1), (0, 1, 3, -1), (0, 1, 3, -1)))
+# by des, at q = k+1: (n+q-1)! (2n-q)! / (q! (n+1-q)! (2q-1)! (2n-2q+1)!)
+SEPARATED = (1, ((1, 1, 1, 1), (2, -1, 0, 1), (0, 1, 2, -1), (1, -1, 1, -1),
+                 (0, 2, 2, -1), (2, -2, 0, -1)))
+# (2n)! / (n! (n+1)!)
+CATALAN = (1, ((2, 0, 1, 1), (1, 0, 1, -1), (1, 0, 2, -1)))
+# 2 (3n)! / ((n+1)! (2n+1)!)
+SYNCHRONIZED = (2, ((3, 0, 1, 1), (1, 0, 2, -1), (2, 0, 2, -1)))
+
+
+def term_value(term, n: int, k: int = 0) -> int:
+    """The term at (n, k), every Gamma argument positive.
+
+    The arguments of each side sorted largest first, the numerator and
+    denominator Gammas of one rank make one falling factorial, an unpaired
+    one a factorial (Gamma(1) = 1 pads the shorter side); one exact
+    division at the end.
+    """
+    over, under = (sorted((a * n + b * k + g for a, b, g, e in term[1]
+                           if e == sign), reverse=True) for sign in (1, -1))
+    top, bottom = term[0], 1
+    for p, q in zip_longest(over, under, fillvalue=1):
+        if p >= q:
+            top *= perm(p - 1, p - q)
+        else:
+            bottom *= perm(q - 1, q - p)
+    return _exact_div(top, bottom, "term_value")
+
+
+def term_row(term, n: int) -> list:
+    """[term(n, k) for k < n], n >= 1: term_value at k = 0, then each cell
+    from the last by the term ratio, one exact division per cell.
+
+    Stepping k by one moves x = alpha·n + beta·k + gamma to x + beta, and
+    Gamma(x + beta)/Gamma(x) is x(x+1)...(x+beta-1) for beta > 0 and
+    1/((x-1)(x-2)...(x+beta)) for beta < 0: each factor gives |beta|
+    linear factors in k, over or under by the signs of beta and e.
+    """
+    over, under = [], []
+    for a, b, g, e in term[1]:
+        x = a * n + g
+        side = over if (b > 0) == (e > 0) else under
+        side += [range(y, y + b * (n - 1), b)
+                 for y in range(min(x, x + b), max(x, x + b))]
+    row = [term_value(term, n)]
+    for p, q in zip(*(reduce(partial(map, mul), side, repeat(1, n - 1))
+                      for side in (over, under))):
+        row.append(_exact_div(row[-1] * p, q, "term_row"))
+    return row
+
+
+# ===================================================================
 # counting formulas
 # ===================================================================
+
+def _cell(term, n: int, k: int) -> int:
+    """The term at (n, k) on its support 0 <= k < n, else 0; n >= 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return term_value(term, n, k) if 0 <= k < n else 0
+
 
 def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _exact_div(comb(2 * n, n), n + 1, "catalan")
+    return term_value(CATALAN, n)
 
 
 def fuss_catalan(m: int, n: int) -> int:
     """Number of lattice elements: C((m+1)n, n)/(mn+1)."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    return _exact_div(comb((m + 1) * n, n), m * n + 1, "fuss_catalan")
+    return term_value(
+        (1, ((m + 1, 0, 1, 1), (1, 0, 1, -1), (m, 0, 2, -1))), n)
 
 
 def a_formula(n: int, k: int) -> int:
     """Intervals of size n with des(lower) + asc(upper) = k."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if k < 0 or k >= n:
-        return 0
-    return _exact_div(2 * binomial(n + 1, k + 2) * binomial(3 * n, k),
-                      n * (n + 1), "a_formula")
+    return _cell(A, n, k)
 
 
 def b_formula(n: int, k: int) -> int:
     """k-dimensional faces of the diagonal on n+1 leaves."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if k < 0 or k >= n:
-        return 0
-    return _exact_div(2 * binomial(n - 1, k) * binomial(4 * n + 1 - k, n + 1),
-                      (3 * n + 1) * (3 * n + 2), "b_formula")
-
-
-def a_row(n: int) -> list:
-    """[a(n, k) for k < n] from a(n, 0) = 1 by the in-row term ratio
-    a(n, k+1)/a(n, k) = (n-k-1)(3n-k) / ((k+3)(k+1)), each step exact."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    row = [1]
-    for k in range(n - 1):
-        row.append(_exact_div(row[-1] * (n - k - 1) * (3 * n - k),
-                              (k + 3) * (k + 1), "a_row"))
-    return row
-
-
-def b_row(n: int) -> list:
-    """[b(n, k) for k < n] from b(n, 0) by the in-row term ratio
-    b(n, k+1)/b(n, k) = (n-1-k)(3n-k) / ((k+1)(4n+1-k)), each step exact."""
-    row = [b_formula(n, 0)]
-    for k in range(n - 1):
-        row.append(_exact_div(row[-1] * (n - 1 - k) * (3 * n - k),
-                              (k + 1) * (4 * n + 1 - k), "b_row"))
-    return row
+    return _cell(B, n, k)
 
 
 def face_count_formula(n: int) -> int:
     """All faces of the diagonal on n+1 leaves: sum over k of b(n, k)."""
-    return sum(b_formula(n, k) for k in range(n))
+    return sum(term_row(B, n))
 
 
 def interval_count_formula(n: int) -> int:
@@ -113,10 +159,8 @@ def interval_count_formula(n: int) -> int:
 
 def synchronized_variants(n: int) -> tuple:
     """The synchronized-interval count in its four printed disguises."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return (
-        a_formula(n, n - 1),
+        a_formula(n, n - 1),  # first: it refuses n < 1
         _exact_div(2 * comb(3 * n, n - 1), n * (n + 1), "sync via C(3n,n-1)"),
         _exact_div(2 * comb(3 * n, n), (n + 1) * (2 * n + 1),
                    "sync via C(3n,n)"),
@@ -126,14 +170,15 @@ def synchronized_variants(n: int) -> tuple:
 
 
 def synchronized_formula(n: int) -> int:
-    return synchronized_variants(n)[2]
+    return _cell(SYNCHRONIZED, n, 0)  # the list does not read k
 
 
 def new_interval_formula(n: int) -> int:
     """Intervals new at size n; also the internal vertices of the diagonal.
 
     3·2^(n-2)/(n(n+1))·C(2n-2, n-1) for n >= 2; the single interval at
-    n = 1 is new by convention.
+    n = 1 is new by convention.  Written by hand: 2^(n-2) is no Gamma of
+    an integer-linear argument.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -147,46 +192,24 @@ def m_tamari_intervals_formula(m: int, n: int) -> int:
     """Intervals of the slope-m lattice: (m+1)/(n(mn+1))·C((m+1)²n+m, n-1)."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    return _exact_div((m + 1) * comb((m + 1) ** 2 * n + m, n - 1),
-                      n * (m * n + 1), "m_tamari_intervals_formula")
+    return term_value((m + 1, (((m + 1) ** 2, 0, m + 1, 1), (m, 0, 1, 1),
+                               (1, 0, 1, -1), (m, 0, 2, -1),
+                               (m * (m + 2), 0, m + 2, -1))), n)
 
 
 def refined_formulas(n: int, i: int) -> int:
-    """Intervals of size n whose lower tree has i interior axis contacts.
-
-    Product formula evaluated at j = i + 2:
-    (j-1)·(4n-2j+1)!/((3n-j+2)!(n-j+1)!)·C(2j, j).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if i < 0 or i >= n:
-        return 0
-    j = i + 2
-    numerator = (j - 1) * factorial(4 * n - 2 * j + 1) * comb(2 * j, j)
-    denominator = factorial(3 * n - j + 2) * factorial(n - j + 1)
-    return _exact_div(numerator, denominator, "refined_formulas")
+    """Intervals of size n whose lower tree has i interior axis contacts."""
+    return _cell(REFINED, n, i)
 
 
 def separated_formula(n: int, p: int) -> int:
-    """Intervals of size n with des(lower) = p (and asc(upper) = n-1-p).
-
-    Product formula evaluated at q = p + 1:
-    (n+q-1)!(2n-q)! / (q!(n+1-q)!(2q-1)!(2n-2q+1)!).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if p < 0 or p >= n:
-        return 0
-    q = p + 1
-    numerator = factorial(n + q - 1) * factorial(2 * n - q)
-    denominator = (factorial(q) * factorial(n + 1 - q)
-                   * factorial(2 * q - 1) * factorial(2 * n - 2 * q + 1))
-    return _exact_div(numerator, denominator, "separated_formula")
+    """Intervals of size n with des(lower) = p (and asc(upper) = n-1-p)."""
+    return _cell(SEPARATED, n, p)
 
 
 def interval_row_polynomial(n: int) -> ZPolynomial:
     """Row n of the interval table as a polynomial in z."""
-    return ZPolynomial(tuple(a_formula(n, k) for k in range(n)))
+    return ZPolynomial(tuple(term_row(A, n)))
 
 
 # ===================================================================
@@ -218,8 +241,7 @@ def internal_rows(nmax: int) -> list:
     each, and is multiplied by T/x = 1 + sum_i B_i x^i once per a.  Row
     a-1 is final when a is reached, since a only subtracts from rows n >= a.
     """
-    face = [[1]] + [[b_formula(n, k) for k in range(n)]
-                    for n in range(1, nmax + 1)]
+    face = [[1]] + [term_row(B, n) for n in range(1, nmax + 1)]
     rows = [list(row) for row in face[1:]]
     power = face[:nmax]
     for a in range(2, nmax + 1):
@@ -260,10 +282,8 @@ def chu_vandermonde_check(n: int, k: int, r: int) -> bool:
 
 def specialization_suite(n: int) -> dict:
     """All the printed specializations of the count formulas at one n."""
-    if n < 1:
-        raise ValueError("n must be positive")
     checks = [
-        ("a(n,0) = 1", a_formula(n, 0) == 1),
+        ("a(n,0) = 1", a_formula(n, 0) == 1),  # first: it refuses n < 1
         ("a(n,1) = n(n-1)", a_formula(n, 1) == n * (n - 1)),
         ("a(n,n-3) = C(3n,n-3)",
          a_formula(n, n - 3) == binomial(3 * n, n - 3)),
@@ -287,6 +307,9 @@ def specialization_suite(n: int) -> dict:
 
 def two_term_recurrence_check(n_max: int) -> dict:
     """Both printed two-term recurrences against a_formula.
+
+    The relations stay written out by hand, so they check the A list that
+    a_formula evaluates instead of restating its term ratio:
 
     k(k+2)x(n,k) = (3n+1-k)(n-k)x(n,k-1)             for 1 <= k <= n-1,
     (3n-k-2)(3n-k-1)(3n-k)(n-k-1)x(n,k)
@@ -331,8 +354,7 @@ def telescoped_recurrence_check(n_max: int) -> dict:
             ("interval", etas,
              [interval_row_polynomial(n + i) for i in range(3)]),
             ("face", [eta.shift_z(1) for eta in etas],
-             [ZPolynomial(tuple(b_formula(n + i, k) for k in range(n + i)))
-              for i in range(3)]),
+             [ZPolynomial(tuple(term_row(B, n + i))) for i in range(3)]),
         )
         for side, (eta0, eta1, eta2), (row0, row1, row2) in sides:
             residual = eta0 * row0 + eta1 * row1 + eta2 * row2

@@ -1,6 +1,10 @@
 """Shared test helpers: hypothesis strategies, exhaustive pools (the
 Schröder trees among them), tree shapes, sizes and builders, face
-dimensions, and the grafting decomposition of a Tamari interval."""
+dimensions, the grafting decomposition of a Tamari interval, and the
+closed count formulas written out in binomials and factorials, the oracle
+of the Gamma-factor lists in tamari.formulas."""
+
+from math import comb, factorial
 
 import pytest
 from hypothesis import strategies as st
@@ -11,6 +15,53 @@ from tamari.trees import tamari_leq
 
 LEAF = None
 SINGLE_NODE = (None, None)
+
+
+def _quotient(numerator: int, denominator: int) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    assert remainder == 0, (numerator, denominator)
+    return quotient
+
+
+def oracle_a(n: int, k: int) -> int:
+    """a(n, k) = 2 C(n+1, k+2) C(3n, k) / (n(n+1)), 0 off 0 <= k < n."""
+    if not 0 <= k < n:
+        return 0
+    return _quotient(2 * comb(n + 1, k + 2) * comb(3 * n, k),
+                     n * (n + 1))
+
+
+def oracle_b(n: int, k: int) -> int:
+    """b(n, k) = 2 C(n-1, k) C(4n+1-k, n+1) / ((3n+1)(3n+2))."""
+    if not 0 <= k < n:
+        return 0
+    return _quotient(2 * comb(n - 1, k) * comb(4 * n + 1 - k, n + 1),
+                     (3 * n + 1) * (3 * n + 2))
+
+
+def oracle_refined(n: int, i: int) -> int:
+    """At j = i+2: (j-1)·(4n-2j+1)!/((3n-j+2)!(n-j+1)!)·C(2j, j)."""
+    if not 0 <= i < n:
+        return 0
+    j = i + 2
+    return _quotient((j - 1) * factorial(4 * n - 2 * j + 1) * comb(2 * j, j),
+                     factorial(3 * n - j + 2) * factorial(n - j + 1))
+
+
+def oracle_separated(n: int, p: int) -> int:
+    """At q = p+1: (n+q-1)!(2n-q)!/(q!(n+1-q)!(2q-1)!(2n-2q+1)!)."""
+    if not 0 <= p < n:
+        return 0
+    q = p + 1
+    return _quotient(factorial(n + q - 1) * factorial(2 * n - q),
+                     factorial(q) * factorial(n + 1 - q)
+                     * factorial(2 * q - 1) * factorial(2 * n - 2 * q + 1))
+
+
+def oracle_m_intervals(m: int, n: int) -> int:
+    """(m+1)/(n(mn+1))·C((m+1)²n+m, n-1), n >= 1."""
+    return _quotient((m + 1) * comb((m + 1) ** 2 * n + m, n - 1),
+                     n * (m * n + 1))
 
 
 def binary_trees(max_nodes: int = 9):

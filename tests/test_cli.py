@@ -312,6 +312,15 @@ class TestEval:
         assert status == 0
         assert out == expected + "\n"
 
+    def test_values_past_the_int_str_limit_print_exactly(self, capsys):
+        # CPython refuses to print an int of more than 4,300 digits by
+        # default; the exact value of a valid request prints regardless
+        status, out, err = run_cli(capsys, "eval", "a", "6000", "3000")
+        assert (status, err) == (0, "")
+        assert len(out) == 5318 + 1
+        assert out.startswith("205358697991")
+        assert int(out) == formulas.a_formula(6000, 3000)
+
     def test_wrong_arity_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["eval", "a", "3"])
@@ -740,9 +749,8 @@ class TestExitStatuses:
         assert err.startswith("tamari: internal_rows(100000) products needs ")
 
     def test_inexact_division_exits_four(self, capsys, monkeypatch):
-        binomial = formulas.binomial
-        monkeypatch.setattr("tamari.formulas.binomial",
-                            lambda p, q: binomial(p, q) + 1)
+        # halving the constant of the a list leaves a(n, 0) = 1/2
+        monkeypatch.setattr("tamari.cli.A", (1, formulas.A[1]))
         status, out, err = run_cli(capsys, "table", "a", "--nmax", "3")
         assert status == EXIT_VERIFY
         assert out == ""
@@ -914,14 +922,14 @@ class TestExitStatuses:
                                                      monkeypatch, tmp_path):
         # the table is built before --out is opened: a row that fails
         # part-way through the build leaves the earlier file as it was
-        a_row = formulas.a_row
+        term_row = formulas.term_row
 
-        def fail_at_row_three(n):
+        def fail_at_row_three(term, n):
             if n == 3:
-                raise ArithmeticError("non-exact division in a_row")
-            return a_row(n)
+                raise ArithmeticError("non-exact division in term_row")
+            return term_row(term, n)
 
-        monkeypatch.setattr("tamari.cli.a_row", fail_at_row_three)
+        monkeypatch.setattr("tamari.cli.term_row", fail_at_row_three)
         target = tmp_path / "out.csv"
         target.write_bytes(b"earlier contents\n")
         status, out, _ = run_cli(capsys, "table", "a", "--nmax", "4",
@@ -932,12 +940,12 @@ class TestExitStatuses:
     def test_inexact_ratio_row_exits_four(self, capsys, monkeypatch):
         # table b steps each row from b(n, 0) by its term ratio: a wrong
         # start leaves a remainder at a later step, which exits 4
-        b_formula = formulas.b_formula
+        evaluate = formulas.term_value
 
-        def bumped(n, k):
-            return b_formula(n, k) + ((n, k) == (5, 0))
+        def bumped(term, n, k=0):
+            return evaluate(term, n, k) + ((term, n, k) == (formulas.B, 5, 0))
 
-        monkeypatch.setattr("tamari.formulas.b_formula", bumped)
+        monkeypatch.setattr("tamari.formulas.term_value", bumped)
         assert run_cli(capsys, "table", "b")[:2] == (EXIT_VERIFY, "")
 
     @pytest.mark.parametrize(

@@ -4,8 +4,12 @@ Core claims:
     - catalan / fuss_catalan / schroeder agree with frozen values
     - a_formula rows and b_formula rows match frozen tabulations,
       b is the binomial transform of a, and row sums close up
-    - a_row and b_row, stepped by their term ratios, are the formula
-      rows for n <= 200; a b row from a wrong b(n, 0) hits a remainder
+    - every public count formula equals its binomial/factorial oracle
+      (tests/conftest.py) at every k in -2..n+2 for n <= 40, and a and b
+      at (6000, 3000); term_row, stepped by the term ratio of the same
+      Gamma list, gives the oracle rows for n <= 200; a b row from a wrong
+      b(n, 0) hits a remainder; raising one gamma of any list by one
+      leaves the oracle or hits a remainder
     - the four printed forms of the synchronized count agree
     - refined (by ell) and separated (by des) formulas match frozen
       rows, close to the right marginals, and hit Catalan at the edges
@@ -14,7 +18,7 @@ Core claims:
     - the contracted Chu-Vandermonde identity holds on frozen
       quadruples and on a searchable grid
     - two-term and telescoped recurrences hold; the telescoped face side
-      reads the b_formula rows and fails on one wrong face count; the
+      reads the rows of the B list and fails on one wrong face count; the
       telescoped eta2 shifted by one reproduces its printed face-side form
     - every formula divides exactly; _exact_div raises on a lie
     - the internal rows from the face rows alone, to n = 40: n cells
@@ -31,14 +35,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import (
+    oracle_a,
+    oracle_b,
+    oracle_m_intervals,
+    oracle_refined,
+    oracle_separated,
+)
 from tamari import formulas
 from tamari.equations import eta_polynomials
 from tamari.formulas import (
+    A,
+    B,
+    REFINED,
+    SEPARATED,
     _exact_div,
     a_formula,
-    a_row,
     b_formula,
-    b_row,
     binomial,
     catalan,
     chu_vandermonde_check,
@@ -56,6 +69,7 @@ from tamari.formulas import (
     synchronized_formula,
     synchronized_variants,
     telescoped_recurrence_check,
+    term_row,
     two_term_recurrence_check,
 )
 from tamari.paths import FALLBACK_BUDGET
@@ -105,6 +119,35 @@ M_INTERVALS_GRID = {
     (2, 5): 9729, (3, 7): 73083880, (2, 9): 691986438,
     (6, 9): 524898029145217,
 }
+
+# each public formula, its oracle and the grid it is compared on
+FORMULA_ORACLES = {
+    "a": (a_formula, oracle_a, "cells"),
+    "b": (b_formula, oracle_b, "cells"),
+    "refined": (refined_formulas, oracle_refined, "cells"),
+    "separated": (separated_formula, oracle_separated, "cells"),
+    "catalan": (catalan, lambda n: comb(2 * n, n) // (n + 1), "n"),
+    "synchronized": (synchronized_formula,
+                     lambda n: 2 * comb(3 * n, n) // ((n + 1) * (2 * n + 1)),
+                     "n"),
+    "fuss-catalan": (fuss_catalan,
+                     lambda m, n: comb((m + 1) * n, n) // (m * n + 1), "m"),
+    "m-intervals": (m_tamari_intervals_formula, oracle_m_intervals, "m"),
+}
+
+GRIDS = {
+    "cells": [(n, k) for n in range(1, 41) for k in range(-2, n + 3)],
+    "n": [(n,) for n in range(1, 41)],
+    "m": [(m, n) for m in range(1, 7) for n in range(1, 41)],
+}
+
+
+def _raised(term, index):
+    """The term with the gamma of one factor raised by one."""
+    c, factors = term
+    a, b, g, e = factors[index]
+    return c, factors[:index] + ((a, b, g + 1, e),) + factors[index + 1:]
+
 
 CHU_QUADRUPLES = [
     (4, 1, 9, 702), (6, 2, 7, 4620), (5, 0, 15, 5985), (3, 2, 4, 6),
@@ -169,19 +212,80 @@ class TestRows:
 
     def test_ratio_rows_are_the_formula_rows(self):
         for n in range(1, 201):
-            assert a_row(n) == [a_formula(n, k) for k in range(n)]
-            assert b_row(n) == [b_formula(n, k) for k in range(n)]
+            assert term_row(A, n) == [oracle_a(n, k) for k in range(n)]
+            assert term_row(B, n) == [oracle_b(n, k) for k in range(n)]
+        for n in range(1, 41):
+            assert term_row(REFINED, n) == [oracle_refined(n, k)
+                                            for k in range(n)]
+            assert term_row(SEPARATED, n) == [oracle_separated(n, k)
+                                              for k in range(n)]
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_ratio_row_from_a_wrong_start_is_inexact(self, monkeypatch, n):
-        def bumped(m, k):
-            return b_formula(m, k) + ((m, k) == (n, 0))
+        evaluate = formulas.term_value
 
-        monkeypatch.setattr("tamari.formulas.b_formula", bumped)
+        def bumped(term, m, k=0):
+            return evaluate(term, m, k) + ((m, k) == (n, 0))
+
+        monkeypatch.setattr("tamari.formulas.term_value", bumped)
         with pytest.raises(ArithmeticError, match="non-exact division "
-                                                  "in b_row"):
-            b_row(n)
-        assert b_row(n + 1) == [b_formula(n + 1, k) for k in range(n + 1)]
+                                                  "in term_row"):
+            term_row(B, n)
+        assert term_row(B, n + 1) == [oracle_b(n + 1, k)
+                                      for k in range(n + 1)]
+
+    @pytest.mark.parametrize("name", sorted(FORMULA_ORACLES))
+    def test_formula_is_its_oracle(self, name):
+        formula, oracle, grid = FORMULA_ORACLES[name]
+        for args in GRIDS[grid]:
+            assert formula(*args) == oracle(*args), args
+
+    def test_large_cells_are_the_oracle(self):
+        assert a_formula(6000, 3000) == oracle_a(6000, 3000)
+        assert b_formula(6000, 3000) == oracle_b(6000, 3000)
+
+    @pytest.mark.parametrize("name", sorted(FORMULA_ORACLES))
+    def test_raised_gamma_leaves_the_oracle(self, monkeypatch, name):
+        # negative control: each public formula reads its list, and the
+        # oracle tells a list with one gamma raised by one
+        formula, oracle, grid = FORMULA_ORACLES[name]
+        evaluate = formulas.term_value
+        monkeypatch.setattr("tamari.formulas.term_value",
+                            lambda term, n, k=0: evaluate(_raised(term, 0),
+                                                          n, k))
+        try:
+            values = [formula(*args) for args in GRIDS[grid]]
+        except ArithmeticError:
+            return
+        assert values != [oracle(*args) for args in GRIDS[grid]]
+
+    @pytest.mark.parametrize("term,oracle", [
+        (A, oracle_a), (B, oracle_b), (REFINED, oracle_refined),
+        (SEPARATED, oracle_separated),
+    ], ids=["A", "B", "REFINED", "SEPARATED"])
+    def test_raised_gamma_leaves_the_oracle_rows(self, term, oracle):
+        # the start and the term ratio both come from the list: raising
+        # any one gamma changes some row of n <= 8 or leaves a remainder
+        for index in range(len(term[1])):
+            try:
+                rows = [term_row(_raised(term, index), n)
+                        for n in range(1, 9)]
+            except ArithmeticError:
+                continue
+            assert rows != [[oracle(n, k) for k in range(n)]
+                            for n in range(1, 9)], index
+
+    @pytest.mark.parametrize("call", [
+        lambda: a_formula(0, 0), lambda: b_formula(0, 0),
+        lambda: refined_formulas(0, 0), lambda: separated_formula(0, 0),
+        lambda: synchronized_formula(0), lambda: synchronized_variants(0),
+        lambda: new_interval_formula(0), lambda: specialization_suite(0),
+        lambda: m_tamari_intervals_formula(1, 0),
+        lambda: m_tamari_intervals_formula(0, 1),
+    ])
+    def test_sizes_below_the_support_are_refused(self, call):
+        with pytest.raises(ValueError):
+            call()
 
     def test_interval_count_sequence(self):
         assert [interval_count_formula(n) for n in range(1, 10)] == \
@@ -286,10 +390,15 @@ class TestIdentities:
 
     def test_telescoped_face_side_reads_the_face_formula(self, monkeypatch):
         # one wrong face count must fail the face side, and only it
-        def bumped(n, k):
-            return b_formula(n, k) + ((n, k) == (5, 2))
+        row_of = formulas.term_row
 
-        monkeypatch.setattr("tamari.formulas.b_formula", bumped)
+        def bumped(term, n):
+            row = row_of(term, n)
+            if term is B and n == 5:
+                row[2] += 1
+            return row
+
+        monkeypatch.setattr("tamari.formulas.term_row", bumped)
         report = telescoped_recurrence_check(12)
         assert not report["ok"]
         assert report["checked"] == 24
