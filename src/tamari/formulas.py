@@ -44,8 +44,11 @@ def binomial(p: int, q: int) -> int:
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
-        raise ArithmeticError(f"non-exact division in {what}: "
-                              f"{numerator}/{denominator}")
+        # the operands' sizes, not their digits: formatting an int past
+        # 4,300 digits raises ValueError, and the message stays short
+        raise ArithmeticError(
+            f"non-exact division in {what}: a {numerator.bit_length()}-bit"
+            f" numerator over a {denominator.bit_length()}-bit denominator")
     return quotient
 
 
@@ -344,17 +347,23 @@ def telescoped_recurrence_check(n_max: int) -> dict:
     For each n, eta0(n)·a~_n + eta1(n)·a~_{n+1} + eta2(n)·a~_{n+2} must be
     the zero z-polynomial; the face-count side applies the same etas with
     z shifted by one to the rows sum_k b(n, k) z^k of the face formula,
-    which equal a~_n(z + 1).
+    which equal a~_n(z + 1).  Each row is built once: a window holds the
+    (interval, face) rows n, n+1 and n+2, and slides by one row per n.
     """
+    def rows(n):
+        return interval_row_polynomial(n), ZPolynomial(tuple(term_row(B, n)))
+
     failures = []
     checked = 0
+    window = [rows(1), rows(2)]
     for n in range(1, n_max + 1):
+        window.append(rows(n + 2))
+        interval, face = zip(*window)
+        del window[0]
         etas = eta_polynomials(n)
         sides = (
-            ("interval", etas,
-             [interval_row_polynomial(n + i) for i in range(3)]),
-            ("face", [eta.shift_z(1) for eta in etas],
-             [ZPolynomial(tuple(term_row(B, n + i))) for i in range(3)]),
+            ("interval", etas, interval),
+            ("face", [eta.shift_z(1) for eta in etas], face),
         )
         for side, (eta0, eta1, eta2), (row0, row1, row2) in sides:
             residual = eta0 * row0 + eta1 * row1 + eta2 * row2

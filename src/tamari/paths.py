@@ -37,11 +37,15 @@ since each row ORs the window's members below it: a narrower width means
 more windows but fewer and smaller masks alive at once.  Each finished
 mask is OR-ed into the masks its upper covers are gathering, and a
 gathered mask is freed when its own word takes it, so only the masks
-owed to a later word stay alive.  Every view frees the words before the
-first window, once it has read them into its keys or values.  Every
-statistics table is the one tally _tally over the windows:
-per upper key, a binary counter per element of the window held as bit
-planes, into which the down-set masks are added eight at a time by
+owed to a later word stay alive.  Most of those ORs add no bit, so a
+gathering slot keeps whichever object already is the union, its own or
+the pushed one: equal masks stay one object instead of piling up as
+copies (at slope 3 and n = 7, 205,569 rows hold 75,249 values in
+77,036 objects, where storing each OR made 205,433).  Every view frees
+the words before the first window, once it has read them into its keys
+or values.  Every statistics table is the one tally _tally over the
+windows: per upper key, a binary counter per element of the window held
+as bit planes, into which the down-set masks are added eight at a time by
 carry-save adders (Harley-Seal), only the weight-8 carry rippling into
 the higher planes; a window's cells are read at its end by one popcount
 per plane, waiting mask and lower class, and summed over the windows.
@@ -368,7 +372,8 @@ def _m_engine(m: int, n: int, budget=None) -> tuple:
     down(t) is bit t with the union of down(s) over the words s covered
     by t, and a word below the window has the zero mask there.  Each
     finished mask is OR-ed into the masks its upper covers are gathering,
-    freed when its own word takes it.  The flat cover array comes with
+    freed when its own word takes it; an OR that adds no bit stores no
+    new int (_window).  The flat cover array comes with
     the words, from the one generating pass, and serves every window; the
     peak holds the gathered masks of one window.
     """
@@ -391,6 +396,10 @@ def _window(upper, covers, lo, hi) -> Iterator[tuple]:
 
     gathering[t] ORs the masks of the words t covers until t takes it;
     the covers of word t start where those of the words before it end.
+    A slot keeps whichever object already is the union, the mask it holds
+    or the one pushed into it, and a fresh int is stored only when both
+    add bits: most pushes add none, so equal masks stay one object and
+    many words' rows share it.
     """
     count = len(upper)
     gathering = [0] * count
@@ -407,9 +416,13 @@ def _window(upper, covers, lo, hi) -> Iterator[tuple]:
             mask |= 1 << (t - lo)
         if mask:
             for c in covers[start:end]:
-                # a word's first gathered mask is shared, not copied
                 held = gathering[c]
-                gathering[c] = mask | held if held else mask
+                if not held:
+                    gathering[c] = mask
+                elif held is not mask:
+                    union = mask | held
+                    if union != held:
+                        gathering[c] = mask if union == mask else union
             yield t, mask
 
 

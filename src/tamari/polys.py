@@ -24,8 +24,8 @@ whatever its class, arity or truncation, and == never raises.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, inf
-from operator import add
 from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -209,12 +209,12 @@ Truncation = Optional[tuple]   # None or (weights tuple, cap)
 class MonomialPolynomial:
     """Sparse exact polynomial in a fixed number of variables.
 
-    Backed by a dict {exponent tuple: coefficient}.  With a truncation
-    (weights, cap) only terms of weighted degree sum_i w_i e_i <= cap are
-    kept, and sums and products inherit it: the polynomial is then exact
-    modulo every monomial of weighted degree above cap.  Operands under
-    different truncations (or one under none) do not add or multiply:
-    ValueError.
+    Backed by a dict {exponent tuple: coefficient}, every exponent
+    nonnegative.  With a truncation (weights, cap) only terms of weighted
+    degree sum_i w_i e_i <= cap are kept, and sums and products inherit
+    it: the polynomial is then exact modulo every monomial of weighted
+    degree above cap.  Operands under different truncations (or one under
+    none) do not add or multiply: ValueError.
     """
 
     __slots__ = ("nvars", "terms", "truncation")
@@ -231,6 +231,9 @@ class MonomialPolynomial:
         for expo, coeff in (terms or {}).items():
             if len(expo) != nvars:
                 raise ValueError("exponent arity mismatch")
+            # products add exponents as fields of one packed int
+            if min(expo, default=0) < 0:
+                raise ValueError("exponents must be nonnegative")
             if coeff and self._degree(expo) <= self._cap():
                 clean[tuple(expo)] = _scalar(coeff)
         self.terms = clean
@@ -304,20 +307,33 @@ class MonomialPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # each exponent tuple packed into one int, a field per variable
+        # wide enough for the largest exponent of self plus that of other:
+        # a product's key is the sum of its factors' keys, and no field
+        # carries into the next
+        width = sum(max(chain.from_iterable(p.terms), default=0)
+                    for p in (self, other)).bit_length() or 1
+        shifts = range(0, width * self.nvars, width)
+
+        def packed(p):
+            return [(p._degree(e), sum(x << s for x, s in zip(e, shifts)), c)
+                    for e, c in p.terms.items()]
+
         # other's terms by ascending degree: each term of self stops at
         # the first partner that would land above the cap
-        partners = sorted(((self._degree(e), e, c)
-                           for e, c in other.terms.items()),
-                          key=lambda item: item[0])
+        partners = sorted(packed(other), key=lambda item: item[0])
         cap = self._cap()
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            room = cap - self._degree(e1)
-            for d2, e2, c2 in partners:
+        sums: dict = {}
+        for d1, k1, c1 in packed(self):
+            room = cap - d1
+            for d2, k2, c2 in partners:
                 if d2 > room:
                     break
-                key = tuple(map(add, e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
+                key = k1 + k2
+                sums[key] = sums.get(key, 0) + c1 * c2
+        field = (1 << width) - 1
+        terms = {tuple(key >> s & field for s in shifts): c
+                 for key, c in sums.items()}
         return MonomialPolynomial._make(self.nvars, terms, self.truncation)
 
     __rmul__ = __mul__

@@ -17,16 +17,19 @@ Core claims:
     - the m-interval formula matches frozen grid values
     - the contracted Chu-Vandermonde identity holds on frozen
       quadruples and on a searchable grid
-    - two-term and telescoped recurrences hold; the telescoped face side
-      reads the rows of the B list and fails on one wrong face count; the
-      telescoped eta2 shifted by one reproduces its printed face-side form
-    - every formula divides exactly; _exact_div raises on a lie
+    - two-term and telescoped recurrences hold; the telescoped check
+      builds each row once, and its face side reads the rows of the B
+      list and fails on one wrong face count; the telescoped eta2 shifted
+      by one reproduces its printed face-side form
+    - every formula divides exactly; _exact_div raises on a lie, and its
+      message gives the operands' bit lengths, not their digits
     - the internal rows from the face rows alone, to n = 40: n cells
       each, the new intervals first, the synchronized count last, an
       alternating sum of (-1)^(n-1); internal_row_products is the exact
       number of coefficient products the recursion makes
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -183,6 +186,15 @@ class TestBaseSequences:
         assert _exact_div(12, 4, "demo") == 3
         with pytest.raises(ArithmeticError):
             _exact_div(13, 4, "demo")
+
+    def test_exact_div_reports_sizes_past_the_digit_limit(self):
+        # formatting the 5,001-digit operand would raise ValueError (the
+        # int-to-str limit) in place of the ArithmeticError
+        with pytest.raises(ArithmeticError) as raised:
+            _exact_div(10**5000 + 1, 10, "demo")
+        assert str(raised.value) == (
+            "non-exact division in demo: a 16610-bit numerator over a"
+            " 4-bit denominator")
 
 
 # == interval and face count rows ===================================
@@ -387,6 +399,20 @@ class TestIdentities:
         report = telescoped_recurrence_check(12)
         assert report["ok"], report["failures"]
         assert report["checked"] == 24
+
+    def test_telescoped_check_builds_each_row_once(self, monkeypatch):
+        # rows 1..n_max+2 of each weighting, one term_row call each
+        calls = Counter()
+        row_of = formulas.term_row
+
+        def counted(term, n):
+            calls[term, n] += 1
+            return row_of(term, n)
+
+        monkeypatch.setattr("tamari.formulas.term_row", counted)
+        assert telescoped_recurrence_check(12)["ok"]
+        assert calls == Counter({(term, n): 1 for term in (A, B)
+                                 for n in range(1, 15)})
 
     def test_telescoped_face_side_reads_the_face_formula(self, monkeypatch):
         # one wrong face count must fail the face side, and only it

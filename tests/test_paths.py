@@ -23,14 +23,19 @@ Core claims:
       cover counts and flat cover array hold under 80 bytes a word
     - the engine streams its masks: one interval count holds well under
       the bytes of all down-set masks at once, and with eight windows a
-      table holds under a quarter of them; the n = 12 count (extended)
-      equals the closed formula in a child process under 100 MB
+      table holds under a quarter of them; the slope-3 count at n = 7
+      (extended) holds under a quarter of C masks of its window's width;
+      the n = 12 count (extended) equals the closed formula in a child
+      process under 64 MB
     - the engine splits the words into equal windows of at most
       WINDOW_BITS, halved while C masks of the width would pass
       WINDOW_BYTES (8,192 bits through n = 13, 2,048 at n = 14); with
       the width or the byte cap patched down, every tally equals the
       pairwise oracle walked in one window, every count the formula, and
-      the walk yields the intervals of the default width
+      the walk yields the intervals of the default width; every window's
+      rows are, by value, those of a push loop that stores a fresh union
+      at each push, and equal rows below their window are mostly one
+      object
     - m-interval counts match the closed formula; the cover-statistic
       tables match rows frozen from independent tabulation, and every
       slope-m row up to 3e6 intervals (m = 2..4) runs over k = 0..2n-2
@@ -184,6 +189,24 @@ def _as_int(word):
     # a ballot word as the engine's int, N = 1, first letter most
     # significant
     return int(word.replace("N", "1").replace("E", "0"), 2)
+
+
+def _pushed_rows(upper, covers, lo, hi):
+    # the rows of window [lo, hi) from the push loop that stores a fresh
+    # union in the slot at every push: the value oracle of paths._window
+    gathering = [0] * len(upper)
+    end = sum(upper[:lo])
+    for t in range(lo, len(upper)):
+        start = end
+        end += upper[t]
+        mask = gathering[t]
+        gathering[t] = 0
+        if t < hi:
+            mask |= 1 << (t - lo)
+        if mask:
+            for c in covers[start:end]:
+                gathering[c] |= mask
+            yield t, mask
 
 
 def _mask_bytes(m, n, budget):
@@ -627,6 +650,28 @@ class TestWindows:
         assert len(windowed) == len(set(windowed)) == len(whole)
         assert set(windowed) == set(whole)
 
+    @pytest.mark.parametrize("narrow", NARROW + [pytest.param(
+        ("WINDOW_BITS", WINDOW_BITS), id=str(WINDOW_BITS))])
+    @pytest.mark.parametrize("m,n", ENGINE_GRID)
+    def test_rows_are_the_pushed_unions(self, monkeypatch, narrow, m, n):
+        # keeping the slot's own object or the pushed one changes which
+        # int holds a row, never its value
+        monkeypatch.setattr(paths, *narrow)
+        _, upper, covers = _ballot_lattice(m, n)
+        for lo, hi, rows in _m_engine(m, n)[3]:
+            assert list(rows) == list(_pushed_rows(upper, covers, lo, hi))
+
+    def test_later_windows_share_equal_rows(self, monkeypatch):
+        # below its window a word adds no bit of its own, and most pushes
+        # add none to the slot: its 6,566 rows hold 1,282 values, and a
+        # fresh union per push would make about 6,000 objects of them
+        monkeypatch.setattr(paths, "WINDOW_BITS", 64)
+        masks = [mask for _, _, rows in _m_engine(3, 5)[3]
+                 for _, mask in rows]
+        assert len(masks) == 6566
+        assert len(set(masks)) == 1282
+        assert len({id(mask) for mask in masks}) < 1.25 * 1282
+
     def test_width_halves_under_the_mask_byte_cap(self):
         # C masks of the first window at width w span C·w/8 bytes: 761 MB
         # at n = 13 keeps 8,192 bits, and n = 14 (2.74 GB) halves twice
@@ -685,6 +730,23 @@ class TestStreaming:
         assert table.total == interval_count_formula(10)
         assert peak < 0.25 * total
 
+    @pytest.mark.extended
+    def test_slope_three_count_holds_under_a_quarter_of_a_window(self):
+        # 53,820 words in seven windows of 7,689 bits: C masks of that
+        # width span 55 MB.  Equal gathered masks stay one object, so the
+        # count peaks near 10 MB, where a fresh union per push held 17 MB
+        budget = m_tamari_intervals_formula(3, 7)
+        count = fuss_catalan(3, 7)
+        width = -(-count // -(-count // WINDOW_BITS))
+        tracemalloc.start()
+        try:
+            intervals = m_tamari_interval_count(3, 7, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert intervals == budget
+        assert peak < 0.25 * count * width / 8
+
     def test_build_leaves_no_garbage_cycle(self):
         # the generator's recursive closure holds itself; left bound, that
         # cycle would keep the word index alive until a collection
@@ -731,4 +793,4 @@ class TestStreaming:
             text=True, env={**os.environ, "PYTHONPATH": src}).stdout
         count, peak_kib = map(int, out.split())
         assert count == m_tamari_intervals_formula(1, 12) == 373537388
-        assert peak_kib < 100 * 1024
+        assert peak_kib < 64 * 1024

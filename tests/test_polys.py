@@ -3,6 +3,10 @@
 Core claims:
     - a truncated MonomialPolynomial product equals the exact product
       with the terms above the cap dropped
+    - the product over packed exponent keys equals the tuple-key loop,
+      in 0-4 variables, with and without a truncation, and where a
+      field's sum needs more bits than either operand's exponents;
+      negative exponents are refused
     - truncations do not mix; substituting a weighted variable is
       refused
     - derivative and shift agree with the exact expansions
@@ -63,6 +67,63 @@ class TestTruncation:
             with pytest.raises(ValueError):
                 a * other
         assert (a * a * a * a).terms == {}     # degree 4 > cap 3
+
+
+def tuple_key_product(p, q):
+    # the product loop over tuple keys that packed keys replaced, every
+    # pair of terms, filtered by the cap: the oracle of __mul__
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            if (p.truncation is None
+                    or weighted(key, p.truncation[0]) <= p.truncation[1]):
+                terms[key] = terms.get(key, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+@st.composite
+def operand_pairs(draw):
+    # two polynomials in 1-4 variables under one truncation or none, with
+    # exponents up to 17, so one operand's largest exponent and the sum
+    # of both may need different field widths
+    nvars = draw(st.integers(1, 4))
+    maps = st.dictionaries(st.tuples(*[st.integers(0, 17)] * nvars),
+                           st.integers(-5, 5), max_size=6)
+    truncation = draw(st.none() | st.tuples(
+        st.tuples(*[st.integers(0, 2)] * nvars), st.integers(0, 40)))
+    return (MonomialPolynomial(nvars, draw(maps), truncation),
+            MonomialPolynomial(nvars, draw(maps), truncation))
+
+
+class TestPackedProduct:
+    @given(operand_pairs())
+    def test_packed_product_is_the_tuple_key_product(self, pair):
+        p, q = pair
+        assert (p * q).terms == tuple_key_product(p, q)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    @pytest.mark.parametrize("e1,e2", [(1, 1), (3, 1), (4, 4), (7, 8),
+                                       (15, 1), (16, 16)])
+    def test_field_sums_cross_a_power_of_two(self, nvars, e1, e2):
+        # the largest exponent in the last place of p and the first of q,
+        # at a sum of both whose field is wider than either operand's
+        p = MonomialPolynomial(nvars, {(1,) * (nvars - 1) + (e1,): 2,
+                                       (0,) * nvars: 1})
+        q = MonomialPolynomial(nvars, {(e2,) + (1,) * (nvars - 1): 3,
+                                       (0,) * nvars: -1})
+        assert (p * q).terms == tuple_key_product(p, q)
+        square = (p * p).terms
+        assert square[(2,) * (nvars - 1) + (2 * e1,)] == 4
+
+    def test_constants_in_no_variables(self):
+        p = MonomialPolynomial(0, {(): 3})
+        assert (p * MonomialPolynomial(0, {(): 4})).terms == {(): 12}
+        assert (p * MonomialPolynomial(0, {})).terms == {}
+
+    def test_negative_exponents_are_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            MonomialPolynomial(2, {(1, -1): 1})
 
 
 # == calculus and substitution =====================================
