@@ -68,8 +68,6 @@ REFINED = (1, ((0, 1, 2, 1), (0, 1, 1, -1), (4, -2, -2, 1), (0, 2, 5, 1),
 # by des, at q = k+1: (n+q-1)! (2n-q)! / (q! (n+1-q)! (2q-1)! (2n-2q+1)!)
 SEPARATED = (1, ((1, 1, 1, 1), (2, -1, 0, 1), (0, 1, 2, -1), (1, -1, 1, -1),
                  (0, 2, 2, -1), (2, -2, 0, -1)))
-# (2n)! / (n! (n+1)!)
-CATALAN = (1, ((2, 0, 1, 1), (1, 0, 1, -1), (1, 0, 2, -1)))
 # 2 (3n)! / ((n+1)! (2n+1)!)
 SYNCHRONIZED = (2, ((3, 0, 1, 1), (1, 0, 2, -1), (2, 0, 2, -1)))
 
@@ -127,9 +125,8 @@ def _cell(term, n: int, k: int) -> int:
 
 
 def catalan(n: int) -> int:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return term_value(CATALAN, n)
+    """C_n = (2n)!/(n!(n+1)!), the Fuss-Catalan number at m = 1."""
+    return fuss_catalan(1, n)
 
 
 def fuss_catalan(m: int, n: int) -> int:

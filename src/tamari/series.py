@@ -22,8 +22,9 @@ substitute evaluates it at a series X.  On top of that:
   * verify_pde applies the three annihilating differential operators;
   * canopy_cells solves the two-equation canopy system of Fusy and
     Humbert degree by degree, each homogeneous part of each series made
-    once as rows of coefficient lists through polys' dense kernel, and
-    checks its answer once in the system as truncated MonomialPolynomials;
+    once as rows of coefficient lists through polys' dense kernel, reads F
+    off the two unknowns with no division, and checks its answer once in
+    the system as printed, on truncated MonomialPolynomials;
     canopy_rows reads its cells as the (des, asc) rows that `table
     refined-pq` prints, and `table face-dims` at (x + 1, y + 1);
   * fusy_humbert_check compares those rows with the (des, asc) rows of
@@ -407,10 +408,11 @@ def verify_pde(order: int) -> bool:
 
 def canopy_cell_products(total_degree: int) -> int:
     """The coefficient products canopy_cells(D) makes, exactly:
-    8·C(D+6, 6) + 2·C(D+5, 6) + 15·C(D+2, 3) - C(D+3, 3) - 7."""
+    3·C(D+6, 6) + 3·C(D+5, 6) + C(D+4, 6) + 15·C(D+2, 3) + 3·C(D+1, 3) - 3."""
     d = total_degree
-    return (8 * binomial(d + 6, 6) + 2 * binomial(d + 5, 6)
-            + 15 * binomial(d + 2, 3) - binomial(d + 3, 3) - 7)
+    return (3 * binomial(d + 6, 6) + 3 * binomial(d + 5, 6)
+            + binomial(d + 4, 6) + 15 * binomial(d + 2, 3)
+            + 3 * binomial(d + 1, 3) - 3)
 
 
 def canopy_cells(total_degree: int) -> dict:
@@ -427,9 +429,12 @@ def canopy_cells(total_degree: int) -> dict:
         X = (1 + wX)(1+U)(1+V)^2,  Y = (1 + wY)(1+V)(1+U)^2,
         F = X + Y + wXY - XY/((1+U)(1+V)).
 
-    The degree-d part of each series in the loop comes from parts of lower
-    degree or already made at degree d, and each is made once; the inverse
-    I of R = (1+U)(1+V) by I_d = -sum_{a>=1} R_a I_{d-a}.  A part of
+    Y's equation gives XY/((1+U)(1+V)) = X(1 + wY)(1+U), so with U = vX
+    the division cancels: F = Y - vX(X + wXY).
+
+    The degree-d parts of X and Y come from parts of lower degree or
+    already made at degree d, and each is made once; F's degree-d part
+    reads XY below degree d - 1 and X + wXY below degree d.  A part of
     degree d is d+1 rows, row i holding the coefficients of
     u^i v^j w^(d-i-j) for j = 0..d-i; multiplying a part of degree a by one
     of degree b makes C(a+2, 2)·C(b+2, 2) coefficient products through
@@ -454,12 +459,11 @@ def canopy_cells(total_degree: int) -> dict:
                 _add_product(out[k], row, other, sign)
         return out
 
-    def at(x, y, d, first=0, sign=1):
-        """The degree-d part of sign·x·y, from the terms x_a·y_(d-a) with
-        a >= first."""
+    def at(x, y, d):
+        """The degree-d part of x·y."""
         out = part(d)
-        for a in range(first, d + 1):
-            times(out, x[a], y[d - a], sign)
+        for a in range(d + 1):
+            times(out, x[a], y[d - a])
         return out
 
     def plus(*parts):
@@ -469,24 +473,21 @@ def canopy_cells(total_degree: int) -> dict:
     one = [[1]]
     x, y = [one], [one]                  # U/v, V/u
     a, b = [one], [one]                  # 1+U, 1+V
-    aa, bb = [one], [one]                # (1+U)^2, (1+V)^2
+    r = [one]                            # (1+U)(1+V)
     g, h = [one], [one]                  # (1+U)(1+V)^2, (1+V)(1+U)^2
-    r, inverse = [one], [one]            # (1+U)(1+V) and 1/((1+U)(1+V))
-    xy, f = [one], [one]
     for d in range(1, total_degree + 1):
         a.append(times(part(d), v, x[d - 1]))
         b.append(times(part(d), u, y[d - 1]))
-        aa.append(at(a, a, d))
-        bb.append(at(b, b, d))
-        g.append(at(a, bb, d))
-        h.append(at(b, aa, d))
+        r.append(at(a, b, d))
+        g.append(at(r, b, d))
+        h.append(at(r, a, d))
         x.append(plus(g[d], times(part(d), w, at(x, g, d - 1))))
         y.append(plus(h[d], times(part(d), w, at(y, h, d - 1))))
-        r.append(at(a, b, d))
-        inverse.append(at(r, inverse, d, first=1, sign=-1))
-        xy.append(at(x, y, d))
-        f.append(plus(x[d], y[d], times(part(d), w, xy[d - 1]),
-                      at(xy, inverse, d, sign=-1)))
+    xy = [at(x, y, d) for d in range(total_degree - 1)]
+    x_wxy = [one] + [plus(x[d], times(part(d), w, xy[d - 1]))
+                     for d in range(1, total_degree)]
+    f = [one] + [plus(y[d], times(part(d), v, at(x, x_wxy, d - 1), -1))
+                 for d in range(1, total_degree + 1)]
 
     truncation = ((1, 1, 1), total_degree)
 
@@ -527,9 +528,9 @@ def fusy_humbert_check(total_degree: int, rows: dict) -> bool:
     paths.cover_table(1, n), {(des(s), asc(t)): count}; a wrong or
     missing row fails the check.  canopy_cells solves
     U = (v + wU)(1+U)(1+V)^2, V = (u + wV)(1+V)(1+U)^2 degree by degree;
-    F defined by uvF = uU + vV + wUV - UV/((1+U)(1+V)) must have [u^i v^j w^k]F = #{intervals of size i+j+k+1 whose canopies
-    agree in '-' at i places, agree in '+' at j places, disagree at k
-    places}.
+    F defined by uvF = uU + vV + wUV - UV/((1+U)(1+V)) must have
+    [u^i v^j w^k]F = #{intervals of size i+j+k+1 whose canopies agree in
+    '-' at i places, agree in '+' at j places, disagree at k places}.
 
     Also checks the one-variable specialization S = t(z+S)(1+S)^3 with its
     two printed identities against the quartic root, the substitution

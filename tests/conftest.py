@@ -58,6 +58,16 @@ def oracle_separated(n: int, p: int) -> int:
                      * factorial(2 * q - 1) * factorial(2 * n - 2 * q + 1))
 
 
+def oracle_one_disagreement(n: int, p: int) -> int:
+    """Intervals of size n, des(lower) = p, whose canopies disagree at one
+    place, as fitted (not proved):
+    separated(n, p)·3(2n-1)(n-1-p)(n-p)/(2(2n-1-p)(2p+3))."""
+    if not 0 <= p <= n - 2:
+        return 0
+    return _quotient(oracle_separated(n, p) * 3 * (2 * n - 1) * (n - 1 - p)
+                     * (n - p), 2 * (2 * n - 1 - p) * (2 * p + 3))
+
+
 def oracle_m_intervals(m: int, n: int) -> int:
     """(m+1)/(n(mn+1))·C((m+1)²n+m, n-1), n >= 1."""
     return _quotient((m + 1) * comb((m + 1) ** 2 * n + m, n - 1),

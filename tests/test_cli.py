@@ -666,16 +666,16 @@ class TestExitStatuses:
                        "--budget", budget)[0] == status
 
     @pytest.mark.parametrize("argv, status", [
-        (("--nmax", "4", "--budget", "850"), EXIT_BUDGET),
-        (("--nmax", "4", "--budget", "851"), 0),
+        (("--nmax", "4", "--budget", "501"), EXIT_BUDGET),
+        (("--nmax", "4", "--budget", "502"), 0),
         (("--nmax", "11", "--budget", "100000000"), 0),
         (("--nmax", "100000"), EXIT_BUDGET),
-    ], ids=["budget-850-refused", "budget-851-admitted", "nmax-11",
+    ], ids=["budget-one-short-refused", "budget-exact-admitted", "nmax-11",
           "huge-nmax-refused"])
     def test_refined_pq_budget_counts_solve_products(self, capsys,
                                                      monkeypatch, argv,
                                                      status):
-        # the canopy solve to degree 3 makes 851 coefficient products; a
+        # the canopy solve to degree 3 makes 502 coefficient products; a
         # refused solve never starts
         def refuse(*args):
             raise AssertionError("the solve started")
@@ -707,26 +707,26 @@ class TestExitStatuses:
         assert out == ""
         assert err == "tamari: --budget must be at least 1, not 0\n"
 
-    def test_face_dims_to_twenty_fit_the_default_budget(self, capsys,
-                                                         monkeypatch):
-        # canopy_cells(19) makes 1,704,395 coefficient products and
-        # canopy_cells(20) 2,217,362: n = 21 is refused before the solve
+    def test_face_dims_to_twenty_two_fit_the_default_budget(self, capsys,
+                                                             monkeypatch):
+        # canopy_cells(21) makes 1,787,002 coefficient products and
+        # canopy_cells(22) 2,284,150: n = 23 is refused before the solve
         def refuse(*args):
             raise AssertionError("the solve started")
 
         monkeypatch.delenv("TAMARI_BUDGET", raising=False)
-        status, out, _ = run_cli(capsys, "table", "face-dims", "--nmax", "20")
+        status, out, _ = run_cli(capsys, "table", "face-dims", "--nmax", "22")
         assert status == 0
         _, rows = csv_grid(out)
-        for k in range(20):
-            assert sum(int(grid_row(rows, 20, p)[2 + k - p])
-                       for p in range(k + 1)) == formulas.b_formula(20, k)
+        for k in range(22):
+            assert sum(int(grid_row(rows, 22, p)[2 + k - p])
+                       for p in range(k + 1)) == formulas.b_formula(22, k)
         monkeypatch.setattr("tamari.cli.canopy_cells", refuse)
         status, out, err = run_cli(capsys, "table", "face-dims",
-                                   "--nmax", "21")
+                                   "--nmax", "23")
         assert (status, out) == (EXIT_BUDGET, "")
-        assert err.startswith("tamari: canopy_cells(20) products needs "
-                              "2217362 > budget ")
+        assert err.startswith("tamari: canopy_cells(22) products needs "
+                              "2284150 > budget ")
 
     def test_internal_rows_to_forty_fit_the_default_budget(self, capsys,
                                                            monkeypatch):

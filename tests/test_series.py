@@ -26,9 +26,11 @@ Core claims:
       read as rows by canopy_rows, is the (des, asc) cover table for
       n <= 10 (n = 11, 12 in test_paths, extended); to n = 20 its
       anti-diagonals are a(n, k), its p+q = n-1 cells the separated
-      counts, and it is symmetric in (p, q); it makes
+      counts, and it is symmetric in (p, q); to n = 20 (n = 30,
+      extended) its p+q = n-2 cells, the intervals whose canopies
+      disagree at one place, are a closed form; it makes
       exactly canopy_cell_products(D) coefficient products, which the
-      default budget admits to n = 20; one wrong coefficient in any of
+      default budget admits to n = 22; one wrong coefficient in any of
       them fails its self-check
 """
 
@@ -37,6 +39,7 @@ from math import comb
 
 import pytest
 
+from conftest import oracle_one_disagreement
 from tamari import polys
 from tamari.equations import load_quartic, pde_operators
 from tamari.formulas import (
@@ -476,6 +479,15 @@ class TestCanopyCells:
                 assert row[p, n - 1 - p] == separated_formula(n, p)
             assert all(row[q, p] == c for (p, q), c in row.items())
 
+    @pytest.mark.parametrize(
+        "nmax", [20, pytest.param(30, marks=pytest.mark.extended)])
+    def test_one_disagreement_line_is_a_closed_form(self, nmax):
+        # [u^q v^p w] F at n = p+q+2: canopies disagreeing at one place
+        cells = canopy_cells(nmax - 1)
+        for n in range(2, nmax + 1):
+            for p in range(n - 1):
+                assert cells[n - 2 - p, p, 1] == oracle_one_disagreement(n, p)
+
     @pytest.mark.parametrize("degree", range(8))
     def test_product_count_is_exact(self, monkeypatch, degree):
         products = []
@@ -512,8 +524,8 @@ class TestCanopyCells:
             with pytest.raises(ArithmeticError, match="canopy"):
                 canopy_cells(degree)
 
-    def test_default_budget_admits_twenty(self):
+    def test_default_budget_admits_twenty_two(self):
         # table refined-pq --nmax N solves to degree N - 1
-        assert canopy_cell_products(10) == 77_081
-        assert canopy_cell_products(19) == 1_704_395 <= FALLBACK_BUDGET
-        assert canopy_cell_products(20) == 2_217_362 > FALLBACK_BUDGET
+        assert canopy_cell_products(10) == 45_834
+        assert canopy_cell_products(21) == 1_787_002 <= FALLBACK_BUDGET
+        assert canopy_cell_products(22) == 2_284_150 > FALLBACK_BUDGET
