@@ -27,7 +27,9 @@ usage error.
 Exit status: 0 success, 2 usage error (an --out path that cannot be
 written included), 3 budget exceeded (refused before any work; a
 command over n = 1..nmax on its largest row), 4 verification or
-internal self-check failure.  Every command is deterministic; progress
+internal self-check failure.  Output goes to a temporary file and is
+copied to stdout or --out only once complete, so a refused run or a
+failed self-check writes none.  Every command is deterministic; progress
 goes to stderr only, one line per enumerated row from n = 7 (none from
 tables internal, refined-pq and face-dims, which enumerate nothing, nor
 slope-m, whose grid of small (m, n) lattices has no rows).  The suites
@@ -150,27 +152,33 @@ def _rows(command: str, nmax: int, what: str, size, budget):
 # renders as an empty cell.
 # ===================================================================
 
-def _grid(names: list, column: str, rows, total: bool = True) -> tuple:
-    """The table of (prefix, cells, total) rows: one column=k column per
-    cell of the longest row, then a total column if total is set.  Each
-    shorter row is padded with None, the staircase shape of the
-    reference tables."""
-    rows = list(rows)
-    width = max(len(cells) for _, cells, _ in rows)
+def _grid(names: list, column: str, width: int, rows,
+          total: bool = True) -> tuple:
+    """The table of (prefix, cells, total) rows: width column=k columns,
+    then a total column if total is set.  Rows are padded with None to
+    the width, the staircase shape of the reference tables, one at a time
+    as they are read, so no list of rows is held; each builder declares
+    the width from its options, and a longer row is a RuntimeError."""
+    def padded():
+        for prefix, cells, end in rows:
+            if len(cells) > width:
+                raise RuntimeError(f"a row of {len(cells)} cells in a table "
+                                   f"of width {width}")
+            yield prefix + cells + [None] * (width - len(cells)) \
+                + [end] * total
+
     header = names + [f"{column}={k}" for k in range(width)]
-    return header + ["total"] * total, [
-        prefix + cells + [None] * (width - len(cells)) + [end] * total
-        for prefix, cells, end in rows]
+    return header + ["total"] * total, padded()
 
 
 def _table_a(nmax: int) -> tuple:
-    return _grid(["n"], "k", (
+    return _grid(["n"], "k", nmax, (
         ([n], term_row(A, n), interval_count_formula(n))
         for n in range(1, nmax + 1)))
 
 
 def _table_b(nmax: int) -> tuple:
-    return _grid(["n"], "k", (
+    return _grid(["n"], "k", nmax, (
         ([n], term_row(B, n), None)
         for n in range(1, nmax + 1)), total=False)
 
@@ -178,15 +186,15 @@ def _table_b(nmax: int) -> tuple:
 def _table_internal(nmax: int, budget) -> tuple:
     within_budget(f"internal_rows({nmax}) products",
                   internal_row_products(nmax), budget)
-    return _grid(["n"], "k", (([n], row, sum(row))
-                              for n, row in enumerate(internal_rows(nmax), 1)))
+    return _grid(["n"], "k", nmax, (
+        ([n], row, sum(row)) for n, row in enumerate(internal_rows(nmax), 1)))
 
 
 def _table_m_intervals(nmax: int, mmax: int) -> tuple:
     header = ["n"] + [f"m={m}" for m in range(1, mmax + 1)]
-    rows = [[n] + [m_tamari_intervals_formula(m, n)
+    rows = ([n] + [m_tamari_intervals_formula(m, n)
                    for m in range(1, mmax + 1)]
-            for n in range(1, nmax + 1)]
+            for n in range(1, nmax + 1))
     return header, rows
 
 
@@ -198,7 +206,8 @@ def _table_m_stats(nmax: int, mmax: int, budget) -> tuple:
                 table = m_tamari_interval_stats(m, n, budget)
                 yield ([m, n], [table.value(k) for k in table.axis_range(0)],
                        table.total)
-    return _grid(["m", "n"], "k", rows())
+    # a slope-1 row has n cells, a slope-m row (m >= 2) 2n - 1
+    return _grid(["m", "n"], "k", nmax if mmax == 1 else 2 * nmax - 1, rows())
 
 
 def _table_refined_ell(nmax: int, budget) -> tuple:
@@ -210,13 +219,13 @@ def _table_refined_ell(nmax: int, budget) -> tuple:
                 yield [n, i], cells, sum(cells)
             # the reference layout leaves the sum row's total corner empty
             yield [n, "total"], [sum(column) for column in zip(*grid)], None
-    return _grid(["n", "i"], "k", rows())
+    return _grid(["n", "i"], "k", nmax, rows())
 
 
-def _pq_triangle(rows) -> tuple:
+def _pq_triangle(nmax: int, rows) -> tuple:
     """Rows (n, p), columns q, filled for p+q <= n-1 (staircase shape),
-    from pairs (n, {(p, q): count})."""
-    return _grid(["n", "p"], "q", (
+    from pairs (n, {(p, q): count}) for n = 1..nmax."""
+    return _grid(["n", "p"], "q", nmax, (
         ([n, p], [cells.get((p, q), 0) for q in range(n - p)], None)
         for n, cells in rows for p in range(n)), total=False)
 
@@ -230,14 +239,14 @@ def _des_asc_rows(nmax: int, budget) -> list:
 
 
 def _table_refined_pq(nmax: int, budget) -> tuple:
-    return _pq_triangle(_des_asc_rows(nmax, budget))
+    return _pq_triangle(nmax, _des_asc_rows(nmax, budget))
 
 
 def _table_face_dims(nmax: int, budget) -> tuple:
     # faces by (dim f, dim g): the (des, asc) row at (x + 1, y + 1)
-    return _pq_triangle(
+    return _pq_triangle(nmax, (
         (n, MonomialPolynomial(2, cells).shift(0, 1).shift(1, 1).terms)
-        for n, cells in _des_asc_rows(nmax, budget))
+        for n, cells in _des_asc_rows(nmax, budget)))
 
 
 # name -> (builder, {option it reads: (default, smallest meaningful value
@@ -292,7 +301,7 @@ def _read_options(command: str, reads: dict, args) -> tuple:
     return kwargs, given
 
 
-def _render_csv(header: list, rows: list):
+def _render_csv(header: list, rows):
     """The CSV lines, each yielded as it is rendered."""
     def cell(value) -> str:
         return "" if value is None else str(value)
@@ -302,18 +311,24 @@ def _render_csv(header: list, rows: list):
         yield ",".join(cell(value) for value in row) + "\n"
 
 
-def _render_json(name: str, header: list, rows: list) -> str:
+def _render_json(name: str, header: list, rows):
+    """The text of json.dumps({"table", "header", "rows"}, indent=2) and a
+    newline, yielded a row at a time: each row is dumped on its own and
+    indented to its depth in the payload."""
     def cell(value):
         if value is None or isinstance(value, str):
             return value
         return str(value)  # counts as decimal strings
 
-    payload = {
-        "table": name,
-        "header": header,
-        "rows": [[cell(value) for value in row] for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    head = json.dumps({"table": name, "header": header, "rows": []},
+                      indent=2)
+    yield head[:-len("]\n}")]  # through '"rows": ['
+    separator = "\n"
+    for row in rows:  # a table has at least one row
+        text = json.dumps([cell(value) for value in row], indent=2)
+        yield separator + "    " + text.replace("\n", "\n    ")
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def cmd_table(args) -> int:
@@ -323,10 +338,8 @@ def cmd_table(args) -> int:
     form = kwargs.pop("format")
     _check_out(args.out)
     header, rows = builder(**kwargs)
-    if form == "csv":
-        chunks = _render_csv(header, rows)
-    else:
-        chunks = [_render_json(args.name, header, rows)]
+    chunks = (_render_csv(header, rows) if form == "csv"
+              else _render_json(args.name, header, rows))
     _emit(chunks, args.out)
     return 0
 
@@ -344,12 +357,22 @@ def _check_out(out) -> None:
 
 
 def _emit(chunks, out) -> None:
-    """Write the chunks as they come, to --out if given, else stdout."""
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    """Write the chunks as they come to a temporary file, then, once the
+    last is written, copy it to --out if given, else to stdout.  A table's
+    rows are built while they are rendered, so an error part-way leaves
+    stdout and --out untouched, and memory holds one row, not the text."""
+    # imported here, so importing tamari.cli costs no more than it did
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spill:
+        spill.writelines(chunks)
+        spill.seek(0)
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                shutil.copyfileobj(spill, handle)
+        else:
+            shutil.copyfileobj(spill, sys.stdout)
 
 
 # ===================================================================
@@ -462,14 +485,15 @@ def _suite_catalytic(order: int, budget):
 
 
 def _suite_polynomial(order: int):
-    root = newton_solve(quartic_equation(), order)
+    quartic = quartic_equation()  # one read of the checksummed data file
+    root = newton_solve(quartic, order)
     yield (f"quartic-root-residual-mod-t^{order + 1}",
-           substitute(quartic_equation(), root).is_zero,
+           substitute(quartic, root).is_zero,
            "the quartic re-evaluated at the root")
     yield _scan(f"coefficients-match-closed-form n<={order}",
                 range(1, order + 1), lambda n:
                 root.coefficient(n) != interval_row_polynomial(n))
-    shifted = newton_solve(quartic_equation().shift(1, 1), order)
+    shifted = newton_solve(quartic.shift(1, 1), order)
     yield (f"z-shift-of-root-is-shifted-root-mod-t^{order + 1}",
            root.substitute_z_shift(1) == shifted, None)
     # exact, so it holds mod s^(order+3), the power the name reports

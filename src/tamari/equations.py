@@ -10,9 +10,10 @@ Three independent descriptions of the same series live here:
     + eta2(n) a~_{n+2} = 0 on the row polynomials a~_n(z).
 
 The module only holds the data; solving and verifying happen in `series`.
-hashlib is imported by load_quartic alone: OpenSSL's _hashlib adds about
-3 MB of resident memory to a process, and only the ops that read the
-quartic check its checksum.
+The quartic's checksum is computed by sha256_hex, a plain FIPS 180-4
+SHA-256, not by hashlib: importing hashlib loads OpenSSL's libcrypto, which
+alone adds about 3.6 MB to the resident memory of a process that hashes
+one 584-byte file.
 """
 from __future__ import annotations
 
@@ -28,13 +29,63 @@ QUARTIC_SHA256 = "fb647cdbafc32f9370c5260b91e88eb5c6a17b78fdc1a9dfbfcbfa1be6c8a1
 # the quartic equation (data file + checksum)
 # ===================================================================
 
+# FIPS 180-4: the first 32 bits of the fractional parts of the cube roots
+# of the first 64 primes (round constants) and of the square roots of the
+# first 8 (initial hash value)
+_SHA256_K = (
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+)
+_SHA256_H = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 digest of data as 64 hex digits (FIPS 180-4)."""
+    mask = 0xFFFFFFFF
+
+    def rotr(x: int, n: int) -> int:
+        return (x >> n | x << (32 - n)) & mask
+
+    # pad with a 1 bit, zeros, and the bit length: whole 64-byte blocks
+    padded = (data + b"\x80" + bytes(-(len(data) + 9) % 64)
+              + (8 * len(data)).to_bytes(8, "big"))
+    state = _SHA256_H
+    for start in range(0, len(padded), 64):
+        w = [int.from_bytes(padded[i:i + 4], "big")
+             for i in range(start, start + 64, 4)]
+        for i in range(16, 64):
+            x, y = w[i - 15], w[i - 2]
+            w.append((w[i - 16] + w[i - 7]
+                      + (rotr(x, 7) ^ rotr(x, 18) ^ x >> 3)
+                      + (rotr(y, 17) ^ rotr(y, 19) ^ y >> 10)) & mask)
+        a, b, c, d, e, f, g, h = state
+        for k, word in zip(_SHA256_K, w):
+            t1 = (h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25))
+                  + (e & f ^ ~e & g) + k + word)
+            t2 = ((rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22))
+                  + (a & b ^ a & c ^ b & c))
+            a, b, c, d, e, f, g, h = ((t1 + t2) & mask, a, b, c,
+                                      (d + t1) & mask, e, f, g)
+        state = tuple((s + v) & mask
+                      for s, v in zip(state, (a, b, c, d, e, f, g, h)))
+    return "".join(f"{s:08x}" for s in state)
+
+
 def load_quartic() -> dict:
     """{(t_exp, z_exp, x_exp): coefficient} for the quartic P(t, z, X)."""
-    import hashlib
-
     raw = resources.files(__package__).joinpath(
         "data", QUARTIC_RESOURCE).read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256_hex(raw)
     if digest != QUARTIC_SHA256:
         raise RuntimeError(
             f"corrupted {QUARTIC_RESOURCE}: sha256 {digest}")

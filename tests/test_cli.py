@@ -9,7 +9,14 @@ Core claims:
       progress lines, and the face-dims rows are the engine's (des, asc)
       rows at (x + 1, y + 1) for n <= 8 (n = 9 extended)
     - the JSON format wraps the same grid with all counts rendered as
-      decimal strings and staircase gaps as null
+      decimal strings and staircase gaps as null; rendered a row at a
+      time, it is byte for byte json.dumps(payload, indent=2) of the
+      materialized table, for every table at its defaults and one size
+      past them
+    - tables stream: each declares its width from its options, and that
+      width is its longest row's (every table at nmax <= 6, m-stats at
+      mmax 1..4); `table a --nmax 300` peaks under 2 MB of traced memory
+      with stdout sent to a null sink (about 5 MB when every row was held)
     - `eval` prints single exact values and enforces arity and sign
     - `verify` emits a JSON report {suite, params, checks, ok} and its
       exit status tracks the conjunction of the checks (one upper cover
@@ -34,7 +41,8 @@ Core claims:
       face-dims on those of their canopy solve, which the default budget
       admits to n = 20), 4 verification or self-check failure
       (an inexact division included, a ratio row from a wrong start
-      among them, and a wrong coefficient in the canopy solve); exits 3
+      among them, a wrong coefficient in the canopy solve, and a row
+      longer than its table's declared width); exits 3
       and 4,
       and a build that fails part-way, leave an existing --out file as
       it was;
@@ -44,7 +52,10 @@ Core claims:
       --out writes exactly what stdout would have carried
 """
 
+import contextlib
 import json
+import os
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -293,6 +304,96 @@ class TestJsonFormat:
         rendered = [["" if cell is None else cell for cell in row]
                     for row in payload["rows"]]
         assert rendered == rows
+
+    @pytest.mark.parametrize("size", ["default", "larger"])
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_streamed_json_is_the_payload_dumped_whole(self, capsys, name,
+                                                       size):
+        # the rows are rendered one at a time; the oracle materializes
+        # the table and dumps it in one call
+        builder, reads = TABLES[name]
+        options = {option: default for option, (default, _) in reads.items()}
+        if size == "larger":
+            options.update(LARGER_TABLES[name])
+        argv = [f"--{option}={value}" for option, value in options.items()
+                if value is not None]
+        status, out, _ = run_cli(capsys, "table", name, *argv,
+                                 "--format", "json")
+        header, rows = builder(**options)
+        payload = {"table": name, "header": header,
+                   "rows": [[None if cell is None else str(cell)
+                             for cell in row] for row in rows]}
+        assert status == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+
+# one size past each table's default, each built in well under a second
+LARGER_TABLES = {
+    "a": {"nmax": 30},
+    "b": {"nmax": 30},
+    "internal": {"nmax": 12},
+    "m-intervals": {"nmax": 30},
+    "m-stats": {"nmax": 5, "mmax": 3},
+    "refined-ell": {"nmax": 7},
+    "refined-pq": {"nmax": 9},
+    "face-dims": {"nmax": 9},
+}
+
+
+# ===================================================================
+# streamed tables
+# ===================================================================
+
+def _width_argvs():
+    """Every table that pads its rows, at nmax 1..6; m-stats at mmax 1..4;
+    past the default budget where a table reads one."""
+    for name, (_, reads) in sorted(TABLES.items()):
+        if name == "m-intervals":  # one cell per slope, no padding
+            continue
+        budget = ("--budget=100000000",) if "budget" in reads else ()
+        for nmax in range(1, 7):
+            for mmax in range(1, 5) if "mmax" in reads else [None]:
+                yield ("table", name, f"--nmax={nmax}") + (
+                    (f"--mmax={mmax}",) if mmax else ()) + budget
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("argv", list(_width_argvs()), ids=lambda argv: (
+        "-".join(arg for arg in argv[1:] if not arg.startswith("--budget"))))
+    def test_declared_width_is_the_longest_row(self, capsys, monkeypatch,
+                                               argv):
+        # the materializing oracle: hold every row, measure the longest,
+        # then hand the rows on to the streaming grid
+        grid = cli._grid
+        seen = []
+
+        def materialized(names, column, width, rows, total=True):
+            rows = list(rows)
+            seen.append((width, max(len(cells) for _, cells, _ in rows)))
+            return grid(names, column, width, rows, total)
+
+        monkeypatch.setattr("tamari.cli._grid", materialized)
+        status, out, _ = run_cli(capsys, *argv)
+        assert status == 0 and out
+        assert len(seen) == 1
+        declared, longest = seen[0]
+        assert declared == longest
+
+    def test_table_holds_one_row_not_the_table(self):
+        # 300 rows of a(n, k) are about 5 MB of ints as a list (the peak
+        # when every row was held to find the width); streamed through
+        # the spill file, one row and the file's buffer are held
+        with open(os.devnull, "w", encoding="utf-8") as sink, \
+                contextlib.redirect_stdout(sink):
+            cli.main(["table", "a", "--nmax", "1"])  # imports done before
+            tracemalloc.start()
+            try:
+                status = cli.main(["table", "a", "--nmax", "300"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert status == 0
+        assert peak < 2 * 2**20
 
 
 # ===================================================================
@@ -747,6 +848,17 @@ class TestExitStatuses:
         assert status == EXIT_BUDGET
         assert out == ""
         assert err.startswith("tamari: internal_rows(100000) products needs ")
+
+    def test_row_longer_than_its_width_exits_four(self, capsys,
+                                                   monkeypatch):
+        # row 2 of table a grows two cells past the declared width 3
+        term_row = formulas.term_row
+        monkeypatch.setattr("tamari.cli.term_row", lambda term, n: (
+            term_row(term, n) + [0, 0] * (n == 2)))
+        status, out, err = run_cli(capsys, "table", "a", "--nmax", "3")
+        assert (status, out) == (EXIT_VERIFY, "")
+        assert err == ("tamari: self-check failed: a row of 4 cells in a "
+                       "table of width 3\n")
 
     def test_inexact_division_exits_four(self, capsys, monkeypatch):
         # halving the constant of the a list leaves a(n, 0) = 1/2

@@ -1,9 +1,9 @@
 """The public names of the package: tamari.__all__ is exactly the frozen
 list of 38 names, and each one resolves on the package; importing the
 command line loads no dataclasses machinery (its records are named
-tuples), and hashlib only once a command reads the quartic's checksum;
-tamari.series, which only solves and checks, imports no enumerating
-module."""
+tuples), and no command loads hashlib or OpenSSL's _hashlib, not even one
+that checks the quartic's checksum; tamari.series, which only solves and
+checks, imports no enumerating module."""
 
 import ast
 import os
@@ -43,21 +43,22 @@ def test_cli_import_skips_dataclasses():
     assert out.split() == ["False"]
 
 
-def test_cli_loads_hashlib_only_for_the_quartic():
-    # a table that reads no data file leaves OpenSSL unloaded; the
-    # quartic's checksum check loads it
+def test_cli_loads_no_hashlib():
+    # a table that reads no data file, and the suite that checks the
+    # quartic's checksum, both leave OpenSSL unloaded
     code = ("import contextlib, io, sys\n"
             "from tamari.cli import main\n"
             "for argv in (['table', 'm-stats', '--nmax', '3', '--mmax', '2'],"
             " ['verify', 'polynomial', '--order', '3']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        status = main(argv)\n"
-            "    print(status, 'hashlib' in sys.modules)")
+            "    print(status, 'hashlib' in sys.modules,"
+            " '_hashlib' in sys.modules)")
     src = str(Path(tamari.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == ["0", "False", "0", "True"]
+    assert out.split() == ["0", "False", "False", "0", "False", "False"]
 
 
 def _tamari_imports(module: str) -> set:

@@ -4,6 +4,8 @@ Core claims:
     - TruncatedSeries is an immutable exact ring truncated in t:
       operations land on the common order, equality compares up to the
       common order, units invert, calculus behaves
+    - sha256_hex, the quartic's checksum, is hashlib's SHA-256 on the
+      data file, at the padding's edge lengths and on any bytes
     - the quartic data file is checksummed and regular at the origin;
       shifting z by one reproduces the printed face-side quartic
     - the rational parametrization lies on the quartic exactly: with its
@@ -34,14 +36,24 @@ Core claims:
       them fails its self-check
 """
 
+import hashlib
 from fractions import Fraction
+from importlib import resources
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import oracle_one_disagreement
 from tamari import polys
-from tamari.equations import load_quartic, pde_operators
+from tamari.equations import (
+    QUARTIC_RESOURCE,
+    QUARTIC_SHA256,
+    load_quartic,
+    pde_operators,
+    sha256_hex,
+)
 from tamari.formulas import (
     a_formula,
     interval_count_formula,
@@ -198,6 +210,28 @@ def _ppow(a: dict, k: int) -> dict:
     for _ in range(k):
         out = _pmul(out, a)
     return out
+
+
+class TestSha256:
+    """The stdlib digest of the quartic's checksum, against hashlib."""
+
+    def test_data_file_digest(self):
+        raw = resources.files("tamari").joinpath(
+            "data", QUARTIC_RESOURCE).read_bytes()
+        assert sha256_hex(raw) == hashlib.sha256(raw).hexdigest() \
+            == QUARTIC_SHA256
+
+    # one block, the padding's edges (55 + 9 bytes fill one block, 56 do
+    # not) and two blocks
+    @pytest.mark.parametrize("length", [0, 55, 56, 63, 64, 65, 119, 120])
+    def test_padding_lengths(self, length):
+        data = bytes(range(256)) * 2
+        assert sha256_hex(data[:length]) == \
+            hashlib.sha256(data[:length]).hexdigest()
+
+    @given(st.binary(max_size=300))
+    def test_any_bytes(self, data):
+        assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 class TestQuartic:
