@@ -2,107 +2,43 @@
 
 Three independent descriptions of the same series live here:
 
-  * a quartic polynomial equation P(t, z, A) = 0, stored expanded in a
-    checksummed data file so the 34 integer monomials cannot silently rot;
+  * a quartic polynomial equation P(t, z, A) = 0, written out as its 34
+    integer monomials;
   * three differential operators (order <= 3 in each of d/dt, d/dz) that
     annihilate A, stored as term tables (coefficient, #d/dt, #d/dz);
   * a three-term recurrence eta0(n) a~_n + eta1(n) a~_{n+1}
     + eta2(n) a~_{n+2} = 0 on the row polynomials a~_n(z).
 
 The module only holds the data; solving and verifying happen in `series`.
-The quartic's checksum is computed by sha256_hex, a plain FIPS 180-4
-SHA-256, not by hashlib: importing hashlib loads OpenSSL's libcrypto, which
-alone adds about 3.6 MB to the resident memory of a process that hashes
-one 584-byte file.
+The quartic is no fitted guess: z^3·P is the resultant in s of
+t(s+1)(sz+1)^3 - s and X - s + zs^2 + zs^3, the rational parametrization
+that `series.verify_parametrization` substitutes back, and the test suite
+checks that identity term by term.
 """
 from __future__ import annotations
 
-from importlib import resources
-
 from .polys import MonomialPolynomial, ZPolynomial
 
-QUARTIC_RESOURCE = "quartic_root_equation.txt"
-QUARTIC_SHA256 = "fb647cdbafc32f9370c5260b91e88eb5c6a17b78fdc1a9dfbfcbfa1be6c8a114"
-
 
 # ===================================================================
-# the quartic equation (data file + checksum)
+# the quartic equation
 # ===================================================================
 
-# FIPS 180-4: the first 32 bits of the fractional parts of the cube roots
-# of the first 64 primes (round constants) and of the square roots of the
-# first 8 (initial hash value)
-_SHA256_K = (
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+# P(t, z, X) as rows (t-exponent, z-exponent, X-exponent, coefficient).
+# Its unique power-series root X(t, z) with X(0, z) = 0 collects the
+# Tamari intervals of size n in [t^n], refined by z^(descents of the lower
+# tree + ascents of the upper tree).
+QUARTIC = (
+    (0, 0, 1, 1), (1, 0, 0, -1), (1, 0, 1, -3), (1, 1, 1, -12),
+    (1, 2, 1, 1), (1, 2, 2, 3), (2, 0, 0, 2), (2, 0, 1, 3),
+    (2, 1, 0, 10), (2, 1, 1, 6), (2, 2, 0, -1), (2, 2, 1, 26),
+    (2, 2, 2, 21), (2, 3, 1, -10), (2, 3, 2, -6), (2, 4, 2, 2),
+    (2, 4, 3, 3), (3, 0, 0, -1), (3, 0, 1, -1), (3, 1, 0, 6),
+    (3, 1, 1, 6), (3, 2, 0, -12), (3, 2, 1, -9), (3, 2, 2, 3),
+    (3, 3, 0, 8), (3, 3, 1, -4), (3, 3, 2, -12), (3, 4, 1, 12),
+    (3, 4, 2, 9), (3, 4, 3, -3), (3, 5, 2, 6), (3, 5, 3, 6),
+    (3, 6, 3, 1), (3, 6, 4, 1),
 )
-_SHA256_H = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
-
-
-def sha256_hex(data: bytes) -> str:
-    """The SHA-256 digest of data as 64 hex digits (FIPS 180-4)."""
-    mask = 0xFFFFFFFF
-
-    def rotr(x: int, n: int) -> int:
-        return (x >> n | x << (32 - n)) & mask
-
-    # pad with a 1 bit, zeros, and the bit length: whole 64-byte blocks
-    padded = (data + b"\x80" + bytes(-(len(data) + 9) % 64)
-              + (8 * len(data)).to_bytes(8, "big"))
-    state = _SHA256_H
-    for start in range(0, len(padded), 64):
-        w = [int.from_bytes(padded[i:i + 4], "big")
-             for i in range(start, start + 64, 4)]
-        for i in range(16, 64):
-            x, y = w[i - 15], w[i - 2]
-            w.append((w[i - 16] + w[i - 7]
-                      + (rotr(x, 7) ^ rotr(x, 18) ^ x >> 3)
-                      + (rotr(y, 17) ^ rotr(y, 19) ^ y >> 10)) & mask)
-        a, b, c, d, e, f, g, h = state
-        for k, word in zip(_SHA256_K, w):
-            t1 = (h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25))
-                  + (e & f ^ ~e & g) + k + word)
-            t2 = ((rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22))
-                  + (a & b ^ a & c ^ b & c))
-            a, b, c, d, e, f, g, h = ((t1 + t2) & mask, a, b, c,
-                                      (d + t1) & mask, e, f, g)
-        state = tuple((s + v) & mask
-                      for s, v in zip(state, (a, b, c, d, e, f, g, h)))
-    return "".join(f"{s:08x}" for s in state)
-
-
-def load_quartic() -> dict:
-    """{(t_exp, z_exp, x_exp): coefficient} for the quartic P(t, z, X)."""
-    raw = resources.files(__package__).joinpath(
-        "data", QUARTIC_RESOURCE).read_bytes()
-    digest = sha256_hex(raw)
-    if digest != QUARTIC_SHA256:
-        raise RuntimeError(
-            f"corrupted {QUARTIC_RESOURCE}: sha256 {digest}")
-    coeffs: dict = {}
-    for line in raw.decode().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise RuntimeError(f"malformed quartic line: {line!r}")
-        a, b, c, value = map(int, fields)
-        if (a, b, c) in coeffs:
-            raise RuntimeError(f"duplicate quartic monomial: {line!r}")
-        coeffs[(a, b, c)] = value
-    if max(c for (_, _, c) in coeffs) != 4:
-        raise RuntimeError("quartic data lost its X^4 term")
-    return coeffs
 
 
 # ===================================================================

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .equations import load_quartic, pde_operators
+from .equations import QUARTIC, pde_operators
 from .formulas import binomial
 from .polys import MonomialPolynomial, ZPolynomial, _add_product
 
@@ -249,7 +249,7 @@ def substitute(poly: MonomialPolynomial, x: TruncatedSeries
 
 def quartic_equation() -> MonomialPolynomial:
     """The degree-4 equation satisfied by the interval series A(t, z)."""
-    return MonomialPolynomial(3, load_quartic())
+    return MonomialPolynomial(3, {(i, j, k): c for i, j, k, c in QUARTIC})
 
 
 def newton_solve(eq: MonomialPolynomial, order: int) -> TruncatedSeries:
@@ -292,7 +292,7 @@ def lagrange_coeff(phi: MonomialPolynomial, n: int, r: int) -> dict:
 # rational parametrization of the quartic
 # ===================================================================
 
-def cleared_parametrization() -> MonomialPolynomial:
+def cleared_parametrization(quartic: MonomialPolynomial) -> MonomialPolynomial:
     """D^d·P(s/D, z, X) on the curve t = s/D, X = s - zs^2 - zs^3, with
     D = (s+1)(sz+1)^3 and d the t-degree of the quartic P: the polynomial
     sum of c·s^i·D^(d-i)·z^j·X^k over the terms c·t^i z^j X^k of P, in
@@ -300,7 +300,7 @@ def cleared_parametrization() -> MonomialPolynomial:
     s, z = MonomialPolynomial.variables(2)
     den = (s + 1) * (s * z + 1) ** 3
     x = s - z * s**2 - z * s**3
-    terms = quartic_equation().terms
+    terms = quartic.terms
     degree = max(i for i, _, _ in terms)
     total = MonomialPolynomial(2, {})
     for (i, j, k), c in terms.items():
@@ -308,11 +308,11 @@ def cleared_parametrization() -> MonomialPolynomial:
     return total
 
 
-def verify_parametrization() -> bool:
+def verify_parametrization(quartic: MonomialPolynomial) -> bool:
     """P(t(s), z, X(s)) = 0 exactly, so mod every power of s and at every
     z: the cleared sum of cleared_parametrization is the zero polynomial,
     and D is a unit of Q[z][[s]]."""
-    return not cleared_parametrization().terms
+    return not cleared_parametrization(quartic).terms
 
 
 # ===================================================================

@@ -2,8 +2,10 @@
 Schröder trees among them), tree shapes, sizes and builders, face
 dimensions, the grafting decomposition of a Tamari interval, and the
 closed count formulas written out in binomials and factorials, the oracle
-of the Gamma-factor lists in tamari.formulas."""
+of the Gamma-factor lists in tamari.formulas, and a Sylvester resultant
+that derives the quartic of tamari.equations."""
 
+from functools import cache
 from math import comb, factorial
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from tamari.lattice import all_trees, intervals
 from tamari.paths import within_budget
+from tamari.polys import MonomialPolynomial
 from tamari.trees import tamari_leq
 
 LEAF = None
@@ -66,6 +69,43 @@ def oracle_one_disagreement(n: int, p: int) -> int:
         return 0
     return _quotient(oracle_separated(n, p) * 3 * (2 * n - 1) * (n - 1 - p)
                      * (n - p), 2 * (2 * n - 1 - p) * (2 * p + 3))
+
+
+def resultant(f: MonomialPolynomial, g: MonomialPolynomial,
+              var: int) -> MonomialPolynomial:
+    """Res_var(f, g): the determinant of the Sylvester matrix of f and g
+    in variable var, by cofactor expansion down its rows, memoised on the
+    columns left, so with no division."""
+    def coefficients(p):
+        # the coefficient of each power of var, highest first
+        by_power: dict = {}
+        for expo, c in p.terms.items():
+            rest = expo[:var] + (0,) + expo[var + 1:]
+            by_power.setdefault(expo[var], {})[rest] = c
+        return [MonomialPolynomial(p.nvars, by_power.get(d))
+                for d in range(max(by_power), -1, -1)]
+
+    a, b = coefficients(f), coefficients(g)
+    m, n = len(a) - 1, len(b) - 1
+    zero = MonomialPolynomial(f.nvars)
+    rows = ([[zero] * i + a + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + b + [zero] * (m - 1 - i) for i in range(m)])
+
+    @cache
+    def minor(columns: tuple) -> MonomialPolynomial:
+        # the determinant of the last len(columns) rows on these columns
+        if not columns:
+            return MonomialPolynomial.constant(f.nvars, 1)
+        row = rows[len(rows) - len(columns)]
+        total = zero
+        for place, column in enumerate(columns):
+            if row[column].terms:
+                term = row[column] * minor(columns[:place]
+                                           + columns[place + 1:])
+                total = total - term if place % 2 else total + term
+        return total
+
+    return minor(tuple(range(m + n)))
 
 
 def oracle_m_intervals(m: int, n: int) -> int:

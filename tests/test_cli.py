@@ -41,8 +41,10 @@ Core claims:
       face-dims on those of their canopy solve, which the default budget
       admits to n = 20), 4 verification or self-check failure
       (an inexact division included, a ratio row from a wrong start
-      among them, a wrong coefficient in the canopy solve, and a row
-      longer than its table's declared width); exits 3
+      among them, a wrong coefficient in the canopy solve, a row
+      longer than its table's declared width, a nonzero Newton
+      residual, and one raised coefficient of the quartic, which turns
+      exactly the polynomial checks that read it red); exits 3
       and 4,
       and a build that fails part-way, leave an existing --out file as
       it was;
@@ -906,12 +908,24 @@ class TestExitStatuses:
         assert target.read_bytes() == b"earlier contents\n"
 
     def test_failed_self_check_exits_four(self, capsys, monkeypatch):
-        monkeypatch.setattr("tamari.equations.QUARTIC_SHA256", "0" * 64)
-        status, out, err = run_cli(capsys, "verify", "polynomial",
-                                   "--order", "3")
-        assert status == EXIT_VERIFY
-        assert out == ""
-        assert "corrupted" in err and len(err.splitlines()) == 1
+        # one coefficient of the quartic raised by one turns exactly the
+        # checks that read it red: a term of high t-degree leaves the low
+        # rows of the root as they were
+        closed_form = "coefficients-match-closed-form n<=3"
+        curve = "parametrization-annihilates-mod-s^6"
+        for term, red in (((1, 0, 0), [closed_form, curve]),
+                          ((0, 0, 1), [closed_form, curve]),
+                          ((2, 2, 2), [curve]),
+                          ((3, 6, 4), [curve])):
+            with monkeypatch.context() as patch:
+                patch.setattr("tamari.series.QUARTIC", tuple(
+                    (i, j, k, c + ((i, j, k) == term))
+                    for i, j, k, c in series.QUARTIC))
+                status, out, err = run_cli(capsys, "verify", "polynomial",
+                                           "--order", "3")
+            assert (status, err) == (EXIT_VERIFY, ""), term
+            assert [entry["name"] for entry in json.loads(out)["checks"]
+                    if not entry["ok"]] == red, term
 
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     @pytest.mark.parametrize("command", [
@@ -1022,8 +1036,19 @@ class TestExitStatuses:
     ], ids=lambda value: value[1] if isinstance(value, tuple) else None)
     def test_failed_run_keeps_an_existing_out_file(self, capsys, monkeypatch,
                                                    tmp_path, argv, status):
-        # the corrupted checksum fails the polynomial suite's self-check
-        monkeypatch.setattr("tamari.equations.QUARTIC_SHA256", "0" * 64)
+        if argv[1] == "polynomial":
+            # Newton's quotient one too high at the last power: the root's
+            # residual self-check raises inside the suite, before the
+            # report is written
+            div_by_unit = TruncatedSeries.div_by_unit
+
+            def off_at_the_top(numerator, den):
+                quotient = div_by_unit(numerator, den)
+                return quotient + TruncatedSeries.one(
+                    quotient.order).mul_t(quotient.order)
+
+            monkeypatch.setattr(TruncatedSeries, "div_by_unit",
+                                off_at_the_top)
         target = tmp_path / "out.txt"
         target.write_bytes(b"earlier contents\n")
         assert run_cli(capsys, *argv, "--out", str(target))[:2] == (status,

@@ -1,9 +1,10 @@
 """The public names of the package: tamari.__all__ is exactly the frozen
 list of 38 names, and each one resolves on the package; importing the
 command line loads no dataclasses machinery (its records are named
-tuples), and no command loads hashlib or OpenSSL's _hashlib, not even one
-that checks the quartic's checksum; tamari.series, which only solves and
-checks, imports no enumerating module."""
+tuples), and no command loads hashlib or OpenSSL's _hashlib, not even the
+suite that checks the quartic; tamari.series, which only solves and
+checks, imports no enumerating module, and tamari.equations, which holds
+its data as literals, imports nothing but tamari.polys."""
 
 import ast
 import os
@@ -44,8 +45,8 @@ def test_cli_import_skips_dataclasses():
 
 
 def test_cli_loads_no_hashlib():
-    # a table that reads no data file, and the suite that checks the
-    # quartic's checksum, both leave OpenSSL unloaded
+    # a table, and the suite that checks the quartic, both leave OpenSSL
+    # unloaded
     code = ("import contextlib, io, sys\n"
             "from tamari.cli import main\n"
             "for argv in (['table', 'm-stats', '--nmax', '3', '--mmax', '2'],"
@@ -84,3 +85,15 @@ def test_series_imports_no_enumeration():
     # the checks against enumeration take their rows from the verify
     # suites, so the series module reads neither engine module
     assert _tamari_imports("series") == {"equations", "formulas", "polys"}
+
+
+def test_equations_imports_only_polys():
+    # the frozen data are source literals: no file read, no digest
+    path = Path(tamari.__file__).with_name("equations.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+    assert found == {"__future__", ".polys"}

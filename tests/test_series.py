@@ -4,10 +4,12 @@ Core claims:
     - TruncatedSeries is an immutable exact ring truncated in t:
       operations land on the common order, equality compares up to the
       common order, units invert, calculus behaves
-    - sha256_hex, the quartic's checksum, is hashlib's SHA-256 on the
-      data file, at the padding's edge lengths and on any bytes
-    - the quartic data file is checksummed and regular at the origin;
-      shifting z by one reproduces the printed face-side quartic
+    - the quartic is derived, not trusted: the resultant in s of the
+      rational parametrization t(s+1)(sz+1)^3 - s, X - s + zs^2 + zs^3
+      is z^3 times it, term by term, and one changed coefficient of
+      either side breaks the equality; its 34 terms reach X^4 and it is
+      regular at the origin; shifting z by one reproduces the printed
+      face-side quartic
     - the rational parametrization lies on the quartic exactly: with its
       denominator cleared, the substitution is the zero polynomial
     - newton_solve extracts the interval series: its rows are the
@@ -36,24 +38,14 @@ Core claims:
       them fails its self-check
 """
 
-import hashlib
 from fractions import Fraction
-from importlib import resources
 from math import comb
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from conftest import oracle_one_disagreement
+from conftest import oracle_one_disagreement, resultant
 from tamari import polys
-from tamari.equations import (
-    QUARTIC_RESOURCE,
-    QUARTIC_SHA256,
-    load_quartic,
-    pde_operators,
-    sha256_hex,
-)
+from tamari.equations import pde_operators
 from tamari.formulas import (
     a_formula,
     interval_count_formula,
@@ -212,36 +204,47 @@ def _ppow(a: dict, k: int) -> dict:
     return out
 
 
-class TestSha256:
-    """The stdlib digest of the quartic's checksum, against hashlib."""
+def parametrization_resultant(bump_f: int = 0, bump_g: int = 0):
+    """Res_s(t(s+1)(sz+1)^3 - s, X - s + zs^2 + zs^3) in (t, z, X, s),
+    with bump_f added to the coefficient t of the first and bump_g to the
+    coefficient z of s^3 in the second."""
+    t, z, x, s = MonomialPolynomial.variables(4)
+    f = t * (s + 1) * (s * z + 1) ** 3 + bump_f * t - s
+    g = x - s + z * s**2 + (1 + bump_g) * z * s**3
+    return resultant(f, g, 3)
 
-    def test_data_file_digest(self):
-        raw = resources.files("tamari").joinpath(
-            "data", QUARTIC_RESOURCE).read_bytes()
-        assert sha256_hex(raw) == hashlib.sha256(raw).hexdigest() \
-            == QUARTIC_SHA256
 
-    # one block, the padding's edges (55 + 9 bytes fill one block, 56 do
-    # not) and two blocks
-    @pytest.mark.parametrize("length", [0, 55, 56, 63, 64, 65, 119, 120])
-    def test_padding_lengths(self, length):
-        data = bytes(range(256)) * 2
-        assert sha256_hex(data[:length]) == \
-            hashlib.sha256(data[:length]).hexdigest()
-
-    @given(st.binary(max_size=300))
-    def test_any_bytes(self, data):
-        assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+def z_cubed_times(quartic: MonomialPolynomial) -> MonomialPolynomial:
+    """z^3·P(t, z, X) in (t, z, X, s)."""
+    return MonomialPolynomial(4, {(i, j + 3, k, 0): c
+                                  for (i, j, k), c in quartic.terms.items()})
 
 
 class TestQuartic:
-    def test_data_file_checksummed(self):
-        coeffs = load_quartic()
+    def test_quartic_is_the_resultant_of_the_parametrization(self):
+        # the curve t = s/((s+1)(sz+1)^3), X = s - zs^2 - zs^3 eliminated
+        assert parametrization_resultant().terms == \
+            z_cubed_times(quartic_equation()).terms
+
+    @pytest.mark.parametrize("bump_f, bump_g, term", [
+        (1, 0, None), (0, 1, None),
+        (0, 0, (1, 0, 0)), (0, 0, (2, 2, 2)), (0, 0, (3, 6, 4)),
+    ])
+    def test_resultant_negative_control(self, bump_f, bump_g, term):
+        # one changed coefficient of the parametrization, or of the
+        # quartic, breaks the equality
+        terms = dict(quartic_equation().terms)
+        if term is not None:
+            terms[term] += 1
+        assert parametrization_resultant(bump_f, bump_g).terms != \
+            z_cubed_times(MonomialPolynomial(3, terms)).terms
+
+    def test_literal_has_34_terms_to_x_to_the_fourth(self):
+        coeffs = quartic_equation().terms
         assert len(coeffs) == 34
         assert max(k for (_, _, k) in coeffs) == 4
         # regular at the origin: the only t-free term of X-degree <= 1 is X
-        assert {e for e in quartic_equation().terms
-                if e[0] == 0 and e[2] <= 1} == {(0, 0, 1)}
+        assert {e for e in coeffs if e[0] == 0 and e[2] <= 1} == {(0, 0, 1)}
 
     def test_shift_roundtrip(self):
         eq = quartic_equation()
@@ -412,21 +415,19 @@ class TestLagrange:
 
 class TestVerifiers:
     def test_parametrization(self):
-        assert verify_parametrization()
+        assert verify_parametrization(quartic_equation())
 
     def test_cleared_parametrization_is_exactly_zero(self):
         # untruncated: the curve lies on the quartic at every order, all z
-        cleared = cleared_parametrization()
+        cleared = cleared_parametrization(quartic_equation())
         assert cleared.truncation is None
         assert cleared.terms == {}
 
-    def test_parametrization_negative_control(self, monkeypatch):
+    def test_parametrization_negative_control(self):
         # one changed coefficient must leave a residual
         terms = dict(quartic_equation().terms)
         terms[(3, 6, 4)] += 1
-        monkeypatch.setattr("tamari.series.quartic_equation",
-                            lambda: MonomialPolynomial(3, terms))
-        assert not verify_parametrization()
+        assert not verify_parametrization(MonomialPolynomial(3, terms))
 
     def test_catalytic(self):
         assert catalytic_equation_check(8, contact_rows(8))
