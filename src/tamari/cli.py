@@ -580,14 +580,24 @@ def _suite_decompositions(nmax: int, mode, budget):
 
 
 def _suite_internal_cross(nmax: int, budget):
+    """The classification formula against the faces tested one by one,
+    both read off the interval walk, and against the face-rows recursion,
+    which reads b(n, k) alone, so a fault in the walk shows."""
+    face_rows = None
     for n in _rows("verify internal-cross", nmax, "diagonal_faces({})",
                    face_count_formula, budget):
+        # built once _rows has refused the largest face count
+        face_rows = face_rows or internal_rows(nmax)
         by_formula = internal_fvector(n, budget)
         by_faces = internal_fvector_direct(n, budget)
         yield (f"classification-vs-contractions n={n}",
                by_formula == by_faces,
                {"formula": [str(c) for c in by_formula],
                 "direct": [str(c) for c in by_faces]})
+        yield (f"classification-vs-face-rows n={n}",
+               by_formula == face_rows[n - 1],
+               {"formula": [str(c) for c in by_formula],
+                "face-rows": [str(c) for c in face_rows[n - 1]]})
         yield (f"vertex-count-closed-form n={n}",
                by_formula[0] == new_interval_formula(n),
                {"enumerated": str(by_formula[0]),

@@ -10,10 +10,16 @@ fiber is the product of the lower tree's descent contractions and the
 upper tree's ascent contractions.  These faces are the test oracle of
 `table face-dims`, which reads them by dimensions off series.canopy_rows.
 
+Every f-vector here is a polynomial in z, built with polys.ZPolynomial:
+a tally of face dimensions is sum_d z^d, and the diagonal's f-vector is
+the interval histogram shifted to z + 1.
+
 Internality is computed two independent ways that the tests compare:
 
-  * the per-interval edge classification (free/tied/constrained) feeding
-    the closed summation formula.  internal_fvector reads it off span
+  * the per-interval edge classification: an interval with `free` free
+    edges, `tied` tied edges and `cons` constrained pairs has internal
+    faces z^(tied+cons)·(z+2)^cons·(1+z)^free by dimension, the class
+    product internal_fvector sums.  It reads the classes off span
     bitmasks (trees.span_masks, computed once per tree), three popcounts
     per interval; classify_edges, on frozensets of spans, is its oracle;
     and
@@ -26,8 +32,8 @@ Internality is computed two independent ways that the tests compare:
 """
 from __future__ import annotations
 
-from math import comb
-from typing import Iterator, NamedTuple
+from collections import Counter
+from typing import Iterable, Iterator, NamedTuple
 
 from .formulas import face_count_formula
 from .lattice import _interval_walk, interval_histogram
@@ -107,22 +113,30 @@ def diagonal_faces(n: int, budget=None) -> Iterator[DiagonalFace]:
                 yield DiagonalFace(f, g, f_dim + g_dim)
 
 
+def _dims_tally(dims: Iterable[int]) -> ZPolynomial:
+    """sum_d z^d over the dimensions d."""
+    return ZPolynomial.from_pairs(Counter(dims).items())
+
+
+def _fvector(p: ZPolynomial, n: int) -> list:
+    """The coefficients of p, padded with zeros to the n dimensions
+    0..n-1; a longer p is returned whole, so a wrong count shows."""
+    return list(p.coeffs) + [0] * (n - len(p.coeffs))
+
+
 def diagonal_fvector(n: int, budget=None) -> list:
     """Face counts by dimension: entry k = sum over intervals of C(k', k)
     with k' = des(s)+asc(t): the interval histogram as a polynomial in z,
     shifted to z + 1."""
     if n < 1:
         raise ValueError("diagonal_fvector() requires n >= 1")
-    fvector = ZPolynomial(interval_histogram(n, budget)).shift_z(1).coeffs
-    return list(fvector) + [0] * (n - len(fvector))
+    return _fvector(ZPolynomial(interval_histogram(n, budget)).shift_z(1), n)
 
 
 def diagonal_fvector_direct(n: int, budget=None) -> list:
     """Face counts by dimension, tallied face by face (slow cross-check)."""
-    out = [0] * n
-    for face in diagonal_faces(n, budget):
-        out[face.dim] += 1
-    return out
+    return _fvector(_dims_tally(
+        face.dim for face in diagonal_faces(n, budget)), n)
 
 
 # ===================================================================
@@ -149,13 +163,16 @@ def _classify_masks(lower: tuple, upper: tuple) -> tuple:
     """(free, tied, constrained) from the span_masks of s and of t.
 
     The same classification as classify_edges.  A tree's descent and
-    ascent spans are disjoint, so each count is one popcount.
+    ascent spans are disjoint, so each count is one popcount.  Only the
+    interval walk feeds it, so a pair that is no interval is a failed
+    self-check, a RuntimeError.
     """
     s_descents, s_ascents = lower
     t_descents, t_ascents = upper
     if s_ascents & t_descents:
-        raise ValueError("not an interval: an ascent span of the lower tree "
-                         "reappears as a descent span of the upper tree")
+        raise RuntimeError("not an interval: an ascent span of the lower "
+                           "tree reappears as a descent span of the upper "
+                           "tree")
     free = ((s_descents ^ t_ascents) & ~(t_descents | s_ascents)).bit_count()
     tied = ((s_descents & t_descents) | (s_ascents & t_ascents)).bit_count()
     return free, tied, (s_descents & t_ascents).bit_count()
@@ -164,24 +181,22 @@ def _classify_masks(lower: tuple, upper: tuple) -> tuple:
 def internal_fvector(n: int, budget=None) -> list:
     """Internal face counts by dimension, by the classification formula:
 
-    the interval (s, t) contributes sum_i 2^i C(cons, i) C(free, j) to
-    dimension tied + 2·cons - i + j.  Intervals are tallied by their
-    (free, tied, cons) triple first, so the sum runs once per triple.
+    the interval (s, t) with (free, tied, cons) edge classes has internal
+    faces z^(tied+cons)·(z+2)^cons·(1+z)^free by dimension: each tied
+    edge is contracted, each free edge is contracted or not, and each
+    constrained pair has both of its edges contracted or one of the two,
+    z^2 + 2z.  Intervals are tallied by their class triple first, so the
+    product is built once per triple.
     """
     if n < 1:
         raise ValueError("internal_fvector() requires n >= 1")
-    triples: dict = {}
-    for lower, upper, _, _ in _interval_walk(n, budget, span_masks):
-        key = _classify_masks(lower, upper)
-        triples[key] = triples.get(key, 0) + 1
-    out = [0] * n
-    for (free, tied, constrained), count in triples.items():
-        base = tied + 2 * constrained
-        for i in range(constrained + 1):
-            weight = count * (1 << i) * comb(constrained, i)
-            for j in range(free + 1):
-                out[base - i + j] += weight * comb(free, j)
-    return out
+    triples = Counter(_classify_masks(lower, upper) for lower, upper, _, _
+                      in _interval_walk(n, budget, span_masks))
+    return _fvector(sum((ZPolynomial.monomial(tied + cons, count)
+                         * ZPolynomial.monomial(cons).shift_z(2)
+                         * ZPolynomial.monomial(free).shift_z(1)
+                         for (free, tied, cons), count in triples.items()),
+                        ZPolynomial.zero()), n)
 
 
 def is_internal_face(f: SchroederTree, g: SchroederTree) -> bool:
@@ -192,11 +207,9 @@ def is_internal_face(f: SchroederTree, g: SchroederTree) -> bool:
 
 def internal_fvector_direct(n: int, budget=None) -> list:
     """Internal face counts by dimension, tested face by face."""
-    out = [0] * n
-    for face in diagonal_faces(n, budget):
-        if is_internal_face(face.f, face.g):
-            out[face.dim] += 1
-    return out
+    return _fvector(_dims_tally(
+        face.dim for face in diagonal_faces(n, budget)
+        if is_internal_face(face.f, face.g)), n)
 
 
 # ===================================================================
@@ -214,9 +227,9 @@ def _assign_vertices(face: DiagonalFace, mode: str) -> tuple:
 
 def _is_boolean_fiber(dims: list) -> bool:
     """True iff the dimension polynomial sum_d z^d is z^d0 (1+z)^r."""
-    base = min(dims)
-    return (ZPolynomial.from_pairs((d - base, 1) for d in dims)
-            == ZPolynomial.monomial(max(dims) - base).shift_z(1))
+    base, tally = min(dims), _dims_tally(dims)
+    return (ZPolynomial(tally.coeffs[base:])
+            == ZPolynomial.monomial(tally.degree() - base).shift_z(1))
 
 
 def decomposition_report(n: int, mode: str, budget=None) -> dict:
@@ -230,25 +243,19 @@ def decomposition_report(n: int, mode: str, budget=None) -> dict:
         raise ValueError(f"unknown mode {mode!r}; "
                          f"expected one of {DECOMPOSITION_MODES}")
     fibers: dict = {}
-    fvector = [0] * n
     for face in diagonal_faces(n, budget):
         key = tuple(serialize(v) for v in _assign_vertices(face, mode))
         fibers.setdefault(key, []).append(face.dim)
-        fvector[face.dim] += 1
-    non_boolean = []
-    for key in sorted(fibers):
-        dims = fibers[key]
-        if not _is_boolean_fiber(dims):
-            histogram: dict = {}
-            for d in dims:
-                histogram[d] = histogram.get(d, 0) + 1
-            non_boolean.append({"vertices": list(key),
-                                "dims": {str(d): histogram[d]
-                                         for d in sorted(histogram)}})
+    non_boolean = [
+        {"vertices": list(key),
+         "dims": {str(d): c for d, c
+                  in enumerate(_dims_tally(fibers[key]).coeffs) if c}}
+        for key in sorted(fibers) if not _is_boolean_fiber(fibers[key])]
     return {
         "n": n,
         "mode": mode,
-        "fvector": fvector,
+        "fvector": _fvector(_dims_tally(
+            d for dims in fibers.values() for d in dims), n),
         "fiber_count": len(fibers),
         "all_boolean": not non_boolean,
         "non_boolean_fibers": non_boolean,

@@ -41,7 +41,7 @@ owed to a later word stay alive.  Most of those ORs add no bit, so a
 gathering slot keeps whichever object already is the union, its own or
 the pushed one: equal masks stay one object instead of piling up as
 copies (at slope 3 and n = 7, 205,569 rows hold 75,249 values in
-77,036 objects, where storing each OR made 205,433).  Every view frees
+77,036 objects).  Every view frees
 the words before the first window, once it has read them into its keys
 or values.  Every statistics table is the one tally _tally over the
 windows: per upper key, a binary counter per element of the window held

@@ -161,19 +161,6 @@ def canopy(t: BinaryTree) -> str:
     return "".join("-" if empty else "+" for empty in flags[:-1])
 
 
-def agree(s: BinaryTree, t: BinaryTree) -> int:
-    """Number of positions where the canopies of s and t coincide.
-
-    For s <= t this equals des(s) + asc(t): agreements split into both-plus
-    positions (the descents of s) and both-minus positions (the ascents
-    of t).
-    """
-    cs, ct = canopy(s), canopy(t)
-    if len(cs) != len(ct):
-        raise ValueError("tree sizes differ")
-    return sum(a == b for a, b in zip(cs, ct))
-
-
 # ===================================================================
 # left branch
 # ===================================================================

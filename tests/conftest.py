@@ -1,9 +1,10 @@
 """Shared test helpers: hypothesis strategies, exhaustive pools (the
 Schröder trees among them), tree shapes, sizes and builders, face
-dimensions, the grafting decomposition of a Tamari interval, and the
-closed count formulas written out in binomials and factorials, the oracle
-of the Gamma-factor lists in tamari.formulas, and a Sylvester resultant
-that derives the quartic of tamari.equations."""
+dimensions, the canopy agreement count of two trees, the grafting
+decomposition of a Tamari interval, and the closed count formulas
+written out in binomials and factorials, the oracle of the Gamma-factor
+lists in tamari.formulas, and a Sylvester resultant that derives the
+quartic of tamari.equations."""
 
 from functools import cache
 from math import comb, factorial
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from tamari.lattice import all_trees, intervals
 from tamari.paths import within_budget
 from tamari.polys import MonomialPolynomial
-from tamari.trees import tamari_leq
+from tamari.trees import canopy, tamari_leq
 
 LEAF = None
 SINGLE_NODE = (None, None)
@@ -233,6 +234,19 @@ def right_comb(n: int):
 def corolla(n: int) -> tuple:
     """The Schröder tree with a single internal node and n+1 leaves."""
     return (None,) * (n + 1)
+
+
+def agree(s, t) -> int:
+    """Number of positions where the canopies of s and t coincide.
+
+    For s <= t this equals des(s) + asc(t): agreements split into both-plus
+    positions (the descents of s) and both-minus positions (the ascents
+    of t).
+    """
+    cs, ct = canopy(s), canopy(t)
+    if len(cs) != len(ct):
+        raise ValueError("tree sizes differ")
+    return sum(a == b for a, b in zip(cs, ct))
 
 
 def graft_left(s, s2):

@@ -29,6 +29,12 @@ Core claims:
       under golden/ byte for byte; verify pde names the power of t its
       residual is zero modulo (t^10 at --order 11); verify catalytic and
       fusy-humbert announce each row they enumerate from n = 7
+    - planted faults in the interval walk (its first strict interval at
+      each n >= 3 dropped, its ends swapped, or replaced by a pair that
+      is no interval) make verify internal-cross, euler and
+      decompositions exit 4 with a pinned red set, or with the walk
+      guard's self-check message, never with a traceback; internal-cross
+      sees the first two only through its face-rows route
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
       minimum, a zero budget named by its source and value, an --out
@@ -75,7 +81,7 @@ from tamari.cli import (
 )
 from tamari.diagonal import decomposition_report
 from tamari.formulas import interval_count_formula
-from tamari.paths import _ballot_lattice, cover_table
+from tamari.paths import _ballot_lattice, _walk, cover_table, tree_to_dyck
 from tamari.series import TruncatedSeries, newton_solve
 from tamari.trees import canopy, serialize
 
@@ -688,6 +694,92 @@ class TestVerify:
         assert out == ""
         report = json.loads(target.read_text(encoding="utf-8"))
         assert report["ok"] is True
+
+
+# ===================================================================
+# planted faults in the interval walk
+# ===================================================================
+
+def _no_interval(n: int) -> tuple:
+    """Ballot words of two trees on n >= 3 nodes that are no interval: the
+    span (1, 2) is a left child in the first and a right child in the
+    second, which the walk's guard refuses."""
+    rest = right_comb(n - 3)
+    return tuple(tree_to_dyck(t).translate(str.maketrans("UD", "NE"))
+                 for t in ((None, ((None, None), rest)),
+                           ((None, (None, None)), rest)))
+
+
+def _planted_walk(fault: str):
+    """paths._walk with one fault at its first strict interval for each
+    n >= 3: dropped, its ends swapped, or replaced by _no_interval(n)."""
+    def walk(m, n, budget, element):
+        values = {}
+
+        def keep(word):
+            values[word] = element(word)
+            return word
+
+        pending = n >= 3
+        for s, t, down, up in _walk(m, n, budget, keep):
+            if pending and s != t:
+                pending = False
+                if fault == "drop":
+                    continue
+                s, t = (t, s) if fault == "swap" else _no_interval(n)
+            yield values[s], values[t], down, up
+    return walk
+
+
+def _at(names, ns) -> set:
+    """The check names of each name at each n."""
+    return {f"{name} n={n}" for name in names for n in ns}
+
+
+# every mode's f-vector check and max-max's boolean check at n = 3, 4; a
+# dropped interval also loses a max-min fiber
+DECOMPOSITION_REDS = _at([f"fvector-agrees mode={mode}" for mode in (
+    "min-min", "max-min", "min-max", "max-max")], (3, 4)) | _at(
+    ["all-fibers-boolean mode=max-max"], (3, 4))
+PLANTED_FAULTS = [
+    ("drop", "internal-cross",
+     _at(["classification-vs-face-rows"], (3, 4, 5))),
+    ("drop", "euler", _at(["internal-alternating-sum"], range(3, 8))),
+    ("drop", "decompositions", DECOMPOSITION_REDS
+     | _at(["one-fiber-per-interval mode=max-min"], (3, 4))),
+    ("swap", "internal-cross",
+     _at(["classification-vs-face-rows"], (3, 4, 5))),
+    ("swap", "euler", _at(["internal-alternating-sum"], range(3, 8))),
+    ("swap", "decompositions", DECOMPOSITION_REDS),
+    # the classification refuses the pair: a failed self-check, no report
+    ("guard", "internal-cross", None),
+    ("guard", "euler", None),
+    # the faces have no guard: the pair's fiber is counted
+    ("guard", "decompositions", DECOMPOSITION_REDS
+     | {"all-fibers-boolean mode=min-min n=4"}),
+]
+
+
+class TestPlantedWalkFaults:
+    @pytest.mark.parametrize("fault, suite, red", PLANTED_FAULTS,
+                             ids=[f"{fault}-{suite}"
+                                  for fault, suite, _ in PLANTED_FAULTS])
+    def test_walk_fault_turns_checks_red(self, capsys, monkeypatch, fault,
+                                         suite, red):
+        # the classification-vs-contractions check reads the walk on both
+        # sides, so only a route that reads no walk sees such a fault
+        monkeypatch.setattr("tamari.lattice._walk", _planted_walk(fault))
+        status, out, err = run_cli(capsys, "verify", suite)
+        assert status == EXIT_VERIFY
+        assert "Traceback" not in err
+        if red is None:
+            assert out == ""
+            assert err == ("tamari: self-check failed: not an interval: an "
+                           "ascent span of the lower tree reappears as a "
+                           "descent span of the upper tree\n")
+        else:
+            assert {entry["name"] for entry in json.loads(out)["checks"]
+                    if not entry["ok"]} == red
 
 
 # ===================================================================

@@ -12,7 +12,8 @@ Core claims:
       an ascent span of the lower tree never reappears as a descent span
       of the upper tree on intervals, and classify_edges rejects pairs
       violating that; the span-bitmask route internal_fvector reads gives
-      the same classification and rejects the same pairs
+      the same classification and refuses the same pairs as a failed
+      self-check (RuntimeError), since only the interval walk feeds it
     - internal faces by the classification formula agree with the direct
       shared-facet filter (n <= 6, n = 7 extended) and frozen rows; the
       direct filter, by internal edge spans, equals the test for a shared
@@ -276,13 +277,14 @@ class TestClassification:
 
     def test_rejects_forbidden_span_pattern(self):
         # (1,2) is an ascent span of s and a descent span of t: such a
-        # pair can never be an interval, and classify_edges says why
+        # pair can never be an interval, and classify_edges says why; the
+        # mask route, fed only by the interval walk, fails its self-check
         s = parse_tree("(,((,),))")
         t = parse_tree("((,(,)),)")
         assert not tamari_leq(s, t)
         with pytest.raises(ValueError):
             classify_edges(s, t)
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="not an interval"):
             _classify_masks(span_masks(s), span_masks(t))
 
     @settings(max_examples=300, deadline=None)

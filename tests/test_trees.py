@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from conftest import (
     LEAF,
     SINGLE_NODE,
+    agree,
     binary_trees,
     corolla,
     decompose_interval,
@@ -48,7 +49,6 @@ from conftest import (
 from tamari.formulas import catalan
 from tamari.lattice import rotation_down_set
 from tamari.trees import (
-    agree,
     asc,
     ascent_spans,
     bracket_vector,
