@@ -80,6 +80,18 @@ class EdgeClassification(NamedTuple):
 # face generation through interval fibers
 # ===================================================================
 
+_NOT_AN_INTERVAL = ("not an interval: an ascent span of the lower tree "
+                    "reappears as a descent span of the upper tree")
+
+
+def _guard(lower: tuple, upper: tuple) -> None:
+    """Refuse a pair of the interval walk that is no interval, from the
+    span_masks of s and of t: an ascent span of s (lower[1]) that is a
+    descent span of t (upper[0]) is a failed self-check, a RuntimeError."""
+    if lower[1] & upper[0]:
+        raise RuntimeError(_NOT_AN_INTERVAL)
+
+
 def _contractions(t: SchroederTree, spans) -> list:
     """[(contraction of t, its dimension)] per subset of the sorted spans,
     subsets in bit order."""
@@ -92,8 +104,9 @@ def _contractions(t: SchroederTree, spans) -> list:
 
 
 def _fiber_sides(t: SchroederTree) -> tuple:
-    """(contractions of descent edges, contractions of ascent edges)."""
-    return (_contractions(t, descent_spans(t)),
+    """(span_masks, contractions of descent edges, contractions of ascent
+    edges)."""
+    return (span_masks(t), _contractions(t, descent_spans(t)),
             _contractions(t, ascent_spans(t)))
 
 
@@ -101,13 +114,16 @@ def diagonal_faces(n: int, budget=None) -> Iterator[DiagonalFace]:
     """Every face of the diagonal exactly once.
 
     The fiber over an interval (s, t) has size 2^(des(s)+asc(t)); the
-    budget is checked against the face count sum_k b(n, k) up front.
+    budget is checked against the face count sum_k b(n, k) up front.  A
+    walk pair that is no interval is refused by _guard, as the
+    classification refuses it.
     """
     if n < 1:
         raise ValueError("diagonal_faces() requires n >= 1")
     within_budget(f"diagonal_faces({n})", face_count_formula(n), budget)
-    for (lower, _), (_, upper), _, _ in _interval_walk(n, budget,
-                                                       _fiber_sides):
+    for (s_masks, lower, _), (t_masks, _, upper), _, _ in _interval_walk(
+            n, budget, _fiber_sides):
+        _guard(s_masks, t_masks)
         for f, f_dim in lower:
             for g, g_dim in upper:
                 yield DiagonalFace(f, g, f_dim + g_dim)
@@ -150,8 +166,7 @@ def classify_edges(s, t) -> EdgeClassification:
     t_descents = descent_spans(t)
     t_ascents = ascent_spans(t)
     if s_ascents & t_descents:
-        raise ValueError("not an interval: an ascent span of the lower tree "
-                         "reappears as a descent span of the upper tree")
+        raise ValueError(_NOT_AN_INTERVAL)
     constrained_pairs = s_descents & t_ascents
     tied = len(s_descents & t_descents) + len(t_ascents & s_ascents)
     constrained = len(constrained_pairs)
@@ -164,15 +179,12 @@ def _classify_masks(lower: tuple, upper: tuple) -> tuple:
 
     The same classification as classify_edges.  A tree's descent and
     ascent spans are disjoint, so each count is one popcount.  Only the
-    interval walk feeds it, so a pair that is no interval is a failed
-    self-check, a RuntimeError.
+    interval walk feeds it, so a pair that is no interval is refused by
+    _guard.
     """
+    _guard(lower, upper)
     s_descents, s_ascents = lower
     t_descents, t_ascents = upper
-    if s_ascents & t_descents:
-        raise RuntimeError("not an interval: an ascent span of the lower "
-                           "tree reappears as a descent span of the upper "
-                           "tree")
     free = ((s_descents ^ t_ascents) & ~(t_descents | s_ascents)).bit_count()
     tied = ((s_descents & t_descents) | (s_ascents & t_ascents)).bit_count()
     return free, tied, (s_descents & t_ascents).bit_count()

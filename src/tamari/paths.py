@@ -19,35 +19,39 @@ The interval engine of every slope, the Tamari lattice's included,
 streams down-sets as bitmasks in a linear extension: down(t) is {t} with
 the union of down(c) over the words c covered by t.  Inside the engine a
 ballot word is an int (N = 1, first letter most significant), and one
-depth-first pass generates the words with their upper covers, each cover
-resolved from the bits already placed as soon as the factor it moves
-closes; ascending int order, the reverse of that N-first generation order
-(m_tamari_elements' order), is the extension.  The covers are one flat
+depth-first pass generates the words with their upper covers; ascending
+int order, the reverse of that N-first generation order
+(m_tamari_elements' order), is the extension.  Each cover's index is
+ranked, not looked up: the words generated before a word are counted by
+ballot completion counts, summed over its E's, and a cover changes only
+the terms of the letters it moves, so its index is the word's plus a
+difference the pass carries, known as soon as the factor it moves
+closes.  No table of the words is held.  The covers are one flat
 array of C ints, each word's block after the previous word's, with the
 block lengths (the upper-cover counts) in a list.  OR works bit by bit,
 so the masks cut to a window of lower indices [lo, hi) obey the same
 recurrence: the engine builds the words and the cover array once, then
-runs the recurrence once per window of at most WINDOW_BITS = 8,192
+runs the recurrence once per window of at most WINDOW_BITS = 4,096
 indices, walking the array with a running offset and holding
-window-wide masks of at most 1 KB only; the width halves while C masks
-of it would span more than WINDOW_BYTES, so the first window, where
-every word may be gathering a mask, stays bounded as C grows (from
-n = 14 at slope 1).  The bytes OR-ed are about the same at any width,
-since each row ORs the window's members below it: a narrower width means
-more windows but fewer and smaller masks alive at once.  Each finished
-mask is OR-ed into the masks its upper covers are gathering, and a
-gathered mask is freed when its own word takes it, so only the masks
-owed to a later word stay alive.  Most of those ORs add no bit, so a
-gathering slot keeps whichever object already is the union, its own or
-the pushed one: equal masks stay one object instead of piling up as
-copies (at slope 3 and n = 7, 205,569 rows hold 75,249 values in
-77,036 objects).  Every view frees
-the words before the first window, once it has read them into its keys
-or values.  Every statistics table is the one tally _tally over the
-windows: per upper key, a binary counter per element of the window held
-as bit planes, into which the down-set masks are added eight at a time by
-carry-save adders (Harley-Seal), only the weight-8 carry rippling into
-the higher planes; a window's cells are read at its end by one popcount
+window-wide masks of at most 512 bytes only; the width halves while C
+masks of it would span more than WINDOW_BYTES, so the first window,
+where every word may be gathering a mask, stays bounded as C grows
+(from C > 2^21, n = 14 at slope 1).  The bytes OR-ed are about the same
+at any width, since each row ORs the window's members below it: a
+narrower width means more windows but fewer and smaller masks alive at
+once.  Each finished mask is OR-ed into the masks its upper covers
+are gathering, and a gathered mask is freed when its own word takes it,
+so only the masks owed to a later word stay alive.  Most of those ORs
+add no bit, so a gathering slot keeps whichever object already is the
+union, its own or the pushed one: equal masks stay one object instead of
+piling up as copies (at slope 3 and n = 7, 361,103 rows hold 79,291
+values in 82,561 objects).  Every view frees the words before the first
+window, once it has read them into its keys or values.  Every
+statistics table is the one tally _tally over the windows: per upper
+key, a binary counter per element of the window held as bit planes,
+into which the down-set masks are added eight at a time by carry-save
+adders (Harley-Seal), only the weight-8 carry rippling into the higher
+planes; a window's cells are read at its end by one popcount
 per plane, waiting mask and lower class, and summed over the windows.
 The planes are padded to the window width, so a new plane reuses the
 block of the one it replaces and peak memory stays flat.
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from itertools import accumulate
 from typing import Iterator, Mapping, NamedTuple
 
 from .formulas import fuss_catalan, m_tamari_intervals_formula
@@ -76,13 +81,14 @@ from .trees import BinaryTree
 
 FALLBACK_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "TAMARI_BUDGET"
-# the most lower indices one down-set mask of the engine spans, 1 KB: a
-# narrower window means more passes over the covers but fewer and smaller
-# live gathering masks (4 Kbit was slower at slope 3, 16 Kbit held more)
-WINDOW_BITS = 1 << 13
+# the most lower indices one down-set mask of the engine spans, 512 bytes:
+# a narrower window means more passes over the covers but fewer and smaller
+# live gathering masks.  At slope 3 and n = 7, 4 Kbit windows peak near the
+# generating pass (4.5 against 4.1 MB traced); 8 Kbit ones peaked at 10 MB
+WINDOW_BITS = 1 << 12
 # the most bytes C masks of one window's width may span: in the first window
 # every word may gather a mask at once, as each holds the bottom word.
-# It first binds at C > 2^20, n = 14 at slope 1.
+# It first binds at C > 2^21, n = 14 at slope 1.
 WINDOW_BYTES = 1 << 30
 
 
@@ -248,15 +254,30 @@ def _ballot_lattice(m: int, n: int) -> tuple:
 
     A cover turns the first letter it changes from E into N, so it is a
     larger int: ascending order is a linear extension of the lattice.  The
-    words are generated depth first, N before E, so in descending order,
-    and a word's covers are indexed before the word is reached.  Each EN
-    factor stays pending until a later E brings the height back down to
-    the base of its N.  Its cover moves the letters from that N to this E
-    one place up, over the E of the factor, which adds their own bits to
-    the word: the cover is known once this E is placed.
+    words are generated depth first, N before E, so in descending order.
+    Each EN factor stays pending until a later E brings the height back
+    down to the base of its N.  Its cover moves the letters from that N
+    to this E, a balanced factor F, one place up, over the E of the
+    factor: E F becomes F E.
+
+    A cover's index is ranked, not looked up.  With completions[r][h] the
+    ballot suffixes with r N's left from height h, the words generated
+    before a word are the sum, over its E's, of completions[r - 1][h + m]
+    at the state (r, h) just before the E: those with an N there instead.
+    So its index is C - 1 less that sum.  E F -> F E changes only the
+    terms of those letters: the E's term (head) leaves, F's E's are read
+    one unit higher, and the moved E adds the term of its new state
+    (tail).  The pass carries the running difference of the sums at h and
+    at h + 1, each pending factor holds head less that difference at its
+    N, and the cover's index is the word's plus head, plus F's share of
+    the difference, less tail, known once the closing E is placed.
     """
     count = fuss_catalan(m, n)
-    index: dict = {}
+    # completions[r][h] = completions[r - 1][h + m] + completions[r][h - 1],
+    # for h up to (n - r)·m + 1, the highest any state reads
+    completions = [[1] * (n * m + 2)]
+    for _ in range(n - 1):
+        completions.append(list(accumulate(completions[-1][m:])))
     words: list = []
     upper: list = []
     # one C int per cover: a tuple per word would hold a pointer and an
@@ -265,38 +286,48 @@ def _ballot_lattice(m: int, n: int) -> tuple:
     covers = array("i")
     cover = covers.append
 
-    def extend(word, bit, height, ups, pending, deltas):
+    def extend(word, bit, height, ups, pending, deltas, drop):
         # word holds the letters so far in their final places, and bit is
-        # the place of the next one; pending stacks (base, places below
-        # the E) per open EN factor, the innermost on top
+        # the place of the next one; drop sums, over the E's so far, the
+        # term at h less the term at h + 1; pending stacks (base, head
+        # less drop at its N) per open EN factor, the innermost on top;
+        # deltas holds the closed factors' cover index less the word's
         if not ups:
-            # only E's are left, and each open factor ends at its base
+            # only E's are left, each with no term, and each open factor
+            # ends at its base with no tail
             while pending:
-                deltas += (word & pending[1],)
+                deltas += (pending[1] + drop,)
                 pending = pending[2]
             words.append(word)
-            index[word] = count - len(words)
+            index = count - len(words)
             upper.append(len(deltas))
             for delta in deltas:
-                cover(index[word + delta])
+                cover(index + delta)
             return
+        below = completions[ups - 1]
         if word & bit << 1:
             extend(word | bit, bit >> 1, height + m, ups - 1,
-                   pending, deltas)
+                   pending, deltas, drop)
         else:
+            # the E just placed, from height + 1, heads a factor
             extend(word | bit, bit >> 1, height + m, ups - 1,
-                   (height, (bit << 1) - 1, pending), deltas)
+                   (height, below[height + m + 1] - drop, pending),
+                   deltas, drop)
         if height:
+            # this E's term; if it closes a factor, the moved E takes this
+            # state, so the term is also the cover's tail
+            term = below[height + m]
+            drop += term - below[height + m + 1]
             height -= 1
             if pending and pending[0] == height:
                 extend(word, bit >> 1, height, ups, pending[2],
-                       deltas + (word & pending[1],))
+                       deltas + (pending[1] + drop - term,), drop)
             else:
-                extend(word, bit >> 1, height, ups, pending, deltas)
+                extend(word, bit >> 1, height, ups, pending, deltas, drop)
 
     top = 1 << (n * (m + 1) - 1)
-    extend(top, top >> 1, m, n - 1, None, ())
-    # the closure holds itself; unbound, it frees the index on return
+    extend(top, top >> 1, m, n - 1, None, (), 0)
+    # the closure holds itself; unbound, it frees its cells on return
     del extend
     # reversed whole, each word's block of covers stays contiguous
     words.reverse()
@@ -348,8 +379,9 @@ def m_tamari_elements(m: int, n: int, budget=None) -> list:
 # ===================================================================
 
 def _window_width(count: int) -> int:
-    """WINDOW_BITS, halved while count masks of that width would span
-    more than WINDOW_BYTES."""
+    """WINDOW_BITS, masks of 512 bytes, halved while count masks of that
+    width would span more than WINDOW_BYTES: first for count > 2^21, at
+    n = 14 at slope 1 (2,048 bits)."""
     width = WINDOW_BITS
     while width > 1 and count * width > 8 * WINDOW_BYTES:
         width //= 2

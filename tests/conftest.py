@@ -6,12 +6,14 @@ written out in binomials and factorials, the oracle of the Gamma-factor
 lists in tamari.formulas, and a Sylvester resultant that derives the
 quartic of tamari.equations."""
 
+from array import array
 from functools import cache
 from math import comb, factorial
 
 import pytest
 from hypothesis import strategies as st
 
+from tamari.formulas import fuss_catalan
 from tamari.lattice import all_trees, intervals
 from tamari.paths import within_budget
 from tamari.polys import MonomialPolynomial
@@ -282,6 +284,49 @@ def decompose_interval(s, t) -> list:
         components.append((s_i, t_piece))
     assert not s_pieces
     return components
+
+
+def indexed_ballot_lattice(m: int, n: int) -> tuple:
+    """paths._ballot_lattice resolving each cover through a dict from
+    every word to its index: the same depth-first pass, N before E, with
+    each cover read as the word plus the bits of the letters it moves one
+    place up, its pending factor's places below the E."""
+    count = fuss_catalan(m, n)
+    index: dict = {}
+    words: list = []
+    upper: list = []
+    covers = array("i")
+
+    def extend(word, bit, height, ups, pending, deltas):
+        if not ups:
+            while pending:
+                deltas += (word & pending[1],)
+                pending = pending[2]
+            words.append(word)
+            index[word] = count - len(words)
+            upper.append(len(deltas))
+            covers.extend(index[word + delta] for delta in deltas)
+            return
+        if word & bit << 1:
+            extend(word | bit, bit >> 1, height + m, ups - 1,
+                   pending, deltas)
+        else:
+            extend(word | bit, bit >> 1, height + m, ups - 1,
+                   (height, (bit << 1) - 1, pending), deltas)
+        if height:
+            height -= 1
+            if pending and pending[0] == height:
+                extend(word, bit >> 1, height, ups, pending[2],
+                       deltas + (word & pending[1],))
+            else:
+                extend(word, bit >> 1, height, ups, pending, deltas)
+
+    top = 1 << (n * (m + 1) - 1)
+    extend(top, top >> 1, m, n - 1, None, ())
+    words.reverse()
+    upper.reverse()
+    covers.reverse()
+    return words, upper, covers
 
 
 def tree_pool(n: int) -> list:

@@ -32,9 +32,10 @@ Core claims:
     - planted faults in the interval walk (its first strict interval at
       each n >= 3 dropped, its ends swapped, or replaced by a pair that
       is no interval) make verify internal-cross, euler and
-      decompositions exit 4 with a pinned red set, or with the walk
-      guard's self-check message, never with a traceback; internal-cross
-      sees the first two only through its face-rows route
+      decompositions exit 4, never with a traceback: with a pinned red
+      set under the first two, which internal-cross sees only through
+      its face-rows route, and with the walk guard's self-check message
+      and no report under the third, in all three suites
     - exit statuses: 0 success, 2 usage (argparse or ValueError, an
       option the table or suite does not read, a value below its
       minimum, a zero budget named by its source and value, an --out
@@ -751,12 +752,11 @@ PLANTED_FAULTS = [
      _at(["classification-vs-face-rows"], (3, 4, 5))),
     ("swap", "euler", _at(["internal-alternating-sum"], range(3, 8))),
     ("swap", "decompositions", DECOMPOSITION_REDS),
-    # the classification refuses the pair: a failed self-check, no report
+    # the classification and the faces refuse the pair: a failed
+    # self-check, no report
     ("guard", "internal-cross", None),
     ("guard", "euler", None),
-    # the faces have no guard: the pair's fiber is counted
-    ("guard", "decompositions", DECOMPOSITION_REDS
-     | {"all-fibers-boolean mode=min-min n=4"}),
+    ("guard", "decompositions", None),
 ]
 
 

@@ -13,7 +13,8 @@ Core claims:
       of the upper tree on intervals, and classify_edges rejects pairs
       violating that; the span-bitmask route internal_fvector reads gives
       the same classification and refuses the same pairs as a failed
-      self-check (RuntimeError), since only the interval walk feeds it
+      self-check (RuntimeError), since only the interval walk feeds it;
+      diagonal_faces refuses such a walk pair the same way
     - internal faces by the classification formula agree with the direct
       shared-facet filter (n <= 6, n = 7 extended) and frozen rows; the
       direct filter, by internal edge spans, equals the test for a shared
@@ -286,6 +287,17 @@ class TestClassification:
             classify_edges(s, t)
         with pytest.raises(RuntimeError, match="not an interval"):
             _classify_masks(span_masks(s), span_masks(t))
+
+    def test_faces_refuse_the_forbidden_span_pattern(self, monkeypatch):
+        # the same pair from the interval walk: the faces read each
+        # tree's span masks with its fiber sides, and yield none of it
+        s = parse_tree("(,((,),))")
+        t = parse_tree("((,(,)),)")
+        monkeypatch.setattr(
+            "tamari.diagonal._interval_walk",
+            lambda n, budget, element: iter([(element(s), element(t), 1, 1)]))
+        with pytest.raises(RuntimeError, match="not an interval"):
+            next(diagonal_faces(3))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 7).flatmap(

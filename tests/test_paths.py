@@ -19,17 +19,22 @@ Core claims:
     - the engine's element order is a linear extension: every cover of
       a word comes after it; the covers resolved while the words are
       generated are the rotations of the words' trees
+    - the covers ranked by ballot completion counts are those a dict
+      from every word to its index resolves (conftest), for every
+      m <= 6 with C <= 60,000 (250,000 under extended)
     - the engine's build leaves no garbage cycle behind, and its words,
-      cover counts and flat cover array hold under 80 bytes a word
+      cover counts and flat cover array hold under 80 bytes a word;
+      generating the slope-3 words at n = 7 peaks under 5 MB, where a
+      dict from every word to its index peaked at 8.2 MB
     - the engine streams its masks: one interval count holds well under
       the bytes of all down-set masks at once, and with eight windows a
       table holds under a quarter of them; the slope-3 count at n = 7
       (extended) holds under a quarter of C masks of its window's width;
       the n = 12 count (extended) equals the closed formula in a child
-      process under 64 MB
+      process under 40 MB
     - the engine splits the words into equal windows of at most
       WINDOW_BITS, halved while C masks of the width would pass
-      WINDOW_BYTES (8,192 bits through n = 13, 2,048 at n = 14); with
+      WINDOW_BYTES (4,096 bits through n = 13, 2,048 at n = 14); with
       the width or the byte cap patched down, every tally equals the
       pairwise oracle walked in one window, every count the formula, and
       the walk yields the intervals of the default width; every window's
@@ -67,6 +72,7 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    indexed_ballot_lattice,
     left_comb,
     nonempty_binary_trees,
     right_comb,
@@ -128,8 +134,22 @@ ENGINE_GRID = ([(1, n) for n in range(1, 8)]
 ORDER_GRID = [(m, n) for m in range(1, 7) for n in range(1, 8)
               if fuss_catalan(m, n) ** 2 <= 2 * 10**4]
 
+# every slope m <= 6 with n whose C words number at most 60,000, and up to
+# 250,000 under extended
+RANK_GRID = [pytest.param(m, n, id=f"{m}-{n}", marks=(
+                 [pytest.mark.extended] if fuss_catalan(m, n) > 60_000
+                 else []))
+             for m in range(1, 7) for n in range(1, 13)
+             if fuss_catalan(m, n) <= 250_000]
+
 # window widths that split every engine above into several windows
 NARROW_WIDTHS = [1, 5, 64]
+
+# the default width and twice it: every engine above is one window at
+# either
+WIDE_WIDTHS = [WINDOW_BITS, 2 * WINDOW_BITS]
+WIDE = [pytest.param(("WINDOW_BITS", width), id=str(width))
+        for width in WIDE_WIDTHS]
 
 # a cap on one window's mask bytes low enough that the engine halves its
 # own width: to 4 bits at 429 words, 8 at 132, 128 at 14
@@ -443,6 +463,12 @@ class TestBallot:
         assert upper == [len(above) for above in covers]
         assert lower == [below[tree] for tree in trees]
 
+    @pytest.mark.parametrize("m,n", RANK_GRID)
+    def test_ranked_covers_are_the_indexed_covers(self, m, n):
+        # the same words, cover counts and cover array, in the same order,
+        # as the pass that looks each cover up in a dict of every word
+        assert _ballot_lattice(m, n) == indexed_ballot_lattice(m, n)
+
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 3)])
     def test_covers_permute_and_raise(self, m, n):
         # covers permute the letters, and the sum of E positions strictly
@@ -534,8 +560,7 @@ class TestTally:
         key = TALLY_KEYS[keys]
         assert _tally(m, n, None, key) == _pairwise_cells(m, n, key)
 
-    @pytest.mark.parametrize("narrow", NARROW + [pytest.param(
-        ("WINDOW_BITS", WINDOW_BITS), id=str(WINDOW_BITS))])
+    @pytest.mark.parametrize("narrow", NARROW + WIDE)
     def test_grid_meets_every_counter_case(self, monkeypatch, narrow):
         # read from the engine's rows: in some window some upper class of
         # the grid gets 1-7 rows (only masks waiting for a block of eight),
@@ -598,7 +623,7 @@ class TestTally:
 class TestWindows:
     # a narrow WINDOW_BITS splits each engine into many windows; every
     # table and count must equal the one-window engine's
-    @pytest.mark.parametrize("width", NARROW_WIDTHS + [WINDOW_BITS])
+    @pytest.mark.parametrize("width", NARROW_WIDTHS + WIDE_WIDTHS)
     @pytest.mark.parametrize("m,n", [(1, 7), (2, 5), (3, 1)])
     def test_windows_split_the_words_evenly(self, monkeypatch, width, m, n):
         monkeypatch.setattr(paths, "WINDOW_BITS", width)
@@ -650,8 +675,7 @@ class TestWindows:
         assert len(windowed) == len(set(windowed)) == len(whole)
         assert set(windowed) == set(whole)
 
-    @pytest.mark.parametrize("narrow", NARROW + [pytest.param(
-        ("WINDOW_BITS", WINDOW_BITS), id=str(WINDOW_BITS))])
+    @pytest.mark.parametrize("narrow", NARROW + WIDE)
     @pytest.mark.parametrize("m,n", ENGINE_GRID)
     def test_rows_are_the_pushed_unions(self, monkeypatch, narrow, m, n):
         # keeping the slot's own object or the pushed one changes which
@@ -673,11 +697,11 @@ class TestWindows:
         assert len({id(mask) for mask in masks}) < 1.25 * 1282
 
     def test_width_halves_under_the_mask_byte_cap(self):
-        # C masks of the first window at width w span C·w/8 bytes: 761 MB
-        # at n = 13 keeps 8,192 bits, and n = 14 (2.74 GB) halves twice
+        # C masks of the first window at width w span C·w/8 bytes: 380 MB
+        # at n = 13 keeps 4,096 bits, and n = 14 (1.37 GB) halves once
         assert [_window_width(catalan(n)) for n in (11, 12, 13)] == [
-            8192, 8192, 8192]
-        for n in range(13, 19):
+            4096, 4096, 4096]
+        for n in range(14, 20):
             count = catalan(n)
             width = _window_width(count)
             assert count * width <= 8 * paths.WINDOW_BYTES < 2 * count * width
@@ -732,9 +756,10 @@ class TestStreaming:
 
     @pytest.mark.extended
     def test_slope_three_count_holds_under_a_quarter_of_a_window(self):
-        # 53,820 words in seven windows of 7,689 bits: C masks of that
-        # width span 55 MB.  Equal gathered masks stay one object, so the
-        # count peaks near 10 MB, where a fresh union per push held 17 MB
+        # 53,820 words in fourteen windows of 3,845 bits: C masks of that
+        # width span 26 MB.  Equal gathered masks stay one object, and the
+        # covers are ranked with no dict of the words, so the count peaks
+        # near 4.5 MB
         budget = m_tamari_intervals_formula(3, 7)
         count = fuss_catalan(3, 7)
         width = -(-count // -(-count // WINDOW_BITS))
@@ -747,9 +772,22 @@ class TestStreaming:
         assert intervals == budget
         assert peak < 0.25 * count * width / 8
 
+    def test_slope_three_generation_holds_no_word_index(self):
+        # 53,820 words and 242,190 covers, ranked as they are generated:
+        # looking each cover up in a dict of every word peaked at 8.2 MB
+        tracemalloc.start()
+        try:
+            words, upper, covers = _ballot_lattice(3, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(words) == len(upper) == fuss_catalan(3, 7)
+        assert sum(upper) == len(covers) == 242190
+        assert peak < 5_000_000
+
     def test_build_leaves_no_garbage_cycle(self):
         # the generator's recursive closure holds itself; left bound, that
-        # cycle would keep the word index alive until a collection
+        # cycle would keep its cells alive until a collection
         gc.collect()
         gc.disable()
         try:
@@ -793,4 +831,4 @@ class TestStreaming:
             text=True, env={**os.environ, "PYTHONPATH": src}).stdout
         count, peak_kib = map(int, out.split())
         assert count == m_tamari_intervals_formula(1, 12) == 373537388
-        assert peak_kib < 64 * 1024
+        assert peak_kib < 40 * 1024
