@@ -17,7 +17,8 @@ several gates runs once per process.
     5. printed operators: pde --order 11, telescoped --nmax 12
     6. bijections: dyck --nmax 6, canopy --nmax 7, fusy-humbert --order 6
     7. slope-m generalization: slope-m
-    8. invariants: euler --nmax 7, chu-vandermonde, invariants
+    8. invariants: euler --nmax 7, chu-vandermonde, order-oracle,
+       invariants
 
 The extended marker re-runs criterion 1 at n = 9 (857956 intervals).
 """
@@ -51,9 +52,10 @@ GATES = [
       ("fusy-humbert", "--order", "6")]),
     ("7 slope-m lattices (counts on all grids <= 5000 elements, "
      "statistics, order in T_mn up to 2e4 pairs)", [("slope-m",)]),
-    ("8 invariants (Euler, order axioms, des+asc, specializations, "
-     "convolution)", [("euler", "--nmax", "7"), ("chu-vandermonde",),
-                      ("invariants",)]),
+    ("8 invariants (Euler, bracket-vector order, order axioms, des+asc, "
+     "specializations, convolution)",
+     [("euler", "--nmax", "7"), ("chu-vandermonde",), ("order-oracle",),
+      ("invariants",)]),
 ]
 
 # criterion 1 at n = 9: the (des, asc) tallies to n = 9 against the canopy

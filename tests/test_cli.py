@@ -23,12 +23,18 @@ Core claims:
       dropped from the engine turns verify dyck's cover check, and it
       alone, red; so does the closed formula off by one at one (m, n)
       for verify slope-m's count check, and a dropped rotation for
-      verify invariants' comparison check); a check stands whatever its
-      siblings found (verify canopy reports its histogram under any
-      fault); every suite's default report matches the checked-in JSON
-      under golden/ byte for byte; verify pde names the power of t its
-      residual is zero modulo (t^10 at --order 11); verify catalytic and
-      fusy-humbert announce each row they enumerate from n = 7
+      verify order-oracle's three checks from n = 2); a check stands
+      whatever its siblings found (verify canopy reports its histogram
+      under any fault); every suite's default report matches the
+      checked-in JSON under golden/ byte for byte, and no check name,
+      its n suffix dropped, is in the goldens of two suites; verify pde
+      names the power of t its residual is zero modulo (t^10 at --order
+      11); verify catalytic and fusy-humbert announce each row they
+      enumerate from n = 7
+    - planted faults in the rotation down-sets that verify invariants
+      reads (each tree left out of its own, one up-rotation put in, or
+      one rotation step taken with no closure) turn exactly the order
+      axioms they break red
     - planted faults in the interval walk (its first strict interval at
       each n >= 3 dropped, its ends swapped, or replaced by a pair that
       is no interval) make verify internal-cross, euler and
@@ -64,6 +70,7 @@ Core claims:
 import contextlib
 import json
 import os
+import re
 import tracemalloc
 from math import comb
 from pathlib import Path
@@ -82,9 +89,10 @@ from tamari.cli import (
 )
 from tamari.diagonal import decomposition_report
 from tamari.formulas import interval_count_formula
+from tamari.lattice import rotation_down_set
 from tamari.paths import _ballot_lattice, _walk, cover_table, tree_to_dyck
 from tamari.series import TruncatedSeries, newton_solve
-from tamari.trees import canopy, serialize
+from tamari.trees import canopy, rotations_up, serialize
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -164,6 +172,19 @@ class TestGoldenReports:
         assert status == 0
         golden = GOLDEN / f"verify_{suite.replace('-', '_')}.json"
         assert out == golden.read_text(encoding="utf-8")
+
+    def test_no_check_is_made_in_two_suites(self):
+        # a comparison is made once: with its n=... or n<=... suffix
+        # dropped, no check name is in the goldens of two suites
+        suites: dict = {}
+        for path in GOLDEN.glob("verify_*.json"):
+            report = json.loads(path.read_text(encoding="utf-8"))
+            for entry in report["checks"]:
+                name = re.sub(r" n<?=.*", "", entry["name"])
+                suites.setdefault(name, set()).add(report["suite"])
+        assert set().union(*suites.values()) == set(SUITES)
+        assert {name: found for name, found in suites.items()
+                if len(found) > 1} == {}
 
 
 # ===================================================================
@@ -503,18 +524,25 @@ class TestVerify:
         assert red == [{"name": "counts-match-closed-form elements<=5000",
                         "ok": False, "detail": [3, 2]}]
 
-    def test_invariants_catch_a_dropped_rotation(self, capsys, monkeypatch):
-        # each tree loses its first lower cover: the rotation search then
-        # misses trees below it, which only the comparison check sees
+    def test_order_oracle_catches_a_dropped_rotation(self, capsys,
+                                                     monkeypatch):
+        # each tree loses its first lower cover: from n = 2 the rotation
+        # search misses trees below it, so its down-sets, their order and
+        # their count all differ from the engine's and the closed form
         rotations_down = trees.rotations_down
         monkeypatch.setattr("tamari.lattice.rotations_down", lambda t: (
             frozenset(sorted(rotations_down(t), key=serialize)[1:])))
-        status, out, _ = run_cli(capsys, "verify", "invariants")
+        status, out, _ = run_cli(capsys, "verify", "order-oracle")
         assert status == EXIT_VERIFY
-        red = [entry for entry in json.loads(out)["checks"]
-               if not entry["ok"]]
-        assert red == [{"name": "comparison-matches-reachability n<=6",
-                        "ok": False, "detail": 2}]
+        red = {entry["name"]: entry["detail"]
+               for entry in json.loads(out)["checks"] if not entry["ok"]}
+        assert set(red) == _at(["down-sets-match-bfs",
+                                "comparison-matches-reachability",
+                                "interval-count-closed-form"], range(2, 7))
+        assert red["comparison-matches-reachability n=2"] == {
+            "pair": ["((,),)", "(,(,))"]}
+        assert red["interval-count-closed-form n=2"] == {
+            "enumerated": "2", "formula": "3"}
 
     def test_failing_suite_exits_four(self, capsys, monkeypatch):
         # with every min-max fiber reported boolean, the witness check
@@ -737,11 +765,10 @@ def _at(names, ns) -> set:
     return {f"{name} n={n}" for name in names for n in ns}
 
 
-# every mode's f-vector check and max-max's boolean check at n = 3, 4; a
-# dropped interval also loses a max-min fiber
-DECOMPOSITION_REDS = _at([f"fvector-agrees mode={mode}" for mode in (
-    "min-min", "max-min", "min-max", "max-max")], (3, 4)) | _at(
-    ["all-fibers-boolean mode=max-max"], (3, 4))
+# the f-vector check, made in the first mode alone, and max-max's boolean
+# check at n = 3, 4; a dropped interval also loses a max-min fiber
+DECOMPOSITION_REDS = _at(["fvector-agrees mode=min-min",
+                          "all-fibers-boolean mode=max-max"], (3, 4))
 PLANTED_FAULTS = [
     ("drop", "internal-cross",
      _at(["classification-vs-face-rows"], (3, 4, 5))),
@@ -780,6 +807,47 @@ class TestPlantedWalkFaults:
         else:
             assert {entry["name"] for entry in json.loads(out)["checks"]
                     if not entry["ok"]} == red
+
+
+# ===================================================================
+# planted faults in the rotation order
+# ===================================================================
+
+def _planted_down_set(fault: str):
+    """lattice.rotation_down_set with one fault at every tree t: t left
+    out of its own down-set, t's first up-rotation put in, or the trees
+    one rotation below t in place of the closure."""
+    def down_set(t):
+        if fault == "self":
+            return rotation_down_set(t) - {t}
+        if fault == "up":
+            return rotation_down_set(t) | set(
+                sorted(rotations_up(t), key=serialize)[:1])
+        return trees.rotations_down(t) | {t}
+    return down_set
+
+
+# fault -> the red checks of verify invariants, each with the first n at
+# which it fails
+ROTATION_FAULTS = {
+    "self": {"rotation-order-reflexive n<=6": 1},
+    # t and its up-rotation u are each below the other from n = 2; from
+    # n = 3 some lower cover of u is not below t
+    "up": {"rotation-order-antisymmetric n<=6": 2,
+           "rotation-order-transitive n<=6": 3},
+    "step": {"rotation-order-transitive n<=6": 3},
+}
+
+
+@pytest.mark.parametrize("fault", ROTATION_FAULTS)
+def test_rotation_fault_turns_its_axiom_red(capsys, monkeypatch, fault):
+    monkeypatch.setattr("tamari.cli.rotation_down_set",
+                        _planted_down_set(fault))
+    status, out, _ = run_cli(capsys, "verify", "invariants")
+    assert status == EXIT_VERIFY
+    assert {entry["name"]: entry["detail"]
+            for entry in json.loads(out)["checks"]
+            if not entry["ok"]} == ROTATION_FAULTS[fault]
 
 
 # ===================================================================
